@@ -68,19 +68,17 @@ from .qca import (
     qca_step,
 )
 from .verify import CheckResult, VerifyOptions, run_verification
-from .walk1d import (
-    WalkUnitary,
-    build_walk_unitary_1d,
-    momentum_block_1d,
-    verify_block_consistency,
-    walk_eigenstate_1d,
-)
-from .walk2d import (
+from .walk import (
     CoinFrame2D,
-    build_walk_unitary_2d,
+    WalkUnitary,
     make_coin_frame_2d,
-    momentum_block_2d,
     validate_coin_frame,
+    verify_block_consistency,
+)
+from .walk1d import build_walk_unitary_1d, momentum_block_1d, walk_eigenstate_1d
+from .walk2d import (
+    build_walk_unitary_2d,
+    momentum_block_2d,
     verify_block_consistency_2d,
     walk_eigenstate_2d,
 )

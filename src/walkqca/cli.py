@@ -15,10 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dirac, fock, multiparticle, qca, verify
+from . import dirac, fock, multiparticle, qca, verify, walk
 from .lattice import LatticeSpec
-from .walk1d import spectrum_rows_1d
-from .walk2d import spectrum_rows_2d
 
 DEFAULT_CONFIG = {
     "lattice": {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.05},
@@ -63,14 +61,9 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
-    if spec.dimension == 1:
-        rows = spectrum_rows_1d(spec)
-        fields = ["ell", "k", "r0", "r1", "r2", "r3", "phi", "degenerate"]
-    else:
-        rows = spectrum_rows_2d(spec)
-        fields = ["ell_x", "ell_y", "k_x", "k_y", "r0", "r1", "r2", "r3", "phi", "degenerate"]
+    rows = walk.spectrum_rows(spec)
     path = out_dir / "spectrum.csv"
-    _write_csv(path, fields, rows)
+    _write_csv(path, list(rows[0]), rows)
     print(f"wrote {len(rows)} modes to {path}")
     return 0
 
@@ -80,12 +73,7 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     records = dirac.dispersion_table(spec)
     rows = []
     for rec in records:
-        row = {}
-        if spec.dimension == 1:
-            row["ell"], row["k"] = rec.mode.ell[0], rec.mode.k[0]
-        else:
-            row["ell_x"], row["ell_y"] = rec.mode.ell
-            row["k_x"], row["k_y"] = rec.mode.k
+        row = walk.mode_columns(rec.mode)
         row.update(
             phi_over_dt=rec.phi_over_dt,
             e_rel=rec.e_rel,

@@ -22,8 +22,7 @@ import numpy as np
 
 from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, eigenphase_from_r, matrix_from_r
 from .lattice import HBAR, LatticeSpec, MomentumMode, momentum_grid
-from .walk1d import pauli_coefficients_1d
-from .walk2d import pauli_coefficients_2d
+from .walk import pauli_coefficients
 
 BRANCH_CUT_TOL = 1e-8
 ORDER_WINDOW = (1.8, 2.2)
@@ -64,14 +63,8 @@ def relativistic_energy(spec: LatticeSpec, k: tuple[float, ...]) -> float:
     return sqrt(p2 * spec.c**2 + spec.mc2**2)
 
 
-def _pauli_coefficients(spec: LatticeSpec, k_dx: tuple[float, ...], theta: float):
-    if spec.dimension == 1:
-        return pauli_coefficients_1d(k_dx[0], theta)
-    return pauli_coefficients_2d(k_dx[0], k_dx[1], theta)
-
-
 def dispersion_record(spec: LatticeSpec, mode: MomentumMode) -> DispersionRecord:
-    r = _pauli_coefficients(spec, tuple(kc * spec.dx for kc in mode.k), spec.theta)
+    r = pauli_coefficients(tuple(kc * spec.dx for kc in mode.k), spec.theta)
     phi_over_dt = HBAR * eigenphase_from_r(r) / spec.dt
     e_rel = relativistic_energy(spec, mode.k)
     abs_err, rel_err = _dispersion_errors(phi_over_dt, e_rel)
@@ -101,15 +94,14 @@ def effective_generator(r, dt: float) -> np.ndarray:
     return -(HBAR / dt) * factor * (r1 * SIGMA_X + r2 * SIGMA_Y + r3 * SIGMA_Z)
 
 
+# The Pauli operator each momentum axis couples to in the target generator.
+AXIS_GENERATORS = (-SIGMA_Z, SIGMA_Y)
+
+
 def dirac_generator(spec: LatticeSpec, k: tuple[float, ...]) -> np.ndarray:
     """The free relativistic generator targeted in the long-wavelength limit."""
-    if spec.dimension == 1:
-        return -HBAR * k[0] * spec.c * SIGMA_Z - spec.mc2 * SIGMA_X
-    return (
-        -HBAR * k[0] * spec.c * SIGMA_Z
-        + HBAR * k[1] * spec.c * SIGMA_Y
-        - spec.mc2 * SIGMA_X
-    )
+    momentum = sum(HBAR * kc * spec.c * op for kc, op in zip(k, AXIS_GENERATORS))
+    return momentum - spec.mc2 * SIGMA_X
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ class GeneratorComparison:
 
 
 def generator_comparison(spec: LatticeSpec, mode: MomentumMode) -> GeneratorComparison:
-    r = _pauli_coefficients(spec, tuple(kc * spec.dx for kc in mode.k), spec.theta)
+    r = pauli_coefficients(tuple(kc * spec.dx for kc in mode.k), spec.theta)
     h_eff = effective_generator(r, spec.dt)
     h_dirac = dirac_generator(spec, mode.k)
     deviation = float(np.linalg.norm(h_eff - h_dirac, ord=2))
@@ -136,7 +128,7 @@ def first_order_step_deviation(
     The one-step block minus its first-order relativistic prediction;
     shrinks quadratically under joint scaling of (k*dx, theta).
     """
-    r = _pauli_coefficients(spec, k_dx, theta)
+    r = pauli_coefficients(k_dx, theta)
     m = matrix_from_r(r)
     k = tuple(kd / spec.dx for kd in k_dx)
     scaled = LatticeSpec(spec.dimension, spec.N, spec.dx, spec.dt, theta)
@@ -214,7 +206,7 @@ def convergence_study(
         scale = 0.5**level
         k_dx = tuple(scale * kd for kd in base_k_dx)
         theta = scale * spec.theta
-        r = _pauli_coefficients(spec, k_dx, theta)
+        r = pauli_coefficients(k_dx, theta)
         phi = eigenphase_from_r(r)
         target = sqrt(sum(kd * kd for kd in k_dx) + theta * theta)
         _, rel_err = _dispersion_errors(phi, target)

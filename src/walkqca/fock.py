@@ -22,9 +22,8 @@ from .lattice import (
     MomentumMode,
     mode_ordering_key,
 )
+from . import walk
 from .multiparticle import MultiState, ordered_product_state
-from .walk1d import momentum_block_1d, pauli_coefficients_1d
-from .walk2d import momentum_block_2d
 
 MODE_CAP = 20
 
@@ -110,14 +109,10 @@ def number_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
     return FockOperator(np.diag(diag).astype(complex), "composite")
 
 
-def _block(spec: LatticeSpec, mode: MomentumMode):
-    return momentum_block_1d(spec, mode) if spec.dimension == 1 else momentum_block_2d(spec, mode)
-
-
 def mode_phases(basis: FockBasis, spec: LatticeSpec) -> np.ndarray:
     """Branch-signed eigenphase of each basis mode."""
     return np.array(
-        [label.branch * _block(spec, label.mode).phi for label in basis.modes]
+        [label.branch * walk.momentum_block(spec, label.mode).phi for label in basis.modes]
     )
 
 
@@ -137,7 +132,7 @@ def momentum_mode_coefficients_1d(spec: LatticeSpec, mode: MomentumMode):
     Closed forms; undefined (raises) on degenerate blocks and, for the L
     pair, at sin(theta) = 0 where its normalization vanishes.
     """
-    block = momentum_block_1d(spec, mode)
+    block = walk.momentum_block(spec, mode)
     if block.degenerate:
         raise DegenerateModeError(f"mode {mode.ell} is degenerate; decomposition is arbitrary")
     k_dx = mode.k[0] * spec.dx
@@ -168,7 +163,7 @@ def momentum_mode_coefficients_2d(spec: LatticeSpec, mode: MomentumMode):
     here (first component of v_minus real and non-positive) the pair
     (alpha_R, beta_R) must reconstruct (1, 0) exactly.
     """
-    block = momentum_block_2d(spec, mode)
+    block = walk.momentum_block(spec, mode)
     if block.degenerate:
         raise DegenerateModeError(f"mode {mode.ell} is degenerate; decomposition is arbitrary")
     _, r1, r2, r3 = block.r

@@ -8,6 +8,7 @@ total order defined here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import pi
 
@@ -121,9 +122,10 @@ def momentum_grid(spec: LatticeSpec) -> list[MomentumMode]:
     1D modes come out ascending in k; 2D modes ascending in (k_y, k_x).
     """
     rng = range(-spec.N // 2 + 1, spec.N // 2 + 1)
-    if spec.dimension == 1:
-        return [momentum_mode(spec, (l,)) for l in rng]
-    return [momentum_mode(spec, (lx, ly)) for ly in rng for lx in rng]
+    return [
+        momentum_mode(spec, ell[::-1])
+        for ell in itertools.product(rng, repeat=spec.dimension)
+    ]
 
 
 def negate_mode(spec: LatticeSpec, mode: MomentumMode) -> MomentumMode:
@@ -155,10 +157,7 @@ def mode_ordering_key(label: EnergyModeLabel):
     k_y, then k_x, then branch.  Integer indices are used so there are no
     floating-point ties.
     """
-    ell = label.mode.ell
-    if len(ell) == 1:
-        return (ell[0], label.branch)
-    return (ell[1], ell[0], label.branch)
+    return (*reversed(label.mode.ell), label.branch)
 
 
 def energy_labels(spec: LatticeSpec) -> list[EnergyModeLabel]:

@@ -16,9 +16,8 @@ from math import factorial, sqrt
 
 import numpy as np
 
+from . import walk
 from .lattice import EnergyModeLabel, LatticeSpec, mode_ordering_key
-from .walk1d import build_walk_unitary_1d, walk_eigenstate_1d
-from .walk2d import build_walk_unitary_2d, walk_eigenstate_2d
 
 # Hard cap on dense amplitude counts; larger configurations belong in the
 # occupation-number (fock) representation.
@@ -142,12 +141,6 @@ def apply_per_factor(u_ext: np.ndarray, state: MultiState) -> MultiState:
     return MultiState(arr.reshape(-1), state.walk_dim, state.n_factors)
 
 
-def _walk_matrix(spec: LatticeSpec) -> np.ndarray:
-    if spec.dimension == 1:
-        return build_walk_unitary_1d(spec).matrix
-    return build_walk_unitary_2d(spec).matrix
-
-
 def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> MultiState:
     """One step of the n_max-fold vacuum-extended walk."""
     if state.n_factors != n_max:
@@ -156,7 +149,7 @@ def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> M
         raise ValueError(
             f"state walk dimension {state.walk_dim} does not match lattice ({spec.walk_dim})"
         )
-    return apply_per_factor(extended_unitary(_walk_matrix(spec)), state)
+    return apply_per_factor(extended_unitary(walk.build_walk_unitary(spec).matrix), state)
 
 
 def _permutation_parity(perm) -> int:
@@ -206,12 +199,6 @@ def antisymmetrize(state: MultiState, n: int) -> MultiState:
     return MultiState(out.reshape(-1), state.walk_dim, state.n_factors)
 
 
-def _walk_eigenstate(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
-    if spec.dimension == 1:
-        return walk_eigenstate_1d(spec, label)
-    return walk_eigenstate_2d(spec, label)
-
-
 def ordered_product_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
     """Antisymmetrized product of walk eigenstates in the given creation order.
 
@@ -227,7 +214,7 @@ def ordered_product_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
     if n == 0:
         return vacuum_state(spec.walk_dim, n_max)
     d = spec.walk_dim
-    parts = [_walk_eigenstate(spec, label) for label in labels]
+    parts = [walk.walk_eigenstate(spec, label) for label in labels]
     block = np.zeros((d,) * n, dtype=complex)
     for perm in itertools.permutations(range(n)):
         sign = -1.0 if _permutation_parity(perm) else 1.0
@@ -250,13 +237,9 @@ def physical_basis_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
 
 def eigenphase_check(spec: LatticeSpec, labels, n_max: int) -> float:
     """Residual of U_total psi = exp(i * sum(branch * phi)) psi for an energy-basis state."""
-    from .walk1d import momentum_block_1d
-    from .walk2d import momentum_block_2d
-
     labels = list(labels)
     state = physical_basis_state(spec, labels, n_max)
-    block_of = momentum_block_1d if spec.dimension == 1 else momentum_block_2d
-    total_phase = sum(label.branch * block_of(spec, label.mode).phi for label in labels)
+    total_phase = sum(label.branch * walk.momentum_block(spec, label.mode).phi for label in labels)
     evolved = total_evolution_apply(spec, n_max, state)
     return float(
         np.linalg.norm(evolved.amplitudes - np.exp(1j * total_phase) * state.amplitudes)

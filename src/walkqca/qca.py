@@ -15,7 +15,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .walk1d import walk_matrix_1d
+from . import walk
 
 QUBIT_CAP = 22
 DENSE_OPERATOR_CAP = 2048
@@ -225,10 +225,10 @@ def one_particle_sector_isomorphism(
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     if coin is None:
         coin = build_local_coin(theta)
-    walk = walk_matrix_1d(n_sites, theta)
-    d = walk.shape[0]
+    u_walk = walk.walk_matrix(n_sites, 1, theta, walk.make_coin_frame_2d())
+    d = u_walk.shape[0]
     ext = np.zeros((d + 1, d + 1), dtype=complex)
-    ext[:d, :d] = walk
+    ext[:d, :d] = u_walk
     ext[d, d] = 1.0
     u_total = np.array([[1.0]], dtype=complex)
     for _ in range(n_types):

@@ -12,19 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dirac, fock, multiparticle, qca
+from . import dirac, fock, multiparticle, qca, walk
 from .blocks import FORM_SWITCH_TOL
 from .lattice import EnergyModeLabel, LatticeSpec, energy_labels, momentum_grid
-from .walk1d import (
-    build_walk_unitary_1d,
-    momentum_block_1d,
-    verify_block_consistency,
-)
-from .walk2d import (
-    build_walk_unitary_2d,
-    momentum_block_2d,
-    verify_block_consistency_2d,
-)
 
 DEFAULT_TOL = 1e-12
 
@@ -78,11 +68,14 @@ def _qca_coin(options: VerifyOptions, theta: float) -> qca.LocalCoin:
 
 
 def check_unitarity(options: VerifyOptions) -> list[CheckResult]:
-    res = []
-    u1 = build_walk_unitary_1d(options.spec1d).matrix
-    res.append(_result("walk-1d-unitarity", _unitarity_residual(u1), options.tol))
-    u2 = build_walk_unitary_2d(options.spec2d).matrix
-    res.append(_result("walk-2d-unitarity", _unitarity_residual(u2), options.tol))
+    res = [
+        _result(
+            f"walk-{spec.dimension}d-unitarity",
+            _unitarity_residual(walk.build_walk_unitary(spec).matrix),
+            options.tol,
+        )
+        for spec in (options.spec1d, options.spec2d)
+    ]
     lattice = qca.CellLattice(n_sites=3, n_types=1)
     coin = _qca_coin(options, options.spec1d.theta)
     step = qca.qca_step_operator(lattice, coin)
@@ -91,24 +84,21 @@ def check_unitarity(options: VerifyOptions) -> list[CheckResult]:
 
 
 def check_blocks(options: VerifyOptions) -> list[CheckResult]:
-    res = []
-    res.append(
-        _result("block-consistency-1d", verify_block_consistency(options.spec1d), options.tol)
-    )
-    res.append(
+    specs = (options.spec1d, options.spec2d)
+    res = [
         _result(
-            "block-consistency-2d", verify_block_consistency_2d(options.spec2d), options.tol
+            f"block-consistency-{spec.dimension}d",
+            walk.verify_block_consistency(spec),
+            options.tol,
         )
-    )
+        for spec in specs
+    ]
     norm_dev = 0.0
     phase_dev = 0.0
     vec_dev = 0.0
-    for spec, block_of in (
-        (options.spec1d, momentum_block_1d),
-        (options.spec2d, momentum_block_2d),
-    ):
+    for spec in specs:
         for mode in momentum_grid(spec):
-            block = block_of(spec, mode)
+            block = walk.momentum_block(spec, mode)
             norm_dev = max(norm_dev, abs(sum(c * c for c in block.r) - 1.0))
             eig = np.sort(np.angle(np.linalg.eigvals(block.matrix)))
             phase_dev = max(
@@ -226,12 +216,7 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
         ) not in basis.modes:
             continue
         a_r, a_l = fock.momentum_mode_ops(basis, spec, lab.mode)
-        block = (
-            momentum_block_1d(spec, lab.mode)
-            if spec.dimension == 1
-            else momentum_block_2d(spec, lab.mode)
-        )
-        m = block.matrix
+        m = walk.momentum_block(spec, lab.mode).matrix
         pair = (a_r.matrix, a_l.matrix)
         for i in range(2):
             conj = evo @ pair[i] @ evo.conj().T
@@ -241,11 +226,7 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
 
 
 def _block_degenerate(spec: LatticeSpec, mode) -> bool:
-    block = (
-        momentum_block_1d(spec, mode)
-        if spec.dimension == 1
-        else momentum_block_2d(spec, mode)
-    )
+    block = walk.momentum_block(spec, mode)
     if block.degenerate:
         return True
     _, r1, r2, r3 = block.r

@@ -1,135 +1,33 @@
-"""The coined walk on a 1D ring: dense unitary, momentum blocks, eigenstates.
+"""The 1D walk under its dimension-named API; the code is in :mod:`walkqca.walk`.
 
-State layout: the walk space has dimension 2N with index x*2 + c, where x
-is the site index and c is the coin index (0 = R, 1 = L).  The step is
-coin after conditional shift, with the coin exp(i*theta*Q) and Q the
-R <-> L swap.
+The 1D walk is the k_y = 0 slice of the generic walk.  State layout: the
+walk space has dimension 2N with index x*2 + c, coin c = 0 (R) or 1 (L).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import cos, sin, sqrt
+from . import walk
 
-import numpy as np
-
-from .blocks import SIGMA_X, BlockDecomposition, decompose
-from .lattice import (
-    EnergyModeLabel,
-    LatticeSpec,
-    MomentumMode,
-    momentum_grid,
-    require_on_grid,
-)
-
-COIN_LABELS = ("R", "L")
-
-PROJ_R = np.diag([1.0, 0.0]).astype(complex)
-PROJ_L = np.diag([0.0, 1.0]).astype(complex)
+WalkUnitary = walk.WalkUnitary
+momentum_state_1d = walk.momentum_state
+momentum_block_1d = walk.momentum_block
+walk_eigenstate_1d = walk.walk_eigenstate
+verify_block_consistency = walk.verify_block_consistency
+spectrum_rows_1d = walk.spectrum_rows
 
 
-@dataclass(frozen=True)
-class WalkUnitary:
-    """Dense one-step walk unitary with its ordered (position, coin) labels."""
-
-    matrix: np.ndarray
-    basis: tuple[tuple, ...]
-
-
-def coin_matrix(theta: float) -> np.ndarray:
-    """exp(i*theta*Q) with Q the coin swap; unitary for every real theta."""
-    return cos(theta) * np.eye(2, dtype=complex) + 1j * sin(theta) * SIGMA_X
-
-
-def shift_matrix(n: int) -> np.ndarray:
-    """Cyclic shift by one site: S|x> = |x+1 mod n>."""
-    return np.roll(np.eye(n, dtype=complex), 1, axis=0)
-
-
-def walk_matrix_1d(n_sites: int, theta: float) -> np.ndarray:
-    """One-step matrix on 2*n_sites amplitudes; accepts any n_sites >= 2.
-
-    This is the low-level builder; :func:`build_walk_unitary_1d` adds the
-    lattice validation and basis labels.
-    """
-    s = shift_matrix(n_sites)
-    step = np.kron(s, PROJ_R) + np.kron(s.conj().T, PROJ_L)
-    return np.kron(np.eye(n_sites, dtype=complex), coin_matrix(theta)) @ step
-
-
-def build_walk_unitary_1d(spec: LatticeSpec) -> WalkUnitary:
-    if spec.dimension != 1:
-        raise ValueError(f"expected a 1D lattice, got dimension {spec.dimension}")
-    basis = tuple((x, c) for x in range(spec.N) for c in COIN_LABELS)
-    return WalkUnitary(matrix=walk_matrix_1d(spec.N, spec.theta), basis=basis)
-
-
-def momentum_state_1d(spec: LatticeSpec, mode: MomentumMode) -> np.ndarray:
-    """Plane-wave position amplitudes exp(-i*k*x)/sqrt(N); shift eigenvalue exp(+i*k*dx)."""
-    require_on_grid(spec, mode)
-    x = spec.dx * np.arange(spec.N)
-    return np.exp(-1j * mode.k[0] * x) / sqrt(spec.N)
+def walk_matrix_1d(n_sites: int, theta: float):
+    """One-step matrix on 2*n_sites amplitudes; accepts any n_sites >= 2, odd ones too."""
+    return walk.walk_matrix(n_sites, 1, theta, walk.make_coin_frame_2d())
 
 
 def pauli_coefficients_1d(k_dx: float, theta: float) -> tuple[float, float, float, float]:
     """(r0, r1, r2, r3) of the block at dimensionless momentum k*dx."""
-    return (
-        cos(k_dx) * cos(theta),
-        cos(k_dx) * sin(theta),
-        sin(k_dx) * sin(theta),
-        sin(k_dx) * cos(theta),
-    )
+    return walk.pauli_coefficients((k_dx,), theta)
 
 
-def momentum_block_1d(spec: LatticeSpec, mode: MomentumMode) -> BlockDecomposition:
+def build_walk_unitary_1d(spec, frame=None) -> walk.WalkUnitary:
+    """:func:`walkqca.walk.build_walk_unitary`, refusing lattices of another dimension."""
     if spec.dimension != 1:
         raise ValueError(f"expected a 1D lattice, got dimension {spec.dimension}")
-    require_on_grid(spec, mode)
-    return decompose(mode, pauli_coefficients_1d(mode.k[0] * spec.dx, spec.theta))
-
-
-def walk_eigenstate_1d(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
-    """Unit eigenstate of the dense walk with eigenvalue exp(i*branch*phi)."""
-    block = momentum_block_1d(spec, label.mode)
-    coin_part = block.v_plus if label.branch > 0 else block.v_minus
-    return np.kron(momentum_state_1d(spec, label.mode), coin_part)
-
-
-def verify_block_consistency(spec: LatticeSpec) -> float:
-    """Max deviation between the dense walk restricted to each momentum pair and its block.
-
-    For each grid mode the two columns |k>|R>, |k>|L> are propagated
-    through the full 2N x 2N matrix and compared entrywise against the
-    closed-form block acting on the pair.
-    """
-    u = build_walk_unitary_1d(spec).matrix
-    worst = 0.0
-    for mode in momentum_grid(spec):
-        plane = momentum_state_1d(spec, mode)
-        pair = np.column_stack(
-            [np.kron(plane, e) for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-        )
-        block = momentum_block_1d(spec, mode)
-        worst = max(worst, float(np.max(np.abs(u @ pair - pair @ block.matrix))))
-    return worst
-
-
-def spectrum_rows_1d(spec: LatticeSpec) -> list[dict]:
-    """Per-mode spectrum rows matching the CSV dump schema."""
-    rows = []
-    for mode in momentum_grid(spec):
-        block = momentum_block_1d(spec, mode)
-        r0, r1, r2, r3 = block.r
-        rows.append(
-            {
-                "ell": mode.ell[0],
-                "k": mode.k[0],
-                "r0": r0,
-                "r1": r1,
-                "r2": r2,
-                "r3": r3,
-                "phi": block.phi,
-                "degenerate": int(block.degenerate),
-            }
-        )
-    return rows
+    return walk.build_walk_unitary(spec, frame)

@@ -1,204 +1,30 @@
-"""The coined walk on a 2D torus with a two-dimensional coin.
+"""The 2D walk under its dimension-named API; the code is in :mod:`walkqca.walk`.
 
-The coin space is stored in the {R, L} basis (index 0 = R, 1 = L); U and D
-are the unbiased partner directions.  The step applies the X-conditioned
-shift, then the Y-conditioned shift, then the coin.  State layout: index
-(x*N + y)*2 + c over sites (x, y) and coin c.
+State layout: index (x*N + y)*2 + c over sites (x, y) and coin c, stored
+in the {R, L} basis; U and D are the unbiased partner directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import cos, sin, sqrt
+from . import walk
 
-import numpy as np
-
-from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, BlockDecomposition, decompose
-from .lattice import (
-    EnergyModeLabel,
-    LatticeSpec,
-    MomentumMode,
-    momentum_grid,
-    require_on_grid,
-)
-from .walk1d import COIN_LABELS, WalkUnitary, shift_matrix
-
-FRAME_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CoinFrame2D:
-    """Coin directions and the three direction operators.
-
-    The direction vectors form two mutually unbiased orthonormal bases;
-    dpx = |R><R| - |L><L|, dpy = |U><U| - |D><D| and the swap q mutually
-    anticommute and square to the identity.
-    """
-
-    right: np.ndarray
-    left: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    dpx: np.ndarray
-    dpy: np.ndarray
-    q: np.ndarray
-
-
-def make_coin_frame_2d() -> CoinFrame2D:
-    """The canonical frame, written in the {R, L} storage basis.
-
-    In this basis dpx is diagonal, dpy = [[0, i], [-i, 0]] and q is the
-    plain swap; U and D sit at equal weight over R and L, so both
-    unbiasedness and the exact swap relations q|U> = |D>, q|D> = |U> hold.
-    """
-    right = np.array([1.0, 0.0], dtype=complex)
-    left = np.array([0.0, 1.0], dtype=complex)
-    up = np.array([0.5 + 0.5j, 0.5 - 0.5j])
-    down = np.array([0.5 - 0.5j, 0.5 + 0.5j])
-    return CoinFrame2D(
-        right=right,
-        left=left,
-        up=up,
-        down=down,
-        dpx=SIGMA_Z.copy(),
-        dpy=-SIGMA_Y.copy(),
-        q=SIGMA_X.copy(),
-    )
-
-
-def validate_coin_frame(frame: CoinFrame2D, tol: float = FRAME_TOL) -> None:
-    """Check every frame requirement; raises ValueError on the first violation."""
-    eye = np.eye(2)
-    pairs = {
-        "<R|L>": abs(np.vdot(frame.right, frame.left)),
-        "<U|D>": abs(np.vdot(frame.up, frame.down)),
-    }
-    for name, val in pairs.items():
-        if val > tol:
-            raise ValueError(f"coin frame violates {name} = 0 (got {val:.3e})")
-    for name, vec in (("R", frame.right), ("L", frame.left), ("U", frame.up), ("D", frame.down)):
-        if abs(np.linalg.norm(vec) - 1.0) > tol:
-            raise ValueError(f"coin frame vector {name} is not normalized")
-    for a, b in (("R", "U"), ("R", "D"), ("L", "U"), ("L", "D")):
-        va = frame.right if a == "R" else frame.left
-        vb = frame.up if b == "U" else frame.down
-        if abs(abs(np.vdot(va, vb)) - 1.0 / sqrt(2.0)) > tol:
-            raise ValueError(f"coin frame violates |<{a}|{b}>| = 1/sqrt(2)")
-    ops = {"dpx": frame.dpx, "dpy": frame.dpy, "q": frame.q}
-    if np.max(np.abs(frame.dpx - (np.outer(frame.right, frame.right.conj())
-                                  - np.outer(frame.left, frame.left.conj())))) > tol:
-        raise ValueError("dpx does not equal |R><R| - |L><L|")
-    if np.max(np.abs(frame.dpy - (np.outer(frame.up, frame.up.conj())
-                                  - np.outer(frame.down, frame.down.conj())))) > tol:
-        raise ValueError("dpy does not equal |U><U| - |D><D|")
-    for name, op in ops.items():
-        if np.max(np.abs(op @ op.conj().T - eye)) > tol:
-            raise ValueError(f"coin frame operator {name} is not unitary")
-        if np.max(np.abs(op @ op - eye)) > tol:
-            raise ValueError(f"coin frame operator {name} does not square to identity")
-    for (na, a), (nb, b) in (
-        (("dpx", frame.dpx), ("dpy", frame.dpy)),
-        (("dpx", frame.dpx), ("q", frame.q)),
-        (("dpy", frame.dpy), ("q", frame.q)),
-    ):
-        if np.max(np.abs(a @ b + b @ a)) > tol:
-            raise ValueError(f"coin frame operators {na}, {nb} do not anticommute")
-    for name, src, dst in (("R", frame.right, frame.left), ("L", frame.left, frame.right),
-                           ("U", frame.up, frame.down), ("D", frame.down, frame.up)):
-        if np.max(np.abs(frame.q @ src - dst)) > tol:
-            raise ValueError(f"coin frame swap does not exchange {name} with its partner")
-
-
-def coin_matrix_2d(theta: float, frame: CoinFrame2D) -> np.ndarray:
-    return cos(theta) * np.eye(2, dtype=complex) + 1j * sin(theta) * frame.q
-
-
-def build_walk_unitary_2d(spec: LatticeSpec, frame: CoinFrame2D | None = None) -> WalkUnitary:
-    if spec.dimension != 2:
-        raise ValueError(f"expected a 2D lattice, got dimension {spec.dimension}")
-    if frame is None:
-        frame = make_coin_frame_2d()
-    else:
-        validate_coin_frame(frame)
-    n = spec.N
-    sx = np.kron(shift_matrix(n), np.eye(n, dtype=complex))
-    sy = np.kron(np.eye(n, dtype=complex), shift_matrix(n))
-    proj = lambda v: np.outer(v, v.conj())
-    leg_x = np.kron(sx, proj(frame.right)) + np.kron(sx.conj().T, proj(frame.left))
-    leg_y = np.kron(sy, proj(frame.up)) + np.kron(sy.conj().T, proj(frame.down))
-    u = np.kron(np.eye(n * n, dtype=complex), coin_matrix_2d(spec.theta, frame)) @ leg_y @ leg_x
-    basis = tuple((x, y, c) for x in range(n) for y in range(n) for c in COIN_LABELS)
-    return WalkUnitary(matrix=u, basis=basis)
-
-
-def momentum_state_2d(spec: LatticeSpec, mode: MomentumMode) -> np.ndarray:
-    """Plane-wave amplitudes exp(-i*k.x)/N over the flattened (x, y) sites."""
-    require_on_grid(spec, mode)
-    coord = spec.dx * np.arange(spec.N)
-    phase_x = np.exp(-1j * mode.k[0] * coord)
-    phase_y = np.exp(-1j * mode.k[1] * coord)
-    return np.kron(phase_x, phase_y) / spec.N
+CoinFrame2D = walk.CoinFrame2D
+make_coin_frame_2d = walk.make_coin_frame_2d
+validate_coin_frame = walk.validate_coin_frame
+momentum_state_2d = walk.momentum_state
+momentum_block_2d = walk.momentum_block
+walk_eigenstate_2d = walk.walk_eigenstate
+verify_block_consistency_2d = walk.verify_block_consistency
+spectrum_rows_2d = walk.spectrum_rows
 
 
 def pauli_coefficients_2d(kx_dx: float, ky_dx: float, theta: float) -> tuple[float, float, float, float]:
     """(r0, r1, r2, r3) of the block at dimensionless momenta (kx*dx, ky*dx)."""
-    ca, sa = cos(kx_dx), sin(kx_dx)
-    cb, sb = cos(ky_dx), sin(ky_dx)
-    ct, st = cos(theta), sin(theta)
-    return (
-        ca * cb * ct - sa * sb * st,
-        ca * cb * st + sa * sb * ct,
-        -ca * sb * ct + sa * cb * st,
-        sa * cb * ct + ca * sb * st,
-    )
+    return walk.pauli_coefficients((kx_dx, ky_dx), theta)
 
 
-def momentum_block_2d(spec: LatticeSpec, mode: MomentumMode) -> BlockDecomposition:
+def build_walk_unitary_2d(spec, frame=None) -> walk.WalkUnitary:
+    """:func:`walkqca.walk.build_walk_unitary`, refusing lattices of another dimension."""
     if spec.dimension != 2:
         raise ValueError(f"expected a 2D lattice, got dimension {spec.dimension}")
-    require_on_grid(spec, mode)
-    kx_dx, ky_dx = mode.k[0] * spec.dx, mode.k[1] * spec.dx
-    return decompose(mode, pauli_coefficients_2d(kx_dx, ky_dx, spec.theta))
-
-
-def walk_eigenstate_2d(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
-    block = momentum_block_2d(spec, label.mode)
-    coin_part = block.v_plus if label.branch > 0 else block.v_minus
-    return np.kron(momentum_state_2d(spec, label.mode), coin_part)
-
-
-def verify_block_consistency_2d(spec: LatticeSpec) -> float:
-    """Max deviation between the dense walk on each momentum pair and its block."""
-    u = build_walk_unitary_2d(spec).matrix
-    worst = 0.0
-    for mode in momentum_grid(spec):
-        plane = momentum_state_2d(spec, mode)
-        pair = np.column_stack(
-            [np.kron(plane, e) for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-        )
-        block = momentum_block_2d(spec, mode)
-        worst = max(worst, float(np.max(np.abs(u @ pair - pair @ block.matrix))))
-    return worst
-
-
-def spectrum_rows_2d(spec: LatticeSpec) -> list[dict]:
-    """Per-mode spectrum rows matching the CSV dump schema."""
-    rows = []
-    for mode in momentum_grid(spec):
-        block = momentum_block_2d(spec, mode)
-        r0, r1, r2, r3 = block.r
-        rows.append(
-            {
-                "ell_x": mode.ell[0],
-                "ell_y": mode.ell[1],
-                "k_x": mode.k[0],
-                "k_y": mode.k[1],
-                "r0": r0,
-                "r1": r1,
-                "r2": r2,
-                "r3": r3,
-                "phi": block.phi,
-                "degenerate": int(block.degenerate),
-            }
-        )
-    return rows
+    return walk.build_walk_unitary(spec, frame)
