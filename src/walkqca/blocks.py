@@ -14,7 +14,7 @@ eigenvectors are undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, pi, sqrt
+from math import atan2, sqrt
 
 import numpy as np
 
@@ -60,13 +60,13 @@ def matrix_from_r(r: tuple[float, float, float, float]) -> np.ndarray:
 
 
 def eigenphase_from_r(r) -> float:
-    """Principal eigenphase arccos(r0), evaluated through arcsin(|r_vec|).
+    """Principal eigenphase arccos(r0), evaluated as atan2(|r_vec|, r0).
 
-    The arcsin form keeps full precision for phases below sqrt(eps),
-    where arccos of an r0 that rounds to 1 would return 0.
+    The atan2 form keeps full precision at every phase: arccos of an r0
+    that rounds to 1 returns 0 below sqrt(eps), and arcsin of an |r_vec|
+    that rounds to 1 loses half the digits near pi/2.
     """
-    s = min(1.0, sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3]))
-    return asin(s) if r[0] >= 0.0 else pi - asin(s)
+    return atan2(sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3]), r[0])
 
 
 def eigenvector_pair(r1: float, r2: float, r3: float) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
+from . import walk
 from .blocks import DEGENERACY_TOL, FORM_SWITCH_TOL
 from .lattice import (
     EnergyModeLabel,
@@ -22,7 +23,6 @@ from .lattice import (
     MomentumMode,
     mode_ordering_key,
 )
-from . import walk
 from .multiparticle import MultiState, ordered_product_state
 
 MODE_CAP = 20

@@ -86,19 +86,6 @@ class MultiState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def default_n_max(walk_dim: int) -> int:
-    """Factor count giving full walk capacity, clipped to the dense cap.
-
-    With one slot per walk state, saturation (creating past capacity
-    yields zero) follows from antisymmetry alone; smaller walk spaces
-    get all walk_dim slots, larger ones as many as fit under the cap.
-    """
-    n = 1
-    while n < walk_dim and (walk_dim + 1) ** (n + 1) <= AMPLITUDE_CAP:
-        n += 1
-    return n
-
-
 def vacuum_state(walk_dim: int, n_factors: int) -> MultiState:
     amps = np.zeros((walk_dim + 1) ** n_factors, dtype=complex)
     amps[-1] = 1.0  # all factors at the vacuum index
@@ -188,14 +175,17 @@ def antisymmetrize(state: MultiState, n: int) -> MultiState:
         raise ValueError(f"n must lie in 0..{state.n_factors}, got {n}")
     arr = state.tensor()
     idx = _occupied_block_index(n, state.n_factors, state.walk_dim)
-    block = arr[idx]
-    outside = sqrt(max(state.norm() ** 2 - float(np.linalg.norm(block) ** 2), 0.0))
+    # The outside weight is the norm of what lies outside the block, taken
+    # directly: the difference of squared norms loses half the digits.
+    rest = arr.copy()
+    rest[idx] = 0.0
+    outside = float(np.linalg.norm(rest))
     if outside > SUPPORT_TOL:
         raise ValueError(
             f"state has weight {outside:.3e} outside the first-{n}-occupied block"
         )
     out = np.zeros_like(arr)
-    out[idx] = _antisymmetrize_tensor(np.asarray(block), n)
+    out[idx] = _antisymmetrize_tensor(np.asarray(arr[idx]), n)
     return MultiState(out.reshape(-1), state.walk_dim, state.n_factors)
 
 

@@ -16,6 +16,7 @@ from math import cos, sin
 import numpy as np
 
 from . import walk
+from .multiparticle import extended_unitary
 
 QUBIT_CAP = 22
 DENSE_OPERATOR_CAP = 2048
@@ -225,11 +226,8 @@ def one_particle_sector_isomorphism(
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     if coin is None:
         coin = build_local_coin(theta)
-    u_walk = walk.walk_matrix(n_sites, 1, theta, walk.make_coin_frame_2d())
-    d = u_walk.shape[0]
-    ext = np.zeros((d + 1, d + 1), dtype=complex)
-    ext[:d, :d] = u_walk
-    ext[d, d] = 1.0
+    ext = extended_unitary(walk.walk_matrix(n_sites, 1, theta, walk.make_coin_frame_2d()))
+    d = ext.shape[0] - 1
     u_total = np.array([[1.0]], dtype=complex)
     for _ in range(n_types):
         u_total = np.kron(u_total, ext)

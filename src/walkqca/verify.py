@@ -56,6 +56,11 @@ class VerifyOptions:
     seed: int = 0
     inject_fault: str | None = None
 
+    def __post_init__(self):
+        # Zero samples would let the preservation checks pass untested.
+        if self.n_random < 1:
+            raise ValueError(f"n_random must be at least 1, got {self.n_random}")
+
 
 def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

@@ -100,6 +100,13 @@ def test_verify_only_filters_suites(tmp_path):
     assert run(["verify", "--out", tmp_path, "--only", "no-such-suite"]) == 2
 
 
+@pytest.mark.parametrize("n_random", [0, -1])
+def test_verify_rejects_no_random_samples_with_exit_2(tmp_path, capsys, n_random):
+    cfg = write_config(tmp_path, {"verify": {"n_random": n_random}})
+    assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "preservation"]) == 2
+    assert "n_random" in capsys.readouterr().err
+
+
 def test_verify_injected_faults_fail(tmp_path):
     assert run(["verify", "--out", tmp_path, "--inject-fault", "coin-nonconserving"]) == 1
     report = json.loads((tmp_path / "verification.json").read_text())

@@ -286,6 +286,14 @@ def test_intertwining_is_ordering_independent():
         )
 
 
+def test_intertwining_near_quarter_phase():
+    # At k*dx = pi/2 and theta = 0.25 the eigenphase sits close to pi/2,
+    # where an arcsin evaluation of it loses half its digits.
+    from walkqca.verify import intertwining_residual
+
+    assert intertwining_residual(make_lattice(1, 4, 1.0, 1.0, 0.25), 3) < TOL
+
+
 def test_mode_cap():
     labels = energy_labels(make_lattice(1, 32, 1.0, 1.0, 0.3))
     with pytest.raises(ValueError):

@@ -89,6 +89,18 @@ def test_antisymmetrize_two_factors():
     assert zero.norm() < TOL
 
 
+def test_antisymmetrize_accepts_normalized_in_block_states():
+    # Unit product states on a 48-dimensional walk space have no weight
+    # outside the occupied block; a difference of squared norms would put
+    # about 1e-8 there and reject some of them.
+    rng = np.random.default_rng(1)
+    d = make_lattice(1, 24, 1.0, 1.0, 0.3).walk_dim
+    for _ in range(5):
+        state = product_state([random_walk_vector(rng, d) for _ in range(3)], d)
+        out = antisymmetrize(state, 3)
+        assert physical_subspace_projector_residual(out) < TOL
+
+
 def test_antisymmetrize_rejects_wrong_support():
     rng = np.random.default_rng(4)
     d = SPEC.walk_dim

@@ -2,7 +2,7 @@ from math import acos, cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walkqca.lattice import EnergyModeLabel, make_lattice, momentum_grid, momentum_mode
 from walkqca.walk1d import (
@@ -199,6 +199,7 @@ def test_spectrum_rows_schema():
     st.integers(-10, 10),
     st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
 )
+@example(ell=0, theta=1.5707900742010157)
 def test_block_properties_random(ell, theta):
     spec = make_lattice(1, 10, 1.0, 1.0, theta)
     block = momentum_block_1d(spec, momentum_mode(spec, ell))
