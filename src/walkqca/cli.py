@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dirac, fock, multiparticle, qca, verify, walk
+from . import dirac, multiparticle, qca, verify, walk
 from .lattice import LatticeSpec
 
 DEFAULT_CONFIG = {

@@ -16,7 +16,7 @@ quadratically as (k*dx, theta) -> 0, which the convergence study fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 

@@ -138,14 +138,17 @@ def walk_matrix(n: int, dimension: int, theta: float, frame: CoinFrame2D) -> np.
     Each axis contributes one leg, the shift along that axis conditioned
     on its direction pair; the legs act in axis order, then the coin.
     """
-    eye = np.eye(n, dtype=complex)
     proj = lambda v: np.outer(v, v.conj())
     directions = ((frame.right, frame.left), (frame.up, frame.down))
-    u = np.kron(np.eye(n**dimension, dtype=complex), coin_matrix(theta, frame))
-    for axis in reversed(range(dimension)):
-        s = reduce(np.kron, [shift_matrix(n) if a == axis else eye for a in range(dimension)])
+    legs = []
+    for axis in range(dimension):
+        factors = [shift_matrix(n) if a == axis else np.eye(n, dtype=complex) for a in range(dimension)]
+        s = reduce(np.kron, factors)
         forward, backward = directions[axis]
-        u = u @ (np.kron(s, proj(forward)) + np.kron(s.conj().T, proj(backward)))
+        legs.append(np.kron(s, proj(forward)) + np.kron(s.conj().T, proj(backward)))
+    u = np.kron(np.eye(n**dimension, dtype=complex), coin_matrix(theta, frame))
+    for leg in reversed(legs):
+        u = u @ leg
     return u
 
 
