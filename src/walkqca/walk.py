@@ -11,6 +11,7 @@ k_y = 0 slice of the 2D one: the same frame, the same block formula.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from math import cos, sin, sqrt
@@ -170,7 +171,7 @@ def momentum_state(spec: LatticeSpec, mode: MomentumMode) -> np.ndarray:
     return reduce(np.kron, [np.exp(-1j * k * coord) for k in mode.k]) / sqrt(spec.n_sites)
 
 
-def pauli_coefficients(k_dx: tuple[float, ...], theta: float) -> tuple[float, float, float, float]:
+def pauli_coefficients(k_dx: Sequence[float], theta: float) -> tuple[float, float, float, float]:
     """(r0, r1, r2, r3) of the block at dimensionless momenta k*dx (1 or 2 axes).
 
     A 1D momentum is taken as k_y = 0.  Scalar libm calls keep the
@@ -190,7 +191,7 @@ def pauli_coefficients(k_dx: tuple[float, ...], theta: float) -> tuple[float, fl
 
 def momentum_block(spec: LatticeSpec, mode: MomentumMode) -> BlockDecomposition:
     require_on_grid(spec, mode)
-    return decompose(mode, pauli_coefficients(tuple(k * spec.dx for k in mode.k), spec.theta))
+    return decompose(mode, pauli_coefficients([k * spec.dx for k in mode.k], spec.theta))
 
 
 def walk_eigenstate(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
@@ -219,16 +220,13 @@ def verify_block_consistency(spec: LatticeSpec) -> float:
     return worst
 
 
-# CSV column suffix of each momentum axis, by the number of axes.
-AXIS_SUFFIXES = {1: ("",), 2: ("_x", "_y")}
+# CSV momentum column names, by the number of axes.
+MODE_COLUMNS = {1: ("ell", "k"), 2: ("ell_x", "ell_y", "k_x", "k_y")}
 
 
 def mode_columns(mode: MomentumMode) -> dict:
     """The momentum columns of a CSV row: ell, k in 1D; ell_x, ell_y, k_x, k_y in 2D."""
-    suffixes = AXIS_SUFFIXES[len(mode.ell)]
-    row = {f"ell{s}": e for s, e in zip(suffixes, mode.ell)}
-    row.update((f"k{s}", k) for s, k in zip(suffixes, mode.k))
-    return row
+    return dict(zip(MODE_COLUMNS[len(mode.ell)], mode.ell + mode.k))
 
 
 def spectrum_rows(spec: LatticeSpec) -> list[dict]:
