@@ -111,9 +111,10 @@ def qca_shift_permutation(lattice: CellLattice) -> np.ndarray:
 
 
 def apply_shift(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
-    out = np.empty_like(state)
-    out[qca_shift_permutation(lattice)] = state
-    return out
+    """Permute the qubit axes of the (2,)*q view; tensor axis a is slot q-1-a."""
+    q = lattice.n_qubits
+    source = np.argsort(shift_slot_map(lattice))  # slot each slot's content comes from
+    return state.reshape((2,) * q).transpose(q - 1 - source[::-1]).reshape(-1)
 
 
 def _apply_cell_gate(
@@ -130,13 +131,18 @@ def _apply_cell_gate(
 
 
 def apply_coin(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
-    out = state.astype(complex)
-    for t in range(lattice.n_types):
-        for x in range(lattice.n_sites):
-            out = _apply_cell_gate(
-                out, lattice.n_qubits, coin.matrix, lattice.slot(t, x, 0), lattice.slot(t, x, 1)
-            )
-    return out
+    """Sweep the gate over the (4,)*cells view, two cells per matmul, from the back.
+
+    Cell slots are adjacent bits, R the low one, so each axis of that view
+    indexes a cell in the coin's (empty, R, L, RL) order.
+    """
+    g = coin.matrix
+    pair = np.kron(g, g)
+    out = state.astype(complex).reshape(-1, 16) @ pair.T  # the last two cells
+    for end in range(lattice.n_sites * lattice.n_types - 2, 0, -2):
+        a = max(end - 2, 0)  # an odd first cell goes alone
+        out = np.matmul(pair if end - a == 2 else g, out.reshape(4**a, 4 ** (end - a), -1))
+    return out.reshape(-1)
 
 
 def qca_step(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
@@ -164,14 +170,12 @@ def qca_step_operator(lattice: CellLattice, coin: LocalCoin) -> np.ndarray:
 def occupation_expectations(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
     """<n> per (type, site, direction); shape (n_types, n_sites, 2)."""
     probs = np.abs(state) ** 2
-    basis = np.arange(lattice.dim, dtype=np.int64)
-    out = np.zeros((lattice.n_types, lattice.n_sites, 2))
-    for t in range(lattice.n_types):
-        for x in range(lattice.n_sites):
-            for e in (0, 1):
-                bits = (basis >> lattice.slot(t, x, e)) & 1
-                out[t, x, e] = float(probs @ bits)
-    return out
+    marginals = []
+    for _ in range(lattice.n_qubits):  # peel the top slot off, then fold it away
+        top = probs.reshape(2, -1)
+        marginals.append(top[1].sum())
+        probs = top[0] + top[1]
+    return np.array(marginals[::-1]).reshape(lattice.n_types, lattice.n_sites, 2)
 
 
 def type_number_expectations(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
