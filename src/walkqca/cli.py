@@ -191,13 +191,17 @@ def _evolve_qca(config: dict, theta: float, steps: int, out_dir: Path | None) ->
     qconf = config["evolve"]["qca"]
     lattice = qca.CellLattice(n_sites=qconf.get("sites", 8), n_types=qconf.get("types", 1))
     coin = qca.build_local_coin(theta)
-    direction = 0 if str(qconf.get("direction", "R")).upper() == "R" else 1
+    direction = str(qconf.get("direction", "R")).upper()
+    if direction not in ("R", "L"):
+        raise ValueError(f"unknown qca direction {qconf['direction']!r}; use R or L")
     initial = qconf.get("initial", "localized")
     if initial == "vacuum":
         state = np.zeros(lattice.dim, dtype=complex)
         state[0] = 1.0
+    elif initial == "localized":
+        state = qca.localized_particle_state(lattice, qconf.get("site", 0), "RL".index(direction))
     else:
-        state = qca.localized_particle_state(lattice, qconf.get("site", 0), direction)
+        raise ValueError(f"unknown qca initial state {initial!r}; use localized or vacuum")
     rows = _qca_occupation_rows(lattice, coin, state, steps)
     fields = ["step", "site", "type", "n_r", "n_l"]
     if out_dir is None:

@@ -145,10 +145,14 @@ def apply_coin(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.n
     return out.reshape(-1)
 
 
-def qca_step(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
-    """One automaton step: shift, then the coin on every cell."""
+def _check_state(lattice: CellLattice, state: np.ndarray) -> None:
     if state.shape != (lattice.dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({lattice.dim},)")
+
+
+def qca_step(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
+    """One automaton step: shift, then the coin on every cell."""
+    _check_state(lattice, state)
     return apply_coin(lattice, coin, apply_shift(lattice, state))
 
 
@@ -169,6 +173,7 @@ def qca_step_operator(lattice: CellLattice, coin: LocalCoin) -> np.ndarray:
 
 def occupation_expectations(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
     """<n> per (type, site, direction); shape (n_types, n_sites, 2)."""
+    _check_state(lattice, state)
     probs = np.abs(state) ** 2
     marginals = []
     for _ in range(lattice.n_qubits):  # peel the top slot off, then fold it away
@@ -186,6 +191,13 @@ def type_number_expectations(lattice: CellLattice, state: np.ndarray) -> np.ndar
 def localized_particle_state(
     lattice: CellLattice, site: int, direction: int, type_idx: int = 0
 ) -> np.ndarray:
+    for name, value, bound in (
+        ("type", type_idx, lattice.n_types),
+        ("site", site, lattice.n_sites),
+        ("direction", direction, 2),
+    ):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < bound):
+            raise ValueError(f"{name} {value!r} is outside 0..{bound - 1}")
     state = np.zeros(lattice.dim, dtype=complex)
     state[1 << lattice.slot(type_idx, site, direction)] = 1.0
     return state

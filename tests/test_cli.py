@@ -204,6 +204,40 @@ def test_evolve_qca_localized_light_cone(tmp_path):
             assert distance <= int(r["step"])
 
 
+QCA_LATTICE = {"dimension": 1, "N": 4, "dx": 1.0, "dt": 1.0, "theta": 0.4}
+
+
+@pytest.mark.parametrize(
+    "qconf,words",
+    [
+        ({"sites": 4, "types": 2, "site": 4}, "site 4"),
+        ({"sites": 4, "types": 1, "site": 9}, "site 9"),
+        ({"sites": 4, "types": 1, "site": -1}, "site -1"),
+        ({"sites": 4, "types": 1, "direction": "X"}, "direction 'X'"),
+        ({"sites": 4, "types": 1, "initial": "bogus"}, "initial state 'bogus'"),
+    ],
+)
+def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, qconf, words):
+    cfg = write_config(tmp_path, {"lattice": QCA_LATTICE, "evolve": {"system": "qca", "qca": qconf}})
+    assert run(["evolve", "--config", cfg, "--out", tmp_path, "--steps", 1]) == 2
+    err = capsys.readouterr().err
+    assert words in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "occupations.csv").exists()
+
+
+def test_evolve_qca_places_a_left_mover_or_the_vacuum(tmp_path):
+    for qconf, occupied in (
+        ({"site": 3, "direction": "l"}, [("3", "n_l")]),
+        ({"initial": "vacuum"}, []),
+    ):
+        doc = {"lattice": QCA_LATTICE, "evolve": {"system": "qca", "qca": {"sites": 4, **qconf}}}
+        assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 0]) == 0
+        rows = read_csv(tmp_path / "occupations.csv")
+        found = [(r["site"], key) for r in rows for key in ("n_r", "n_l") if float(r[key]) > 0]
+        assert found == occupied
+
+
 def test_qca_demo_prints_csv(capsys):
     assert run(["qca-demo", "--steps", 2]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -5,6 +5,9 @@ import pytest
 
 from walkqca.qca import (
     CellLattice,
+    LocalCoin,
+    _apply_cell_gate,
+    apply_coin,
     apply_shift,
     build_local_coin,
     faulty_local_coin,
@@ -170,3 +173,112 @@ def test_cell_lattice_caps():
         qca_step_operator(lattice, build_local_coin(0.3))  # 4096 > dense cap
     with pytest.raises(ValueError):
         qca_step(lattice, build_local_coin(0.3), np.zeros(7, dtype=complex))
+
+
+def test_occupations_reject_a_state_of_the_wrong_shape():
+    lattice = CellLattice(n_sites=3, n_types=1)
+    with pytest.raises(ValueError, match=r"state has shape \(7,\), expected \(64,\)"):
+        occupation_expectations(lattice, np.zeros(7, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"site": 4, "direction": 0}, "site"),  # used to wrap into the next type
+        ({"site": 9, "direction": 0}, "site"),  # used to raise IndexError
+        ({"site": -1, "direction": 0}, "site"),  # used to raise "negative shift count"
+        ({"site": 0, "direction": 2}, "direction"),
+        ({"site": 0, "direction": 0, "type_idx": 2}, "type"),
+        ({"site": 1.0, "direction": 0}, "site"),
+    ],
+)
+def test_localized_particle_state_rejects_out_of_range_slots(kwargs, name):
+    lattice = CellLattice(n_sites=4, n_types=2)
+    with pytest.raises(ValueError, match=name):
+        localized_particle_state(lattice, **kwargs)
+
+
+# Kernel oracles: the scatter, per-cell and bitmask forms the automaton
+# kernels were first written in.
+
+KERNEL_LATTICES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]
+
+
+def _random_state(lattice, seed):
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(lattice.dim) + 1j * rng.standard_normal(lattice.dim)
+    return state / np.linalg.norm(state)
+
+
+def _random_gate(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+
+def _shift_oracle(lattice, state):
+    out = np.empty_like(state)
+    out[qca_shift_permutation(lattice)] = state
+    return out
+
+
+def _coin_oracle(lattice, gate, state):
+    out = state.astype(complex)
+    for t in range(lattice.n_types):
+        for x in range(lattice.n_sites):
+            r, l = lattice.slot(t, x, 0), lattice.slot(t, x, 1)
+            out = _apply_cell_gate(out, lattice.n_qubits, gate, r, l)
+    return out
+
+
+def _occupation_oracle(lattice, state):
+    probs = np.abs(state) ** 2
+    basis = np.arange(lattice.dim, dtype=np.int64)
+    masks = [(basis >> s) & 1 for s in range(lattice.n_qubits)]
+    return np.array([probs @ m for m in masks]).reshape(lattice.n_types, lattice.n_sites, 2)
+
+
+KERNEL_GATES = {
+    "fermionic": build_local_coin(0.3).matrix,
+    "pair-phase": build_local_coin(0.3, pair_phase=np.exp(0.7j)).matrix,
+    "coin-nonconserving": faulty_local_coin("coin-nonconserving", 0.3).matrix,
+    "coin-nonunitary": faulty_local_coin("coin-nonunitary", 0.3).matrix,
+    # the coins above are all symmetric under R <-> L; this one is not
+    "random": _random_gate(5),
+}
+
+
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)
+def test_shift_matches_the_scatter_oracle(n_sites, n_types):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    state = _random_state(lattice, 1)
+    np.testing.assert_allclose(apply_shift(lattice, state), _shift_oracle(lattice, state), atol=TOL)
+
+
+@pytest.mark.parametrize("gate_name", list(KERNEL_GATES))
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)
+def test_coin_matches_the_per_cell_oracle(n_sites, n_types, gate_name):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    gate = KERNEL_GATES[gate_name]
+    state = _random_state(lattice, 2)
+    got = apply_coin(lattice, LocalCoin(gate), state)
+    np.testing.assert_allclose(got, _coin_oracle(lattice, gate, state), atol=TOL)
+
+
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)
+def test_coin_oracle_comparison_catches_swapped_r_and_l(n_sites, n_types):
+    # negative control: a sweep that read a cell as (empty, L, R, LR)
+    # would apply this swapped gate, and the comparison must see it
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    gate = KERNEL_GATES["random"]
+    swapped = gate[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+    state = _random_state(lattice, 2)
+    got = apply_coin(lattice, LocalCoin(swapped), state)
+    assert np.max(np.abs(got - _coin_oracle(lattice, gate, state))) > 1e-3
+
+
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)
+def test_occupations_match_the_bitmask_oracle(n_sites, n_types):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    state = _random_state(lattice, 3)
+    got = occupation_expectations(lattice, state)
+    np.testing.assert_allclose(got, _occupation_oracle(lattice, state), atol=TOL)
