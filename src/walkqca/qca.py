@@ -136,9 +136,9 @@ def apply_coin(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.n
     Cell slots are adjacent bits, R the low one, so each axis of that view
     indexes a cell in the coin's (empty, R, L, RL) order.
     """
-    g = coin.matrix
+    g = coin.matrix.astype(complex)
     pair = np.kron(g, g)
-    out = state.astype(complex).reshape(-1, 16) @ pair.T  # the last two cells
+    out = state.reshape(-1, 16) @ pair.T  # the last two cells
     for end in range(lattice.n_sites * lattice.n_types - 2, 0, -2):
         a = max(end - 2, 0)  # an odd first cell goes alone
         out = np.matmul(pair if end - a == 2 else g, out.reshape(4**a, 4 ** (end - a), -1))
