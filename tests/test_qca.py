@@ -184,9 +184,9 @@ def test_occupations_reject_a_state_of_the_wrong_shape():
 @pytest.mark.parametrize(
     "kwargs,name",
     [
-        ({"site": 4, "direction": 0}, "site"),  # used to wrap into the next type
-        ({"site": 9, "direction": 0}, "site"),  # used to raise IndexError
-        ({"site": -1, "direction": 0}, "site"),  # used to raise "negative shift count"
+        ({"site": 4, "direction": 0}, "site"),  # would address type 1, site 0
+        ({"site": 9, "direction": 0}, "site"),  # past the last slot
+        ({"site": -1, "direction": 0}, "site"),  # a negative bit shift
         ({"site": 0, "direction": 2}, "direction"),
         ({"site": 0, "direction": 0, "type_idx": 2}, "type"),
         ({"site": 1.0, "direction": 0}, "site"),
@@ -198,8 +198,8 @@ def test_localized_particle_state_rejects_out_of_range_slots(kwargs, name):
         localized_particle_state(lattice, **kwargs)
 
 
-# Kernel oracles: the scatter, per-cell and bitmask forms the automaton
-# kernels were first written in.
+# Kernel oracles: the scatter, per-cell and bitmask forms of the automaton
+# kernels, written for plainness rather than speed.
 
 KERNEL_LATTICES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]
 
@@ -208,11 +208,6 @@ def _random_state(lattice, seed):
     rng = np.random.default_rng(seed)
     state = rng.standard_normal(lattice.dim) + 1j * rng.standard_normal(lattice.dim)
     return state / np.linalg.norm(state)
-
-
-def _random_gate(seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 
 
 def _shift_oracle(lattice, state):
@@ -243,7 +238,7 @@ KERNEL_GATES = {
     "coin-nonconserving": faulty_local_coin("coin-nonconserving", 0.3).matrix,
     "coin-nonunitary": faulty_local_coin("coin-nonunitary", 0.3).matrix,
     # the coins above are all symmetric under R <-> L; this one is not
-    "random": _random_gate(5),
+    "random": np.random.default_rng(5).standard_normal((4, 8)).view(complex),
 }
 
 
