@@ -229,8 +229,7 @@ def cmd_evolve(config: dict, out_dir: Path, args) -> int:
 
 def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
     steps = args.steps if args.steps is not None else 6
-    theta = config["lattice"]["theta"]
-    return _evolve_qca(config, theta, steps, None)
+    return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]).theta, steps, None)
 
 
 COMMANDS = {

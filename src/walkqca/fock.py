@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from cmath import exp as cexp
 from dataclasses import dataclass
-from math import cos, sin, sqrt
 
 import numpy as np
 
 from . import walk
-from .blocks import DEGENERACY_TOL, FORM_SWITCH_TOL
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -126,63 +124,18 @@ def evolution_diagonal(basis: FockBasis, spec: LatticeSpec) -> FockOperator:
     return FockOperator(np.diag(diag), "diagonal-evolution")
 
 
-def momentum_mode_coefficients_1d(spec: LatticeSpec, mode: MomentumMode):
+def momentum_mode_coefficients(spec: LatticeSpec, mode: MomentumMode):
     """(alpha_R, beta_R, alpha_L, beta_L) expanding the coin axes over v_plus, v_minus.
 
-    Closed forms; undefined (raises) on degenerate blocks and, for the L
-    pair, at sin(theta) = 0 where its normalization vanishes.
+    The eigenpair is orthonormal, so (alpha_R, alpha_L) = conj(v_plus) and
+    (beta_R, beta_L) = conj(v_minus).  Undefined (raises) on degenerate
+    blocks, where the two branches share one phase and carry no labels.
     """
     block = walk.momentum_block(spec, mode)
     if block.degenerate:
         raise DegenerateModeError(f"mode {mode.ell} is degenerate; decomposition is arbitrary")
-    k_dx = mode.k[0] * spec.dx
-    st = sin(spec.theta)
-    if abs(st) < DEGENERACY_TOL:
-        raise DegenerateModeError("left coefficients are undefined at sin(theta) = 0")
-    s = sqrt(1.0 - (cos(k_dx) * cos(spec.theta)) ** 2)
-    r3 = sin(k_dx) * cos(spec.theta)
-    if min(s - r3, s + r3) <= FORM_SWITCH_TOL * s:
-        raise DegenerateModeError(f"mode {mode.ell} sits at an eigenvector pole")
-    norm_plus = sqrt((r3 + s) ** 2 + st * st)
-    norm_minus = sqrt((r3 - s) ** 2 + st * st)
-    norm_r = 2.0 * s
-    norm_l = 2.0 * st * s
-    phase = cexp(-1j * k_dx)
-    return (
-        norm_plus / norm_r,
-        -norm_minus / norm_r,
-        phase * norm_plus * (s - r3) / norm_l,
-        phase * norm_minus * (s + r3) / norm_l,
-    )
-
-
-def momentum_mode_coefficients_2d(spec: LatticeSpec, mode: MomentumMode):
-    """2D analogue of the coefficient closed forms.
-
-    beta_R carries a minus sign: with the eigenvector conventions used
-    here (first component of v_minus real and non-positive) the pair
-    (alpha_R, beta_R) must reconstruct (1, 0) exactly.
-    """
-    block = walk.momentum_block(spec, mode)
-    if block.degenerate:
-        raise DegenerateModeError(f"mode {mode.ell} is degenerate; decomposition is arbitrary")
-    _, r1, r2, r3 = block.r
-    s = sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    if min(s - r3, s + r3) <= FORM_SWITCH_TOL * s:
-        raise DegenerateModeError(f"mode {mode.ell} sits at an eigenvector pole")
-    w = r1 - 1j * r2
-    return (
-        sqrt((s + r3) / (2.0 * s)),
-        -sqrt((s - r3) / (2.0 * s)),
-        w / sqrt(2.0 * s * (s + r3)),
-        w / sqrt(2.0 * s * (s - r3)),
-    )
-
-
-def momentum_mode_coefficients(spec: LatticeSpec, mode: MomentumMode):
-    if spec.dimension == 1:
-        return momentum_mode_coefficients_1d(spec, mode)
-    return momentum_mode_coefficients_2d(spec, mode)
+    (alpha_r, alpha_l), (beta_r, beta_l) = block.v_plus.conj(), block.v_minus.conj()
+    return alpha_r, beta_r, alpha_l, beta_l
 
 
 def momentum_mode_ops(

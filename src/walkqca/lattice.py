@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
+from numbers import Integral, Real
 
 # hbar is fixed to 1; theta, dx and dt carry all physical scales, and the
 # derived quantities below only ever use hbar in ratios.
 HBAR = 1.0
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bools are rejected even though they subclass int."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,13 @@ class LatticeSpec:
     theta: float
 
     def __post_init__(self):
+        for name in ("dimension", "N"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("dx", "dt", "theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, Real) and isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.N < 2 or self.N % 2 != 0:
@@ -71,13 +84,7 @@ class LatticeSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "LatticeSpec":
         try:
-            return cls(
-                dimension=int(doc["dimension"]),
-                N=int(doc["N"]),
-                dx=float(doc["dx"]),
-                dt=float(doc["dt"]),
-                theta=float(doc["theta"]),
-            )
+            return cls(doc["dimension"], doc["N"], doc["dx"], doc["dt"], doc["theta"])
         except KeyError as exc:
             raise ValueError(f"lattice document is missing key {exc}") from exc
 

@@ -204,17 +204,11 @@ def ordered_product_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
     if n == 0:
         return vacuum_state(spec.walk_dim, n_max)
     d = spec.walk_dim
-    parts = [walk.walk_eigenstate(spec, label) for label in labels]
-    block = np.zeros((d,) * n, dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        sign = -1.0 if _permutation_parity(perm) else 1.0
-        term = parts[perm[0]]
-        for j in perm[1:]:
-            term = np.multiply.outer(term, parts[j])
-        block += sign * term
-    block /= sqrt(factorial(n))
+    product = walk.walk_eigenstate(spec, labels[0])
+    for label in labels[1:]:
+        product = np.multiply.outer(product, walk.walk_eigenstate(spec, label))
     out = np.zeros((d + 1,) * n_max, dtype=complex)
-    out[_occupied_block_index(n, n_max, d)] = block
+    out[_occupied_block_index(n, n_max, d)] = sqrt(factorial(n)) * _antisymmetrize_tensor(product, n)
     return MultiState(out.reshape(-1), d, n_max)
 
 

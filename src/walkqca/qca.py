@@ -16,6 +16,7 @@ from math import cos, sin
 import numpy as np
 
 from . import walk
+from .lattice import is_integer
 from .multiparticle import extended_unitary
 
 QUBIT_CAP = 22
@@ -34,6 +35,9 @@ class CellLattice:
     n_types: int
 
     def __post_init__(self):
+        for name in ("n_sites", "n_types"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         if self.n_types < 1:
@@ -199,7 +203,7 @@ def localized_particle_state(
         ("site", site, lattice.n_sites),
         ("direction", direction, 2),
     ):
-        if not (isinstance(value, (int, np.integer)) and 0 <= value < bound):
+        if not (is_integer(value) and 0 <= value < bound):
             raise ValueError(f"{name} {value!r} is outside 0..{bound - 1}")
     state = np.zeros(lattice.dim, dtype=complex)
     state[1 << lattice.slot(type_idx, site, direction)] = 1.0

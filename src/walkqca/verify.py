@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirac, fock, multiparticle, qca, walk
-from .blocks import FORM_SWITCH_TOL
 from .lattice import EnergyModeLabel, LatticeSpec, energy_labels, momentum_grid
 
 DEFAULT_TOL = 1e-12
@@ -199,44 +198,30 @@ def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
 def momentum_ops_residual(spec: LatticeSpec) -> float:
     """Max entrywise deviation of the conjugated pair from the block action.
 
-    The column (a_R+, a_L+) conjugates by the transpose of the block, so
-    each conjugated operator is matched against the corresponding column
-    combination.
+    Checks the first two non-degenerate modes of the grid over the Fock
+    basis of their four branches.  The column (a_R+, a_L+) conjugates by
+    the transpose of the block, so each conjugated operator is matched
+    against the corresponding column combination.
     """
-    labels = [
-        lab
-        for lab in energy_labels(spec)
-        if not _block_degenerate(spec, lab.mode)
-    ][:4]
-    basis = fock.fock_basis(labels)
+    blocks = [walk.momentum_block(spec, mode) for mode in momentum_grid(spec)]
+    blocks = [block for block in blocks if not block.degenerate][:2]
+    if not blocks:
+        raise ValueError(
+            f"every momentum block of the {spec.dimension}D N={spec.N} lattice at "
+            f"theta={spec.theta} is degenerate; the momentum-ops check has no mode to test"
+        )
+    basis = fock.fock_basis(
+        EnergyModeLabel(block.mode, branch) for block in blocks for branch in (-1, 1)
+    )
     evo = fock.evolution_diagonal(basis, spec).matrix
     worst = 0.0
-    seen = set()
-    for lab in basis.modes:
-        if lab.mode in seen:
-            continue
-        seen.add(lab.mode)
-        if EnergyModeLabel(lab.mode, 1) not in basis.modes or EnergyModeLabel(
-            lab.mode, -1
-        ) not in basis.modes:
-            continue
-        a_r, a_l = fock.momentum_mode_ops(basis, spec, lab.mode)
-        m = walk.momentum_block(spec, lab.mode).matrix
-        pair = (a_r.matrix, a_l.matrix)
+    for block in blocks:
+        pair = [op.matrix for op in fock.momentum_mode_ops(basis, spec, block.mode)]
         for i in range(2):
             conj = evo @ pair[i] @ evo.conj().T
-            combo = m[0, i] * pair[0] + m[1, i] * pair[1]
+            combo = block.matrix[0, i] * pair[0] + block.matrix[1, i] * pair[1]
             worst = max(worst, float(np.max(np.abs(conj - combo))))
     return worst
-
-
-def _block_degenerate(spec: LatticeSpec, mode) -> bool:
-    block = walk.momentum_block(spec, mode)
-    if block.degenerate:
-        return True
-    _, r1, r2, r3 = block.r
-    s = float(np.sqrt(r1 * r1 + r2 * r2 + r3 * r3))
-    return min(s - r3, s + r3) <= FORM_SWITCH_TOL * s
 
 
 def check_momentum_ops(options: VerifyOptions) -> list[CheckResult]:

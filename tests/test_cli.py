@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from walkqca import fock
 from walkqca.cli import main
+from walkqca.fock import momentum_mode_ops
+from walkqca.lattice import make_lattice
+from walkqca.verify import momentum_ops_residual
 
 
 def run(args):
@@ -47,6 +51,28 @@ def test_odd_lattice_rejected_with_exit_2(tmp_path, capsys):
     )
     assert run(["spectrum", "--config", cfg, "--out", tmp_path]) == 2
     assert "even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override,words",
+    [
+        ({"N": 4.7}, "N must be an integer, got 4.7"),
+        ({"N": "8"}, "N must be an integer, got '8'"),
+        ({"N": None}, "N must be an integer, got None"),
+        ({"N": True}, "N must be an integer, got True"),
+        ({"dimension": 1.5}, "dimension must be an integer, got 1.5"),
+        ({"theta": float("nan")}, "theta must be a finite real number, got nan"),
+        ({"dx": float("inf")}, "dx must be a finite real number, got inf"),
+        ({"dt": "1"}, "dt must be a finite real number, got '1'"),
+    ],
+)
+def test_malformed_lattice_rejected_with_exit_2(tmp_path, capsys, override, words):
+    lattice = {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.1, **override}
+    cfg = write_config(tmp_path, {"lattice": lattice})
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert words in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_invalid_json_exit_2(tmp_path):
@@ -105,6 +131,29 @@ def test_verify_rejects_no_random_samples_with_exit_2(tmp_path, capsys, n_random
     cfg = write_config(tmp_path, {"verify": {"n_random": n_random}})
     assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "preservation"]) == 2
     assert "n_random" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_momentum_ops_check_with_no_mode_to_test(tmp_path, capsys):
+    # at theta = 0 every block of the 2D N = 2 lattice is +-identity
+    cfg = write_config(tmp_path, {"verify": {"theta": 0.0}})
+    assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "momentum-ops"]) == 2
+    err = capsys.readouterr().err
+    assert "degenerate" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "verification.json").exists()
+
+
+def test_verify_momentum_ops_1d_tests_the_pole_modes_at_zero_theta(monkeypatch):
+    # 1D N = 4 at theta = 0: k = 0 and pi are degenerate, k = +-pi/2 are
+    # eigenvector poles and must both be evaluated
+    checked = []
+
+    def recording_ops(basis, spec, mode):
+        checked.append(mode.ell)
+        return momentum_mode_ops(basis, spec, mode)
+
+    monkeypatch.setattr(fock, "momentum_mode_ops", recording_ops)
+    assert momentum_ops_residual(make_lattice(1, 4, 1.0, 1.0, 0.0)) < 1e-12
+    assert checked == [(-1,), (1,)]
 
 
 def test_verify_injected_faults_fail(tmp_path):
@@ -215,6 +264,10 @@ QCA_LATTICE = {"dimension": 1, "N": 4, "dx": 1.0, "dt": 1.0, "theta": 0.4}
         ({"sites": 4, "types": 1, "site": -1}, "site -1"),
         ({"sites": 4, "types": 1, "direction": "X"}, "direction 'X'"),
         ({"sites": 4, "types": 1, "initial": "bogus"}, "initial state 'bogus'"),
+        ({"sites": "4"}, "n_sites must be an integer, got '4'"),
+        ({"sites": 4.0}, "n_sites must be an integer, got 4.0"),
+        ({"sites": 4, "types": True}, "n_types must be an integer, got True"),
+        ({"sites": 4, "site": True}, "site True is outside"),
     ],
 )
 def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, qconf, words):
@@ -244,6 +297,12 @@ def test_qca_demo_prints_csv(capsys):
     assert lines[0].strip() == "step,site,type,n_r,n_l"
     # 8 sites x 3 snapshots
     assert len(lines) == 1 + 8 * 3
+
+
+def test_qca_demo_rejects_a_nan_coin_angle_with_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"lattice": {"theta": float("nan")}})
+    assert run(["qca-demo", "--config", cfg, "--steps", 1]) == 2
+    assert "theta must be a finite real number" in capsys.readouterr().err
 
 
 def test_golden_spectrum_row(tmp_path):

@@ -14,8 +14,6 @@ from walkqca.fock import (
     fock_to_firstquantized,
     full_fock_basis,
     momentum_mode_coefficients,
-    momentum_mode_coefficients_1d,
-    momentum_mode_coefficients_2d,
     momentum_mode_ops,
     number_op,
 )
@@ -147,7 +145,7 @@ def test_coefficients_reconstruct_coin_axes_1d(spec):
     for ell in (1, 2, spec.N // 2 - 1):
         mode = momentum_mode(spec, ell)
         block = momentum_block_1d(spec, mode)
-        a_r, b_r, a_l, b_l = momentum_mode_coefficients_1d(spec, mode)
+        a_r, b_r, a_l, b_l = momentum_mode_coefficients(spec, mode)
         basis = np.column_stack([block.v_plus, block.v_minus])
         sol_r = np.linalg.solve(basis, np.array([1.0, 0.0]))
         sol_l = np.linalg.solve(basis, np.array([0.0, 1.0]))
@@ -168,7 +166,7 @@ def test_coefficients_reconstruct_coin_axes_2d():
     for ell in ((1, 0), (1, 2), (2, -1), (0, 1)):
         mode = momentum_mode(spec, ell)
         block = momentum_block_2d(spec, mode)
-        a_r, b_r, a_l, b_l = momentum_mode_coefficients_2d(spec, mode)
+        a_r, b_r, a_l, b_l = momentum_mode_coefficients(spec, mode)
         np.testing.assert_allclose(
             a_r * block.v_plus + b_r * block.v_minus, [1.0, 0.0], atol=TOL
         )
@@ -181,13 +179,27 @@ def test_degenerate_coefficient_requests_rejected():
     flat = make_lattice(1, 4, 1.0, 1.0, 0.0)
     with pytest.raises(DegenerateModeError):
         momentum_mode_coefficients(flat, momentum_mode(flat, 0))  # identity block
-    with pytest.raises(DegenerateModeError):
-        # non-degenerate block (k dx = pi/2) but sin(theta) = 0 kills the
-        # left normalization
-        momentum_mode_coefficients(flat, momentum_mode(flat, 1))
-    axis = make_lattice(2, 4, 1.0, 1.0, 0.0)
-    with pytest.raises(DegenerateModeError):
-        momentum_mode_coefficients(axis, momentum_mode(axis, (1, 0)))
+
+
+@pytest.mark.parametrize("dimension, ell", [(1, 1), (2, (1, 0))])
+def test_coefficients_and_mode_ops_hold_at_eigenvector_poles(dimension, ell):
+    # theta = 0 puts these blocks at a pole (s = |r3|), where the eigenpair
+    # comes from the companion form; the expansion must stay exact there
+    spec = make_lattice(dimension, 4, 1.0, 1.0, 0.0)
+    mode = momentum_mode(spec, ell)
+    block = (momentum_block_1d if dimension == 1 else momentum_block_2d)(spec, mode)
+    _, r1, r2, r3 = block.r
+    assert np.hypot(r1, r2) < TOL and abs(r3) > 0.5
+    a_r, b_r, a_l, b_l = momentum_mode_coefficients(spec, mode)
+    np.testing.assert_allclose(a_r * block.v_plus + b_r * block.v_minus, [1.0, 0.0], atol=TOL)
+    np.testing.assert_allclose(a_l * block.v_plus + b_l * block.v_minus, [0.0, 1.0], atol=TOL)
+    basis = fock_basis([EnergyModeLabel(mode, -1), EnergyModeLabel(mode, 1)])
+    evo = evolution_diagonal(basis, spec).matrix
+    pair = [op.matrix for op in momentum_mode_ops(basis, spec, mode)]
+    for i in range(2):
+        conj = evo @ pair[i] @ evo.conj().T
+        combo = block.matrix[0, i] * pair[0] + block.matrix[1, i] * pair[1]
+        assert np.max(np.abs(conj - combo)) < TOL
 
 
 def test_momentum_mode_ops_conjugate_by_block_transpose():

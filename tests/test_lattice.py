@@ -1,6 +1,7 @@
 import json
 from math import pi
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +34,9 @@ def test_make_lattice_derived_quantities():
         dict(dimension=1, N=8, dx=0.0, dt=1.0, theta=0.1),
         dict(dimension=1, N=8, dx=1.0, dt=-1.0, theta=0.1),
         dict(dimension=3, N=8, dx=1.0, dt=1.0, theta=0.1),
+        dict(dimension=True, N=8, dx=1.0, dt=1.0, theta=0.1),
+        dict(dimension=1, N=np.float64(8.0), dx=1.0, dt=1.0, theta=0.1),
+        dict(dimension=1, N=8, dx=1.0, dt=1.0, theta=False),
     ],
 )
 def test_make_lattice_rejects_bad_parameters(kwargs):
@@ -122,6 +126,11 @@ def test_ordering_is_a_strict_total_order(ell_a, ell_b, br_a, br_b):
     else:
         assert (ka < kb) != (kb < ka)
         assert ka != kb
+
+
+def test_lattice_spec_takes_numpy_numbers():
+    spec = make_lattice(np.int64(1), np.int32(4), np.float32(0.5), 1, np.float64(0.2))
+    assert spec.walk_dim == 8 and spec.c == 0.5
 
 
 def test_spec_json_round_trip(tmp_path):
