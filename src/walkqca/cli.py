@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dirac, multiparticle, qca, verify, walk
-from .lattice import LatticeSpec
+from .lattice import EnergyModeLabel, LatticeSpec, is_integer, momentum_mode
 
 DEFAULT_CONFIG = {
     "lattice": {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.05},
@@ -32,14 +32,24 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, where: str = "") -> dict:
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
+        if isinstance(out.get(key), dict):
+            if not isinstance(val, dict):
+                raise ValueError(f"config section {where}{key} must be a JSON object, got {val!r}")
+            out[key] = _merge(out[key], val, f"{where}{key}.")
         else:
             out[key] = val
     return out
+
+
+def _count(section: dict, key: str, default: int, where: str) -> int:
+    """An integer setting of a config section; bools and floats are refused."""
+    value = section.get(key, default)
+    if not is_integer(value):
+        raise ValueError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path: str | None) -> dict:
@@ -84,7 +94,7 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     fields = list(rows[0].keys())
     _write_csv(out_dir / "dispersion.csv", fields, rows)
 
-    halvings = args.halvings or config["dispersion"]["halvings"]
+    halvings = args.halvings or _count(config["dispersion"], "halvings", 3, "dispersion")
     study = dirac.convergence_study(spec, halvings=halvings)
     doc = study.to_dict()
     doc["dimension"] = spec.dimension
@@ -106,19 +116,16 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
     vconf = config["verify"]
     lattice_doc = config["lattice"]
     theta = vconf.get("theta", lattice_doc["theta"] or 0.3)
-    spec1d = LatticeSpec(
-        1, vconf.get("n_1d", 4), lattice_doc["dx"], lattice_doc["dt"], theta
-    )
-    spec2d = LatticeSpec(
-        2, vconf.get("n_2d", 2), lattice_doc["dx"], lattice_doc["dt"], theta
-    )
+    count = lambda key, default: _count(vconf, key, default, "verify")
+    spec1d = LatticeSpec(1, count("n_1d", 4), lattice_doc["dx"], lattice_doc["dt"], theta)
+    spec2d = LatticeSpec(2, count("n_2d", 2), lattice_doc["dx"], lattice_doc["dt"], theta)
     options = verify.VerifyOptions(
         spec1d=spec1d,
         spec2d=spec2d,
-        n_max=vconf.get("n_max", 3),
-        n_random=vconf.get("n_random", 30),
-        qca_sites=vconf.get("qca_sites", 3),
-        qca_types=vconf.get("qca_types", 2),
+        n_max=count("n_max", 3),
+        n_random=count("n_random", 30),
+        qca_sites=count("qca_sites", 3),
+        qca_types=count("qca_types", 2),
         tol=args.tol,
         seed=args.seed,
         inject_fault=args.inject_fault or vconf.get("inject_fault"),
@@ -138,13 +145,12 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
 
 def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: Path) -> int:
     econf = config["evolve"]
-    n_max = econf.get("n_max", 2)
+    n_max = _count(econf, "n_max", 2, "evolve")
     label_doc = econf.get("labels") or []
-    from .lattice import EnergyModeLabel, momentum_mode
-
+    if not isinstance(label_doc, list) or not all(isinstance(item, dict) for item in label_doc):
+        raise ValueError(f"evolve.labels must be a list of objects, got {label_doc!r}")
     labels = [
-        EnergyModeLabel(momentum_mode(spec, tuple(item["ell"])), int(item["branch"]))
-        for item in label_doc
+        EnergyModeLabel(momentum_mode(spec, item["ell"]), item["branch"]) for item in label_doc
     ]
     state = multiparticle.physical_basis_state(spec, labels, n_max)
     rows = []
@@ -216,7 +222,7 @@ def _evolve_qca(config: dict, theta: float, steps: int, out_dir: Path | None) ->
 
 def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
-    steps = args.steps if args.steps is not None else config["evolve"].get("steps", 4)
+    steps = args.steps if args.steps is not None else _count(config["evolve"], "steps", 4, "evolve")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     system = config["evolve"].get("system", "multiparticle")

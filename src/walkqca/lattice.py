@@ -9,6 +9,7 @@ total order defined here.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isfinite, pi
 from numbers import Integral, Real
@@ -113,12 +114,14 @@ def _canonical_ell(ell: int, n: int) -> int:
 
 def momentum_mode(spec: LatticeSpec, ell) -> MomentumMode:
     """Mode for integer index/indices `ell`, folded into the canonical range."""
-    ells = (ell,) if isinstance(ell, int) else tuple(int(e) for e in ell)
+    ells = tuple(ell) if isinstance(ell, Iterable) else (ell,)
+    if not all(is_integer(e) for e in ells):
+        raise ValueError(f"momentum indices must be integers, got {ell!r}")
     if len(ells) != spec.dimension:
         raise ValueError(
             f"expected {spec.dimension} momentum indices, got {len(ells)}"
         )
-    can = tuple(_canonical_ell(e, spec.N) for e in ells)
+    can = tuple(_canonical_ell(int(e), spec.N) for e in ells)
     k = tuple(2.0 * pi * e / (spec.N * spec.dx) for e in can)
     return MomentumMode(ell=can, k=k)
 
@@ -153,7 +156,7 @@ class EnergyModeLabel:
     branch: int
 
     def __post_init__(self):
-        if self.branch not in (-1, 1):
+        if not is_integer(self.branch) or self.branch not in (-1, 1):
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
 
 

@@ -117,26 +117,29 @@ def extended_unitary(u: np.ndarray) -> np.ndarray:
     return ext
 
 
-def apply_per_factor(u_ext: np.ndarray, state: MultiState) -> MultiState:
-    """Apply the same single-factor operator to every tensor factor."""
-    f = state.factor_dim
-    if u_ext.shape != (f, f):
-        raise ValueError(f"operator has shape {u_ext.shape}, expected ({f}, {f})")
-    arr = state.tensor()
-    for axis in range(state.n_factors):
-        arr = np.moveaxis(np.tensordot(u_ext, arr, axes=(1, axis)), 0, axis)
-    return MultiState(arr.reshape(-1), state.walk_dim, state.n_factors)
-
-
 def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> MultiState:
-    """One step of the n_max-fold vacuum-extended walk."""
+    """One step of the n_max-fold vacuum-extended walk; the input state is not written.
+
+    Each factor in turn is stepped with the matrix-free walk kernel through
+    an (A, factor_dim, B) view, its vacuum row copied, the result going
+    alternately into one of two step buffers.
+    """
     if state.n_factors != n_max:
         raise ValueError(f"state has {state.n_factors} factors, expected {n_max}")
     if state.walk_dim != spec.walk_dim:
         raise ValueError(
             f"state walk dimension {state.walk_dim} does not match lattice ({spec.walk_dim})"
         )
-    return apply_per_factor(extended_unitary(walk.build_walk_unitary(spec).matrix), state)
+    f, d = state.factor_dim, state.walk_dim
+    src = state.amplitudes
+    buffers = [np.empty_like(src) for _ in range(min(n_max, 2))]
+    for axis in range(n_max):
+        dst = buffers[axis % 2]
+        s, t = src.reshape(f**axis, f, -1), dst.reshape(f**axis, f, -1)
+        walk.step_into(spec, s[:, :d], t[:, :d])
+        t[:, d] = s[:, d]
+        src = dst
+    return MultiState(src.copy() if n_max == 0 else src, d, n_max)
 
 
 def _permutation_parity(perm) -> int:

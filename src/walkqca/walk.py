@@ -153,6 +153,85 @@ def walk_matrix(n: int, dimension: int, theta: float, frame: CoinFrame2D) -> np.
     return u
 
 
+# The canonical frame and its direction bases V_a (columns forward, backward)
+# for axes 0 and 1; V_x is the identity, as R and L are the storage basis.
+_FRAME = make_coin_frame_2d()
+_BASES = tuple(np.column_stack(pair) for pair in ((_FRAME.right, _FRAME.left), (_FRAME.up, _FRAME.down)))
+
+
+def _step_mixes(dimension: int, theta: float) -> list[np.ndarray]:
+    """The 2x2 coin-axis mix after each axis's roll in :func:`step_into`.
+
+    Axis a rolls in its own direction basis V_a; the mix after it changes
+    to the next axis's basis, V_{a+1}^dag V_a, and the last one goes back
+    to storage and applies the coin, coin @ V_last.  The state enters in
+    storage coordinates, which are V_x's, so no mix precedes axis 0.
+    """
+    bases = _BASES[:dimension]
+    mixes = [nxt.conj().T @ cur for cur, nxt in zip(bases, bases[1:])]
+    return mixes + [coin_matrix(theta, _FRAME) @ bases[-1]]
+
+
+def _roll_into(dst: np.ndarray, src: np.ndarray, shift: int, axis: int) -> None:
+    """dst = np.roll(src, shift, axis) for shift +1 or -1, by slice assignment."""
+    lead = (slice(None),) * axis
+    pairs = [(slice(1, None), slice(None, -1)), (0, -1)]  # (to, from) for shift +1
+    for to, frm in pairs:
+        if shift < 0:
+            to, frm = frm, to
+        dst[lead + (to,)] = src[lead + (frm,)]
+
+
+# Columns of step_into's (A, walk_dim, B) array are independent; it steps
+# them in slabs of about this many amplitudes, so that its scratch stays
+# small and in cache however large the state.
+SLAB_AMPLITUDES = 1 << 15
+
+
+def step_into(spec: LatticeSpec, src: np.ndarray, out: np.ndarray) -> None:
+    """One canonical-frame walk step on axis 1 of an (A, walk_dim, B) array, into `out`.
+
+    Matrix-free, O(walk_dim) per column: along each lattice axis the
+    forward coin component is rolled by +1 and the backward one by -1,
+    then one 2x2 mix (see :func:`_step_mixes`) acts on the coin axis.
+    Equals applying ``build_walk_unitary(spec).matrix`` to axis 1.  `out`
+    may be a strided view but must not overlap `src`, which is not written.
+    """
+    a, dim, b = src.shape
+    if dim != spec.walk_dim or out.shape != src.shape:
+        raise ValueError(
+            f"step expects (A, {spec.walk_dim}, B) arrays, got {src.shape} into {out.shape}"
+        )
+    mixes = _step_mixes(spec.dimension, spec.theta)
+    cols = min(b, max(1, SLAB_AMPLITUDES // dim))
+    rows = max(1, SLAB_AMPLITUDES // (dim * cols))
+    for top, left in itertools.product(range(0, a, rows), range(0, b, cols)):
+        slab = np.s_[top:top + rows, :, left:left + cols]
+        _step_slab(spec, mixes, src[slab], out[slab])
+
+
+def _step_slab(spec: LatticeSpec, mixes: list[np.ndarray], src: np.ndarray, out: np.ndarray) -> None:
+    a, _, b = src.shape
+    grid = (a, *(spec.N,) * spec.dimension)
+    x = src.reshape(*grid, 2, b)
+    y = out.reshape(*grid, 2, b)
+    r0, r1, t = np.empty((3, *grid, b), dtype=complex)
+    y0, y1 = y[..., 0, :], y[..., 1, :]
+    for axis, m in enumerate(mixes, start=1):
+        _roll_into(r0, x[..., 0, :], 1, axis)
+        _roll_into(r1, x[..., 1, :], -1, axis)
+        # y0 = m00 r0 + m01 r1, y1 = m10 r0 + m11 r1.  The products go into
+        # the contiguous buffers where they can: ops on the interleaved
+        # y0, y1 cost several times more when B is small.
+        np.multiply(r0, m[1, 0], out=t)
+        r0 *= m[0, 0]
+        np.multiply(r1, m[0, 1], out=y0)
+        y0 += r0
+        r1 *= m[1, 1]
+        np.add(t, r1, out=y1)
+        x = y
+
+
 def build_walk_unitary(spec: LatticeSpec, frame: CoinFrame2D | None = None) -> WalkUnitary:
     """Dense walk on the lattice; a given frame is validated, None means the canonical one."""
     if frame is None:
@@ -202,21 +281,22 @@ def walk_eigenstate(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
 
 
 def verify_block_consistency(spec: LatticeSpec) -> float:
-    """Max deviation between the dense walk restricted to each momentum pair and its block.
+    """Max deviation between the walk step restricted to each momentum pair and its block.
 
     For each grid mode the two columns |k>|R>, |k>|L> are propagated
-    through the full dense matrix and compared entrywise against the
-    closed-form block acting on the pair.
+    through one full walk step (the matrix-free :func:`step_into`) and
+    compared entrywise against the closed-form block acting on the pair.
     """
-    u = build_walk_unitary(spec).matrix
+    stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
     worst = 0.0
     for mode in momentum_grid(spec):
         plane = momentum_state(spec, mode)
         pair = np.column_stack(
             [np.kron(plane, e) for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
         )
+        step_into(spec, pair[None], stepped)
         block = momentum_block(spec, mode)
-        worst = max(worst, float(np.max(np.abs(u @ pair - pair @ block.matrix))))
+        worst = max(worst, float(np.max(np.abs(stepped[0] - pair @ block.matrix))))
     return worst
 
 

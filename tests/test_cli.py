@@ -279,6 +279,48 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
     assert not (tmp_path / "occupations.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,doc,words",
+    [
+        ("spectrum", {"lattice": 5}, "config section lattice must be a JSON object"),
+        ("verify", {"verify": []}, "config section verify must be a JSON object"),
+        ("evolve", {"evolve": {"qca": None}}, "config section evolve.qca must be a JSON object"),
+        ("evolve", {"evolve": {"steps": "3"}}, "evolve.steps must be an integer, got '3'"),
+        ("evolve", {"evolve": {"steps": 2.5}}, "evolve.steps must be an integer, got 2.5"),
+        ("evolve", {"evolve": {"steps": True}}, "evolve.steps must be an integer, got True"),
+        ("evolve", {"evolve": {"n_max": "2"}}, "evolve.n_max must be an integer, got '2'"),
+        ("verify", {"verify": {"n_max": "3"}}, "verify.n_max must be an integer, got '3'"),
+        ("verify", {"verify": {"n_random": 2.5}}, "verify.n_random must be an integer, got 2.5"),
+        ("verify", {"verify": {"n_1d": 4.0}}, "verify.n_1d must be an integer, got 4.0"),
+        ("verify", {"verify": {"n_2d": True}}, "verify.n_2d must be an integer, got True"),
+        ("verify", {"verify": {"qca_sites": "3"}}, "verify.qca_sites must be an integer, got '3'"),
+        ("verify", {"verify": {"qca_types": 2.0}}, "verify.qca_types must be an integer, got 2.0"),
+        ("dispersion", {"dispersion": {"halvings": "3"}}, "dispersion.halvings must be an integer"),
+        ("evolve", {"evolve": {"labels": [{"ell": [1.7], "branch": 1}]}}, "momentum indices must be integers"),
+        ("evolve", {"evolve": {"labels": [{"ell": [1], "branch": 1.0}]}}, "branch must be +1 or -1, got 1.0"),
+        ("evolve", {"evolve": {"labels": [5]}}, "evolve.labels must be a list of objects"),
+    ],
+)
+def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert words in err and len(err.strip().splitlines()) == 1
+
+
+def test_evolve_takes_a_scalar_momentum_index(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "lattice": {"dimension": 1, "N": 4, "dx": 1.0, "dt": 1.0, "theta": 0.3},
+            "evolve": {"labels": [{"ell": 1, "branch": 1}], "n_max": 1},
+        },
+    )
+    assert run(["evolve", "--config", cfg, "--out", tmp_path, "--steps", 1]) == 0
+    rows = read_csv(tmp_path / "evolution.csv")
+    assert [float(r["occupancy"]) for r in rows] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
 def test_evolve_qca_places_a_left_mover_or_the_vacuum(tmp_path):
     for qconf, occupied in (
         ({"site": 3, "direction": "l"}, [("3", "n_l")]),

@@ -78,6 +78,19 @@ def test_periodic_folding():
     assert momentum_mode(spec, 6) == momentum_mode(spec, 2)
 
 
+@pytest.mark.parametrize("ell", [1.7, 1.0, True, (1.7,), [np.float64(1.0)], (False,), "1"])
+def test_momentum_mode_rejects_non_integer_indices(ell):
+    with pytest.raises(ValueError, match="momentum indices must be integers"):
+        momentum_mode(make_lattice(1, 4, 1.0, 1.0, 0.1), ell)
+
+
+def test_momentum_mode_takes_numpy_integers():
+    spec = make_lattice(2, 4, 1.0, 1.0, 0.1)
+    mode = momentum_mode(spec, np.array([3, -2]))
+    assert mode == momentum_mode(spec, (-1, 2))
+    assert all(type(e) is int for e in mode.ell)
+
+
 def test_grid_closed_under_negation():
     for spec in (make_lattice(1, 6, 1.0, 1.0, 0.2), make_lattice(2, 4, 1.0, 1.0, 0.2)):
         grid = set(momentum_grid(spec))
@@ -145,5 +158,7 @@ def test_spec_json_round_trip(tmp_path):
 
 def test_branch_validation():
     spec = make_lattice(1, 4, 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        EnergyModeLabel(momentum_mode(spec, 0), 0)
+    for branch in (0, 2, 1.0, -1.0, True):
+        with pytest.raises(ValueError, match="branch must be"):
+            EnergyModeLabel(momentum_mode(spec, 0), branch)
+    assert EnergyModeLabel(momentum_mode(spec, 0), np.int64(-1)).branch == -1

@@ -10,6 +10,7 @@ from walkqca.multiparticle import (
     PhysicalBasisLabel,
     antisymmetrize,
     eigenphase_check,
+    extended_unitary,
     load_state,
     ordered_product_state,
     physical_basis_state,
@@ -20,6 +21,7 @@ from walkqca.multiparticle import (
     total_evolution_apply,
     vacuum_state,
 )
+from walkqca.walk import build_walk_unitary
 from walkqca.walk1d import build_walk_unitary_1d, walk_eigenstate_1d
 
 TOL = 1e-12
@@ -264,3 +266,24 @@ def test_state_dump_round_trip(tmp_path):
     assert loaded.walk_dim == state.walk_dim
     assert loaded.n_factors == state.n_factors
     np.testing.assert_allclose(loaded.amplitudes, state.amplitudes, atol=0)
+
+
+@pytest.mark.parametrize(
+    "spec,n_max",
+    [(make_lattice(1, 4, 1.0, 1.0, 0.7), n) for n in (0, 1, 2, 3)]
+    + [(make_lattice(2, 2, 1.0, 1.0, -1.1), n) for n in (1, 2)],
+)
+def test_total_evolution_equals_the_dense_per_factor_product(spec, n_max):
+    """Random states, off the physical subspace and with vacuum weight, against tensordot."""
+    rng = np.random.default_rng(n_max)
+    f = spec.walk_dim + 1
+    raw = rng.standard_normal(f**n_max) + 1j * rng.standard_normal(f**n_max)
+    state = MultiState(raw.copy(), spec.walk_dim, n_max)
+    u_ext = extended_unitary(build_walk_unitary(spec).matrix)
+    expected = state.tensor()
+    for axis in range(n_max):
+        expected = np.moveaxis(np.tensordot(u_ext, expected, axes=(1, axis)), 0, axis)
+    out = total_evolution_apply(spec, n_max, state)
+    np.testing.assert_allclose(out.amplitudes, expected.reshape(-1), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(state.amplitudes, raw)
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)

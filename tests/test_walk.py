@@ -3,7 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from walkqca import walk
+from walkqca import multiparticle, walk
 from walkqca.lattice import make_lattice, momentum_mode
 
 
@@ -18,3 +18,58 @@ def test_2d_block_at_zero_ky_equals_1d_block(n, theta):
         assert block2.r == block1.r
         assert block2.phi == block1.phi
         assert np.array_equal(block2.matrix, block1.matrix)
+
+
+@pytest.mark.parametrize(
+    "dimension,n", [(1, 2), (1, 4), (1, 6), (1, 64), (2, 2), (2, 4), (2, 6)]
+)
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, -2.0])
+def test_step_into_equals_the_dense_walk(dimension, n, theta):
+    spec = make_lattice(dimension, n, 1.0, 1.0, theta)
+    u = walk.build_walk_unitary(spec).matrix
+    rng = np.random.default_rng(n)
+    shape = (3, spec.walk_dim, 4)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    before = psi.copy()
+    out = np.empty_like(psi)
+    walk.step_into(spec, psi, out)
+    np.testing.assert_allclose(out, np.einsum("ij,ajb->aib", u, psi), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(psi, before)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 6), (2, 4)])
+@pytest.mark.parametrize("shape,slab_columns", [((3, 5), 1), ((3, 5), 2), ((7, 1), 3)])
+def test_step_into_in_slabs_equals_one_slab(monkeypatch, dimension, n, shape, slab_columns):
+    """Partial slabs along A and along B give the same bits as one slab."""
+    spec = make_lattice(dimension, n, 1.0, 1.0, 0.7)
+    a, b = shape
+    rng = np.random.default_rng(9)
+    psi = rng.standard_normal((a, spec.walk_dim, b)) + 1j * rng.standard_normal((a, spec.walk_dim, b))
+    whole, slabbed = np.empty_like(psi), np.empty_like(psi)
+    walk.step_into(spec, psi, whole)
+    monkeypatch.setattr(walk, "SLAB_AMPLITUDES", slab_columns * spec.walk_dim)
+    walk.step_into(spec, psi, slabbed)
+    np.testing.assert_array_equal(slabbed, whole)
+
+
+def test_step_into_rejects_a_walk_axis_of_the_wrong_length():
+    spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
+    psi = np.zeros((1, spec.walk_dim + 1, 1), dtype=complex)
+    with pytest.raises(ValueError):
+        walk.step_into(spec, psi, np.empty_like(psi))
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def test_hot_paths_build_no_dense_walk(monkeypatch, dimension, n):
+    spec = make_lattice(dimension, n, 1.0, 1.0, 0.3)
+    psi = np.random.default_rng(5).standard_normal(spec.walk_dim).astype(complex)
+    state = multiparticle.product_state([psi, None], spec.walk_dim)
+    expected = walk.build_walk_unitary(spec).matrix @ psi
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense walk built")
+
+    monkeypatch.setattr(walk, "walk_matrix", refuse)
+    assert walk.verify_block_consistency(spec) < 1e-12
+    out = multiparticle.total_evolution_apply(spec, 2, state)
+    np.testing.assert_allclose(out.tensor()[:-1, -1], expected, rtol=0, atol=1e-14)
