@@ -155,11 +155,11 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
     state = multiparticle.physical_basis_state(spec, labels, n_max)
     rows = []
     for step in range(steps + 1):
-        tensor = state.tensor()
+        probs = np.abs(state.tensor()) ** 2
         d = state.walk_dim
         for factor in range(state.n_factors):
             axes = tuple(a for a in range(state.n_factors) if a != factor)
-            weights = np.sum(np.abs(tensor) ** 2, axis=axes)
+            weights = np.sum(probs, axis=axes)
             rows.append(
                 {"step": step, "factor": factor, "occupancy": float(np.sum(weights[:d]))}
             )

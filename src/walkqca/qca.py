@@ -11,7 +11,6 @@ the factor-wise walk evolution on the distinguishable-particle space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
 
 import numpy as np
 
@@ -69,13 +68,13 @@ class LocalCoin:
 def build_local_coin(theta: float, pair_phase: complex = 1.0) -> LocalCoin:
     """Number-conserving cell coin: identity on empty, walk coin on one particle.
 
-    The doubly occupied state only picks up `pair_phase` (default 1); no
+    The one-particle block is :func:`walkqca.walk.coin_matrix`.  The
+    doubly occupied state only picks up `pair_phase` (default 1); no
     requirement pins it down and sectors with at most one particle per
     type never see it.
     """
     mat = np.eye(4, dtype=complex)
-    mat[1, 1] = mat[2, 2] = cos(theta)
-    mat[1, 2] = mat[2, 1] = 1j * sin(theta)
+    mat[1:3, 1:3] = walk.coin_matrix(theta)
     mat[3, 3] = pair_phase
     return LocalCoin(mat)
 
@@ -115,41 +114,35 @@ def qca_shift_permutation(lattice: CellLattice) -> np.ndarray:
 
 
 def apply_shift(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
-    """Permute the qubit axes of the (2,)*q view; tensor axis a is slot q-1-a."""
+    """Permute the qubit axes of the (2,)*q view; tensor axis a is slot q-1-a.
+
+    `state` is one (dim,) vector or a (k, dim) stack of them.
+    """
     q = lattice.n_qubits
     source = np.argsort(shift_slot_map(lattice))  # slot each slot's content comes from
-    return state.reshape((2,) * q).transpose(q - 1 - source[::-1]).reshape(-1)
-
-
-def _apply_cell_gate(
-    state: np.ndarray, n_qubits: int, gate: np.ndarray, slot_r: int, slot_l: int
-) -> np.ndarray:
-    """Apply a 4x4 gate (cell order c = bit_R + 2*bit_L) to two slots."""
-    ax_r = n_qubits - 1 - slot_r
-    ax_l = n_qubits - 1 - slot_l
-    arr = state.reshape((2,) * n_qubits)
-    gt = gate.reshape(2, 2, 2, 2)  # [bL_out, bR_out, bL_in, bR_in]
-    res = np.tensordot(gt, arr, axes=([2, 3], [ax_l, ax_r]))
-    res = np.moveaxis(res, [0, 1], [ax_l, ax_r])
-    return np.ascontiguousarray(res).reshape(-1)
+    axes = q - source[::-1]  # q-1-source, past the leading stack axis
+    return state.reshape(-1, *(2,) * q).transpose(0, *axes).reshape(state.shape)
 
 
 def apply_coin(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
     """Sweep the gate over the (4,)*cells view, two cells per matmul, from the back.
 
     Cell slots are adjacent bits, R the low one, so each axis of that view
-    indexes a cell in the coin's (empty, R, L, RL) order.
+    indexes a cell in the coin's (empty, R, L, RL) order.  `state` is one
+    (dim,) vector or a (k, dim) stack of them.
     """
+    cells = lattice.n_sites * lattice.n_types
     g = coin.matrix.astype(complex)
     pair = np.kron(g, g)
     # The last two cells, as a gemm on the transposed view: at q=18 the
     # right-hand form `state.reshape(-1, 16) @ pair.T` peaks 4 MB higher
     # (OpenBLAS's threaded gemm buffers).
     out = (pair @ state.reshape(-1, 16).T).T
-    for end in range(lattice.n_sites * lattice.n_types - 2, 0, -2):
+    for end in range(cells - 2, 0, -2):
         a = max(end - 2, 0)  # an odd first cell goes alone
-        out = np.matmul(pair if end - a == 2 else g, out.reshape(4**a, 4 ** (end - a), -1))
-    return out.reshape(-1)
+        gate = pair if end - a == 2 else g
+        out = np.matmul(gate, out.reshape(-1, 4 ** (end - a), 4 ** (cells - end)))
+    return out.reshape(state.shape)
 
 
 def _check_state(lattice: CellLattice, state: np.ndarray) -> None:
@@ -170,12 +163,8 @@ def qca_step_operator(lattice: CellLattice, coin: LocalCoin) -> np.ndarray:
             f"dense step operator would be {lattice.dim}x{lattice.dim}; "
             f"cap is {DENSE_OPERATOR_CAP}"
         )
-    cols = []
-    for b in range(lattice.dim):
-        e = np.zeros(lattice.dim, dtype=complex)
-        e[b] = 1.0
-        cols.append(qca_step(lattice, coin, e))
-    return np.column_stack(cols)
+    # Row b of the stepped identity is the step of basis vector b.
+    return apply_coin(lattice, coin, apply_shift(lattice, np.eye(lattice.dim, dtype=complex))).T
 
 
 def occupation_expectations(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
@@ -249,7 +238,7 @@ def one_particle_sector_isomorphism(
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     if coin is None:
         coin = build_local_coin(theta)
-    ext = extended_unitary(walk.walk_matrix(n_sites, 1, theta, walk.make_coin_frame_2d()))
+    ext = extended_unitary(walk.walk_matrix(n_sites, 1, theta))
     d = ext.shape[0] - 1
     u_total = np.array([[1.0]], dtype=complex)
     for _ in range(n_types):
@@ -308,24 +297,13 @@ def locality_check(
     herm = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     herm = herm + herm.conj().T
     site = 1
-    dim = probe.dim
-    full_obs = np.column_stack(
-        [
-            _apply_cell_gate(_unit(dim, b), probe.n_qubits, herm, probe.slot(0, site, 0), probe.slot(0, site, 1))
-            for b in range(dim)
-        ]
-    )
-    coin_full = np.column_stack(
-        [apply_coin(probe, coin, _unit(dim, b)) for b in range(dim)]
-    )
-    conjugated = coin_full @ full_obs @ coin_full.conj().T
-    local = coin.matrix @ herm @ coin.matrix.conj().T
-    local_full = np.column_stack(
-        [
-            _apply_cell_gate(_unit(dim, b), probe.n_qubits, local, probe.slot(0, site, 0), probe.slot(0, site, 1))
-            for b in range(dim)
-        ]
-    )
+
+    def on_site(op: np.ndarray) -> np.ndarray:
+        return np.kron(np.kron(np.eye(4 ** (probe.n_sites - 1 - site)), op), np.eye(4**site))
+
+    coin_full = apply_coin(probe, coin, np.eye(probe.dim, dtype=complex)).T
+    conjugated = coin_full @ on_site(herm) @ coin_full.conj().T
+    local_full = on_site(coin.matrix @ herm @ coin.matrix.conj().T)
     coin_residual = float(np.max(np.abs(conjugated - local_full)))
 
     start = n_sites // 2
@@ -347,9 +325,3 @@ def locality_check(
         light_cone_radius_per_step=radius_one,
         spread_within_cone=within,
     )
-
-
-def _unit(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[index] = 1.0
-    return e

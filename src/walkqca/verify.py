@@ -56,9 +56,11 @@ class VerifyOptions:
     inject_fault: str | None = None
 
     def __post_init__(self):
-        # Zero samples would let the preservation checks pass untested.
-        if self.n_random < 1:
-            raise ValueError(f"n_random must be at least 1, got {self.n_random}")
+        # Zero samples, or only the vacuum (n_max 0), would let the
+        # preservation and intertwining checks pass untested.
+        for name in ("n_max", "n_random"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def _unitarity_residual(u: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, BlockDecomposition, decompose
+from .blocks import SIGMA_X, BlockDecomposition, decompose
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -29,8 +29,6 @@ from .lattice import (
 
 COIN_LABELS = ("R", "L")
 
-FRAME_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WalkUnitary:
@@ -40,92 +38,19 @@ class WalkUnitary:
     basis: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class CoinFrame2D:
-    """Coin directions and the three direction operators.
-
-    The direction vectors form two mutually unbiased orthonormal bases;
-    dpx = |R><R| - |L><L|, dpy = |U><U| - |D><D| and the swap q mutually
-    anticommute and square to the identity.
-    """
-
-    right: np.ndarray
-    left: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    dpx: np.ndarray
-    dpy: np.ndarray
-    q: np.ndarray
+# The coin frame in the {R, L} storage basis: each axis's direction basis
+# V_a, columns (forward, backward).  V_x is the identity, R and L; V_y
+# holds U and D at equal weight over R and L, unbiased to V_x, and the
+# swap exchanges R with L and U with D.
+DIRECTION_BASES = (
+    np.eye(2, dtype=complex),
+    np.array([[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]]),
+)
 
 
-def make_coin_frame_2d() -> CoinFrame2D:
-    """The canonical frame, written in the {R, L} storage basis.
-
-    In this basis dpx is diagonal, dpy = [[0, i], [-i, 0]] and q is the
-    plain swap; U and D sit at equal weight over R and L, so both
-    unbiasedness and the exact swap relations q|U> = |D>, q|D> = |U> hold.
-    """
-    right = np.array([1.0, 0.0], dtype=complex)
-    left = np.array([0.0, 1.0], dtype=complex)
-    up = np.array([0.5 + 0.5j, 0.5 - 0.5j])
-    down = np.array([0.5 - 0.5j, 0.5 + 0.5j])
-    return CoinFrame2D(
-        right=right,
-        left=left,
-        up=up,
-        down=down,
-        dpx=SIGMA_Z.copy(),
-        dpy=-SIGMA_Y.copy(),
-        q=SIGMA_X.copy(),
-    )
-
-
-def validate_coin_frame(frame: CoinFrame2D, tol: float = FRAME_TOL) -> None:
-    """Check every frame requirement; raises ValueError on the first violation."""
-    eye = np.eye(2)
-    pairs = {
-        "<R|L>": abs(np.vdot(frame.right, frame.left)),
-        "<U|D>": abs(np.vdot(frame.up, frame.down)),
-    }
-    for name, val in pairs.items():
-        if val > tol:
-            raise ValueError(f"coin frame violates {name} = 0 (got {val:.3e})")
-    for name, vec in (("R", frame.right), ("L", frame.left), ("U", frame.up), ("D", frame.down)):
-        if abs(np.linalg.norm(vec) - 1.0) > tol:
-            raise ValueError(f"coin frame vector {name} is not normalized")
-    for a, b in (("R", "U"), ("R", "D"), ("L", "U"), ("L", "D")):
-        va = frame.right if a == "R" else frame.left
-        vb = frame.up if b == "U" else frame.down
-        if abs(abs(np.vdot(va, vb)) - 1.0 / sqrt(2.0)) > tol:
-            raise ValueError(f"coin frame violates |<{a}|{b}>| = 1/sqrt(2)")
-    ops = {"dpx": frame.dpx, "dpy": frame.dpy, "q": frame.q}
-    if np.max(np.abs(frame.dpx - (np.outer(frame.right, frame.right.conj())
-                                  - np.outer(frame.left, frame.left.conj())))) > tol:
-        raise ValueError("dpx does not equal |R><R| - |L><L|")
-    if np.max(np.abs(frame.dpy - (np.outer(frame.up, frame.up.conj())
-                                  - np.outer(frame.down, frame.down.conj())))) > tol:
-        raise ValueError("dpy does not equal |U><U| - |D><D|")
-    for name, op in ops.items():
-        if np.max(np.abs(op @ op.conj().T - eye)) > tol:
-            raise ValueError(f"coin frame operator {name} is not unitary")
-        if np.max(np.abs(op @ op - eye)) > tol:
-            raise ValueError(f"coin frame operator {name} does not square to identity")
-    for (na, a), (nb, b) in (
-        (("dpx", frame.dpx), ("dpy", frame.dpy)),
-        (("dpx", frame.dpx), ("q", frame.q)),
-        (("dpy", frame.dpy), ("q", frame.q)),
-    ):
-        if np.max(np.abs(a @ b + b @ a)) > tol:
-            raise ValueError(f"coin frame operators {na}, {nb} do not anticommute")
-    for name, src, dst in (("R", frame.right, frame.left), ("L", frame.left, frame.right),
-                           ("U", frame.up, frame.down), ("D", frame.down, frame.up)):
-        if np.max(np.abs(frame.q @ src - dst)) > tol:
-            raise ValueError(f"coin frame swap does not exchange {name} with its partner")
-
-
-def coin_matrix(theta: float, frame: CoinFrame2D) -> np.ndarray:
+def coin_matrix(theta: float) -> np.ndarray:
     """exp(i*theta*q) with q the coin swap; unitary for every real theta."""
-    return cos(theta) * np.eye(2, dtype=complex) + 1j * sin(theta) * frame.q
+    return cos(theta) * np.eye(2, dtype=complex) + 1j * sin(theta) * SIGMA_X
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -133,30 +58,23 @@ def shift_matrix(n: int) -> np.ndarray:
     return np.roll(np.eye(n, dtype=complex), 1, axis=0)
 
 
-def walk_matrix(n: int, dimension: int, theta: float, frame: CoinFrame2D) -> np.ndarray:
+def walk_matrix(n: int, dimension: int, theta: float) -> np.ndarray:
     """One-step matrix on 2*n**dimension amplitudes; accepts any n >= 2.
 
     Each axis contributes one leg, the shift along that axis conditioned
     on its direction pair; the legs act in axis order, then the coin.
     """
     proj = lambda v: np.outer(v, v.conj())
-    directions = ((frame.right, frame.left), (frame.up, frame.down))
     legs = []
     for axis in range(dimension):
         factors = [shift_matrix(n) if a == axis else np.eye(n, dtype=complex) for a in range(dimension)]
         s = reduce(np.kron, factors)
-        forward, backward = directions[axis]
+        forward, backward = DIRECTION_BASES[axis].T
         legs.append(np.kron(s, proj(forward)) + np.kron(s.conj().T, proj(backward)))
-    u = np.kron(np.eye(n**dimension, dtype=complex), coin_matrix(theta, frame))
+    u = np.kron(np.eye(n**dimension, dtype=complex), coin_matrix(theta))
     for leg in reversed(legs):
         u = u @ leg
     return u
-
-
-# The canonical frame and its direction bases V_a (columns forward, backward)
-# for axes 0 and 1; V_x is the identity, as R and L are the storage basis.
-_FRAME = make_coin_frame_2d()
-_BASES = tuple(np.column_stack(pair) for pair in ((_FRAME.right, _FRAME.left), (_FRAME.up, _FRAME.down)))
 
 
 def _step_mixes(dimension: int, theta: float) -> list[np.ndarray]:
@@ -167,9 +85,9 @@ def _step_mixes(dimension: int, theta: float) -> list[np.ndarray]:
     to storage and applies the coin, coin @ V_last.  The state enters in
     storage coordinates, which are V_x's, so no mix precedes axis 0.
     """
-    bases = _BASES[:dimension]
+    bases = DIRECTION_BASES[:dimension]
     mixes = [nxt.conj().T @ cur for cur, nxt in zip(bases, bases[1:])]
-    return mixes + [coin_matrix(theta, _FRAME) @ bases[-1]]
+    return mixes + [coin_matrix(theta) @ bases[-1]]
 
 
 def _roll_into(dst: np.ndarray, src: np.ndarray, shift: int, axis: int) -> None:
@@ -189,7 +107,7 @@ SLAB_AMPLITUDES = 1 << 15
 
 
 def step_into(spec: LatticeSpec, src: np.ndarray, out: np.ndarray) -> None:
-    """One canonical-frame walk step on axis 1 of an (A, walk_dim, B) array, into `out`.
+    """One walk step on axis 1 of an (A, walk_dim, B) array, into `out`.
 
     Matrix-free, O(walk_dim) per column: along each lattice axis the
     forward coin component is rolled by +1 and the backward one by -1,
@@ -232,15 +150,11 @@ def _step_slab(spec: LatticeSpec, mixes: list[np.ndarray], src: np.ndarray, out:
         x = y
 
 
-def build_walk_unitary(spec: LatticeSpec, frame: CoinFrame2D | None = None) -> WalkUnitary:
-    """Dense walk on the lattice; a given frame is validated, None means the canonical one."""
-    if frame is None:
-        frame = make_coin_frame_2d()
-    else:
-        validate_coin_frame(frame)
+def build_walk_unitary(spec: LatticeSpec) -> WalkUnitary:
+    """Dense walk on the lattice, the oracle for :func:`step_into`."""
     sites = itertools.product(range(spec.N), repeat=spec.dimension)
     basis = tuple((*site, c) for site in sites for c in COIN_LABELS)
-    return WalkUnitary(walk_matrix(spec.N, spec.dimension, spec.theta, frame), basis)
+    return WalkUnitary(walk_matrix(spec.N, spec.dimension, spec.theta), basis)
 
 
 def momentum_state(spec: LatticeSpec, mode: MomentumMode) -> np.ndarray:

@@ -18,7 +18,7 @@ spectrum_rows_1d = walk.spectrum_rows
 
 def walk_matrix_1d(n_sites: int, theta: float):
     """One-step matrix on 2*n_sites amplitudes; accepts any n_sites >= 2, odd ones too."""
-    return walk.walk_matrix(n_sites, 1, theta, walk.make_coin_frame_2d())
+    return walk.walk_matrix(n_sites, 1, theta)
 
 
 def pauli_coefficients_1d(k_dx: float, theta: float) -> tuple[float, float, float, float]:
@@ -26,8 +26,8 @@ def pauli_coefficients_1d(k_dx: float, theta: float) -> tuple[float, float, floa
     return walk.pauli_coefficients((k_dx,), theta)
 
 
-def build_walk_unitary_1d(spec, frame=None) -> walk.WalkUnitary:
+def build_walk_unitary_1d(spec) -> walk.WalkUnitary:
     """:func:`walkqca.walk.build_walk_unitary`, refusing lattices of another dimension."""
     if spec.dimension != 1:
         raise ValueError(f"expected a 1D lattice, got dimension {spec.dimension}")
-    return walk.build_walk_unitary(spec, frame)
+    return walk.build_walk_unitary(spec)

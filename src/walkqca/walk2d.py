@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from . import walk
 
-CoinFrame2D = walk.CoinFrame2D
-make_coin_frame_2d = walk.make_coin_frame_2d
-validate_coin_frame = walk.validate_coin_frame
 momentum_state_2d = walk.momentum_state
 momentum_block_2d = walk.momentum_block
 walk_eigenstate_2d = walk.walk_eigenstate
@@ -23,8 +20,8 @@ def pauli_coefficients_2d(kx_dx: float, ky_dx: float, theta: float) -> tuple[flo
     return walk.pauli_coefficients((kx_dx, ky_dx), theta)
 
 
-def build_walk_unitary_2d(spec, frame=None) -> walk.WalkUnitary:
+def build_walk_unitary_2d(spec) -> walk.WalkUnitary:
     """:func:`walkqca.walk.build_walk_unitary`, refusing lattices of another dimension."""
     if spec.dimension != 2:
         raise ValueError(f"expected a 2D lattice, got dimension {spec.dimension}")
-    return walk.build_walk_unitary(spec, frame)
+    return walk.build_walk_unitary(spec)

@@ -133,6 +133,15 @@ def test_verify_rejects_no_random_samples_with_exit_2(tmp_path, capsys, n_random
     assert "n_random" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_verify_rejects_an_n_max_below_one_with_exit_2(tmp_path, capsys, n_max):
+    # n_max 0 would step only the vacuum; -1 crashed in the state sampler
+    cfg = write_config(tmp_path, {"verify": {"n_max": n_max}})
+    assert run(["verify", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n_max must be at least 1, got {n_max}\n"
+
+
 def test_verify_rejects_a_momentum_ops_check_with_no_mode_to_test(tmp_path, capsys):
     # at theta = 0 every block of the 2D N = 2 lattice is +-identity
     cfg = write_config(tmp_path, {"verify": {"theta": 0.0}})

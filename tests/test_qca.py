@@ -3,10 +3,10 @@ from math import cos, sin
 import numpy as np
 import pytest
 
+from walkqca import qca
 from walkqca.qca import (
     CellLattice,
     LocalCoin,
-    _apply_cell_gate,
     apply_coin,
     apply_shift,
     build_local_coin,
@@ -140,6 +140,21 @@ def test_locality_report():
     assert report.spread_within_cone
 
 
+def test_locality_check_catches_a_coin_layer_that_moves_a_cell(monkeypatch):
+    # negative control: a coin layer that swaps cells 0 and 1 after the
+    # sweep carries the site-1 observable to site 0, which the one-cell
+    # embedding must not mistake for the cell coin
+    sweep = qca.apply_coin
+
+    def sweep_then_swap(lattice, coin, state):
+        cells = lattice.n_sites * lattice.n_types
+        out = sweep(lattice, coin, state).reshape(-1, *(4,) * cells)
+        return out.swapaxes(-1, -2).reshape(state.shape)
+
+    monkeypatch.setattr(qca, "apply_coin", sweep_then_swap)
+    assert locality_check(4, 1, 0.3, steps=1).coin_conjugation_residual > 1e-3
+
+
 def test_two_steps_spread_at_most_two_sites():
     lattice = CellLattice(n_sites=8, n_types=1)
     coin = build_local_coin(0.9)
@@ -216,6 +231,17 @@ def _shift_oracle(lattice, state):
     return out
 
 
+def _apply_cell_gate(state, n_qubits, gate, slot_r, slot_l):
+    """Apply a 4x4 gate (cell order c = bit_R + 2*bit_L) to two slots."""
+    ax_r = n_qubits - 1 - slot_r
+    ax_l = n_qubits - 1 - slot_l
+    arr = state.reshape((2,) * n_qubits)
+    gt = gate.reshape(2, 2, 2, 2)  # [bL_out, bR_out, bL_in, bR_in]
+    res = np.tensordot(gt, arr, axes=([2, 3], [ax_l, ax_r]))
+    res = np.moveaxis(res, [0, 1], [ax_l, ax_r])
+    return np.ascontiguousarray(res).reshape(-1)
+
+
 def _coin_oracle(lattice, gate, state):
     out = state.astype(complex)
     for t in range(lattice.n_types):
@@ -269,6 +295,30 @@ def test_coin_oracle_comparison_catches_swapped_r_and_l(n_sites, n_types):
     state = _random_state(lattice, 2)
     got = apply_coin(lattice, LocalCoin(swapped), state)
     assert np.max(np.abs(got - _coin_oracle(lattice, gate, state))) > 1e-3
+
+
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES + [(3, 3)])
+def test_batched_kernels_match_row_by_row_calls(n_sites, n_types):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    coin = LocalCoin(KERNEL_GATES["random"])
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((5, lattice.dim)) + 1j * rng.standard_normal((5, lattice.dim))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    for kernel in (apply_shift, lambda lat, st: apply_coin(lat, coin, st)):
+        got = kernel(lattice, stack)
+        assert got.shape == stack.shape
+        for row, state in zip(got, stack):
+            np.testing.assert_allclose(row, kernel(lattice, state), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_sites,n_types", [(2, 1), (3, 1), (2, 2)])
+def test_step_operator_matches_a_column_loop(n_sites, n_types):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    coin = LocalCoin(KERNEL_GATES["random"])
+    columns = [qca_step(lattice, coin, e) for e in np.eye(lattice.dim, dtype=complex)]
+    np.testing.assert_allclose(
+        qca_step_operator(lattice, coin), np.column_stack(columns), rtol=0, atol=1e-14
+    )
 
 
 @pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)

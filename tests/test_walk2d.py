@@ -1,62 +1,77 @@
-from dataclasses import replace
-from math import cos, pi, sin, sqrt
+from math import cos, sin, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkqca.blocks import SIGMA_X, SIGMA_Y, SIGMA_Z
 from walkqca.lattice import EnergyModeLabel, make_lattice, momentum_grid, momentum_mode
+from walkqca.walk import DIRECTION_BASES, coin_matrix
 from walkqca.walk2d import (
     build_walk_unitary_2d,
-    make_coin_frame_2d,
     momentum_block_2d,
     momentum_state_2d,
     pauli_coefficients_2d,
     spectrum_rows_2d,
-    validate_coin_frame,
     verify_block_consistency_2d,
     walk_eigenstate_2d,
 )
 
 TOL = 1e-12
 
+# The coin frame: the direction vectors are the columns of DIRECTION_BASES.
+R, L = DIRECTION_BASES[0].T
+U, D = DIRECTION_BASES[1].T
+DIRECTIONS = {"R": R, "L": L, "U": U, "D": D}
+
+
+def _direction_op(forward, backward):
+    return np.outer(forward, forward.conj()) - np.outer(backward, backward.conj())
+
+
+# The three direction operators: dpx = |R><R| - |L><L|, dpy = |U><U| - |D><D|
+# and the swap q that the coin exponentiates.
+FRAME_OPS = {"dpx": _direction_op(R, L), "dpy": _direction_op(U, D), "q": SIGMA_X}
+
+
+def test_frame_directions_normalized_and_orthogonal():
+    for vec in DIRECTIONS.values():
+        assert abs(np.linalg.norm(vec) - 1.0) < TOL
+    assert abs(np.vdot(R, L)) < TOL
+    assert abs(np.vdot(U, D)) < TOL
+
+
+def test_frame_direction_operators_in_storage_basis():
+    np.testing.assert_array_equal(FRAME_OPS["dpx"], SIGMA_Z)
+    np.testing.assert_array_equal(FRAME_OPS["dpy"], -SIGMA_Y)
+
 
 def test_frame_pauli_algebra_exact():
-    frame = make_coin_frame_2d()
     eye = np.eye(2)
-    for op in (frame.dpx, frame.dpy, frame.q):
+    for op in FRAME_OPS.values():
+        assert np.array_equal(op @ op.conj().T, eye)
         assert np.array_equal(op @ op, eye)
-    assert np.max(np.abs(frame.dpx @ frame.q + frame.q @ frame.dpx)) == 0.0
-    assert np.max(np.abs(frame.dpy @ frame.q + frame.q @ frame.dpy)) == 0.0
-    assert np.max(np.abs(frame.dpx @ frame.dpy + frame.dpy @ frame.dpx)) == 0.0
+    for a, b in (("dpx", "dpy"), ("dpx", "q"), ("dpy", "q")):
+        anti = FRAME_OPS[a] @ FRAME_OPS[b] + FRAME_OPS[b] @ FRAME_OPS[a]
+        assert np.max(np.abs(anti)) == 0.0, (a, b)
 
 
 def test_frame_unbiasedness():
-    frame = make_coin_frame_2d()
-    assert abs(np.vdot(frame.right, frame.up)) == pytest.approx(1 / sqrt(2), abs=TOL)
-    assert abs(np.vdot(frame.left, frame.down)) == pytest.approx(1 / sqrt(2), abs=TOL)
-    assert abs(np.vdot(frame.right, frame.left)) < TOL
-    assert abs(np.vdot(frame.up, frame.down)) < TOL
-    validate_coin_frame(frame)
+    for a in (R, L):
+        for b in (U, D):
+            assert abs(np.vdot(a, b)) == pytest.approx(1 / sqrt(2), abs=TOL)
 
 
 def test_frame_swap_is_exact():
-    frame = make_coin_frame_2d()
-    np.testing.assert_array_equal(frame.q @ frame.right, frame.left)
-    np.testing.assert_array_equal(frame.q @ frame.up, frame.down)
+    for src, dst in (("R", "L"), ("L", "R"), ("U", "D"), ("D", "U")):
+        np.testing.assert_array_equal(FRAME_OPS["q"] @ DIRECTIONS[src], DIRECTIONS[dst])
 
 
-def test_corrupted_frame_rejected():
-    frame = make_coin_frame_2d()
-    bad = replace(frame, up=np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
-        validate_coin_frame(bad)
-    bad_op = replace(frame, q=np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        validate_coin_frame(bad_op)
-    spec = make_lattice(2, 2, 1.0, 1.0, 0.3)
-    with pytest.raises(ValueError):
-        build_walk_unitary_2d(spec, frame=bad)
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.1, 2.5])
+def test_coin_is_the_exponentiated_swap(theta):
+    coin = coin_matrix(theta)
+    np.testing.assert_array_equal(coin, cos(theta) * np.eye(2) + 1j * sin(theta) * FRAME_OPS["q"])
+    assert np.max(np.abs(coin.conj().T @ coin - np.eye(2))) < TOL
 
 
 def site_coin_vector(spec, x, y, coin_vec):
@@ -68,9 +83,8 @@ def site_coin_vector(spec, x, y, coin_vec):
 def test_zero_angle_step_spreads_diagonally():
     # oracle: apply the three factor matrices one after another
     spec = make_lattice(2, 4, 1.0, 1.0, 0.0)
-    frame = make_coin_frame_2d()
     u = build_walk_unitary_2d(spec).matrix
-    start = site_coin_vector(spec, 0, 0, frame.right)
+    start = site_coin_vector(spec, 0, 0, R)
     out = u @ start
     # the R state is an equal-weight mix of U and D, so the particle lands
     # on (1, 1) and (1, -1) with half weight each
@@ -121,10 +135,9 @@ def test_spot_eigenphase_against_factor_built_oracle():
     # oracle: multiply the coin and the two axis rotations as matrices and
     # diagonalize numerically
     a, b, theta = 0.1, 0.07, 0.05
-    frame = make_coin_frame_2d()
-    coin = cos(theta) * np.eye(2) + 1j * sin(theta) * frame.q
-    leg_y = cos(b) * np.eye(2) + 1j * sin(b) * frame.dpy
-    leg_x = cos(a) * np.eye(2) + 1j * sin(a) * frame.dpx
+    coin = cos(theta) * np.eye(2) + 1j * sin(theta) * FRAME_OPS["q"]
+    leg_y = cos(b) * np.eye(2) + 1j * sin(b) * FRAME_OPS["dpy"]
+    leg_x = cos(a) * np.eye(2) + 1j * sin(a) * FRAME_OPS["dpx"]
     direct = coin @ leg_y @ leg_x
     phases = np.sort(np.angle(np.linalg.eigvals(direct)))
     assert phases[1] == pytest.approx(0.13442942835353514, abs=1e-14)
