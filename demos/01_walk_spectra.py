@@ -20,7 +20,7 @@ from walkqca import (
 
 spec = make_lattice(dimension=1, N=16, dx=1.0, dt=1.0, theta=0.25)
 walk = build_walk_unitary_1d(spec)
-defect = np.max(np.abs(walk.matrix.conj().T @ walk.matrix - np.eye(spec.walk_dim)))
+defect = np.max(np.abs(walk.conj().T @ walk - np.eye(spec.walk_dim)))
 print(f"1D walk on {spec.N} sites, coin angle {spec.theta}")
 print(f"  unitarity defect        {defect:.2e}")
 print(f"  block-restriction error {verify_block_consistency(spec):.2e}")
@@ -40,7 +40,7 @@ print(f"\n  band gap at k = 0: phi = {gap:.6f} (= theta = {spec.theta})")
 
 spec2 = make_lattice(dimension=2, N=6, dx=1.0, dt=1.0, theta=0.25)
 walk2 = build_walk_unitary_2d(spec2)
-defect2 = np.max(np.abs(walk2.matrix.conj().T @ walk2.matrix - np.eye(spec2.walk_dim)))
+defect2 = np.max(np.abs(walk2.conj().T @ walk2 - np.eye(spec2.walk_dim)))
 print(f"\n2D walk on {spec2.N}x{spec2.N} sites")
 print(f"  unitarity defect        {defect2:.2e}")
 print(f"  block-restriction error {verify_block_consistency_2d(spec2):.2e}")

@@ -68,7 +68,7 @@ from .qca import (
     qca_step,
 )
 from .verify import CheckResult, VerifyOptions, run_verification
-from .walk import WalkUnitary, verify_block_consistency
+from .walk import verify_block_consistency
 from .walk1d import build_walk_unitary_1d, momentum_block_1d, walk_eigenstate_1d
 from .walk2d import (
     build_walk_unitary_2d,

@@ -80,6 +80,11 @@ def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
 
 def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
+    halvings = args.halvings
+    if halvings is None:
+        halvings = _count(config["dispersion"], "halvings", 3, "dispersion")
+    # The study checks the halvings, so a bad count writes no file.
+    study = dirac.convergence_study(spec, halvings=halvings)
     records = dirac.dispersion_table(spec)
     rows = []
     for rec in records:
@@ -94,8 +99,6 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     fields = list(rows[0].keys())
     _write_csv(out_dir / "dispersion.csv", fields, rows)
 
-    halvings = args.halvings or _count(config["dispersion"], "halvings", 3, "dispersion")
-    study = dirac.convergence_study(spec, halvings=halvings)
     doc = study.to_dict()
     doc["dimension"] = spec.dimension
     doc["base_theta"] = spec.theta
@@ -220,11 +223,15 @@ def _evolve_qca(config: dict, theta: float, steps: int, out_dir: Path | None) ->
     return 0
 
 
-def cmd_evolve(config: dict, out_dir: Path, args) -> int:
-    spec = LatticeSpec.from_dict(config["lattice"])
-    steps = args.steps if args.steps is not None else _count(config["evolve"], "steps", 4, "evolve")
+def _steps(steps: int) -> int:
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    return steps
+
+
+def cmd_evolve(config: dict, out_dir: Path, args) -> int:
+    spec = LatticeSpec.from_dict(config["lattice"])
+    steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", 4, "evolve"))
     system = config["evolve"].get("system", "multiparticle")
     if system == "qca":
         return _evolve_qca(config, spec.theta, steps, out_dir)
@@ -234,7 +241,7 @@ def cmd_evolve(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
-    steps = args.steps if args.steps is not None else 6
+    steps = _steps(args.steps if args.steps is not None else 6)
     return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]).theta, steps, None)
 
 
@@ -257,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
         if name == "verify":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
             p.add_argument(
                 "--only",
                 action="append",

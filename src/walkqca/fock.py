@@ -9,7 +9,6 @@ branch-signed eigenphases of its occupied modes.
 
 from __future__ import annotations
 
-from cmath import exp as cexp
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,60 +67,46 @@ def full_fock_basis(spec: LatticeSpec) -> FockBasis:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the occupation space, tagged with its role."""
+    """Dense operator on the occupation space."""
 
     matrix: np.ndarray
-    role: str
-
-    @property
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.role)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _parity_below(bits: int, position: int) -> int:
-    return bin(bits & ((1 << position) - 1)).count("1") & 1
+def _occupations(basis: FockBasis) -> np.ndarray:
+    """(dim, M) table: entry [bits, i] is the occupation of mode i in `bits`."""
+    return (np.arange(basis.dim)[:, None] >> np.arange(len(basis.modes))) & 1
 
 
 def creation_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
     """Fermionic creation matrix with the parity-string sign convention."""
     pos = basis.index(label)
+    occ = _occupations(basis)
+    empty = np.flatnonzero(occ[:, pos] == 0)
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for bits in range(basis.dim):
-        if not (bits >> pos) & 1:
-            sign = -1.0 if _parity_below(bits, pos) else 1.0
-            mat[bits | (1 << pos), bits] = sign
-    return FockOperator(mat, "creation")
+    mat[empty | (1 << pos), empty] = 1.0 - 2.0 * (occ[empty, :pos].sum(axis=1) & 1)
+    return FockOperator(mat)
 
 
 def annihilation_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
-    return FockOperator(creation_op(basis, label).matrix.conj().T, "annihilation")
+    return FockOperator(creation_op(basis, label).matrix.conj().T)
 
 
 def number_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
-    pos = basis.index(label)
-    diag = np.array([(bits >> pos) & 1 for bits in range(basis.dim)], dtype=float)
-    return FockOperator(np.diag(diag).astype(complex), "composite")
-
-
-def mode_phases(basis: FockBasis, spec: LatticeSpec) -> np.ndarray:
-    """Branch-signed eigenphase of each basis mode."""
-    return np.array(
-        [label.branch * walk.momentum_block(spec, label.mode).phi for label in basis.modes]
-    )
+    diag = _occupations(basis)[:, basis.index(label)].astype(float)
+    return FockOperator(np.diag(diag).astype(complex))
 
 
 def evolution_diagonal(basis: FockBasis, spec: LatticeSpec) -> FockOperator:
     """One-step evolution: each bitstring gains exp(i * sum of occupied branch-phases)."""
-    phases = mode_phases(basis, spec)
-    diag = np.empty(basis.dim, dtype=complex)
-    for bits in range(basis.dim):
-        total = sum(phases[i] for i in range(len(basis.modes)) if (bits >> i) & 1)
-        diag[bits] = cexp(1j * total)
-    return FockOperator(np.diag(diag), "diagonal-evolution")
+    occ = _occupations(basis)
+    total = np.zeros(basis.dim)  # summed in mode order, as a per-bitstring sum would
+    for i, label in enumerate(basis.modes):
+        total += occ[:, i] * (label.branch * walk.momentum_block(spec, label.mode).phi)
+    return FockOperator(np.diag(np.exp(1j * total)))
 
 
 def momentum_mode_coefficients(spec: LatticeSpec, mode: MomentumMode):
@@ -151,13 +136,9 @@ def momentum_mode_ops(
     plus = creation_op(basis, EnergyModeLabel(mode, 1)).matrix
     minus = creation_op(basis, EnergyModeLabel(mode, -1)).matrix
     return (
-        FockOperator(alpha_r * plus + beta_r * minus, "creation"),
-        FockOperator(alpha_l * plus + beta_l * minus, "creation"),
+        FockOperator(alpha_r * plus + beta_r * minus),
+        FockOperator(alpha_l * plus + beta_l * minus),
     )
-
-
-def occupied_labels(basis: FockBasis, bits: int) -> list[EnergyModeLabel]:
-    return [label for i, label in enumerate(basis.modes) if (bits >> i) & 1]
 
 
 def fock_to_firstquantized(
@@ -170,7 +151,7 @@ def fock_to_firstquantized(
     """
     if not 0 <= bits < basis.dim:
         raise ValueError(f"bitstring {bits} out of range for {len(basis.modes)} modes")
-    labels = occupied_labels(basis, bits)
+    labels = [label for i, label in enumerate(basis.modes) if (bits >> i) & 1]
     if len(labels) > n_max:
         raise ValueError(f"{len(labels)} occupied modes exceed n_max = {n_max}")
     return ordered_product_state(spec, labels, n_max)

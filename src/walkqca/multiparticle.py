@@ -9,7 +9,6 @@ vacuum-extended walk step independently to every factor.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from math import factorial, sqrt
@@ -142,25 +141,20 @@ def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> M
     return MultiState(src.copy() if n_max == 0 else src, d, n_max)
 
 
-def _permutation_parity(perm) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inversions % 2
-
-
 def _antisymmetrize_tensor(block: np.ndarray, n: int) -> np.ndarray:
-    """Project a (d,)*n tensor onto its totally antisymmetric part."""
-    if n <= 1:
-        return block.copy()
-    out = np.zeros_like(block)
-    for perm in itertools.permutations(range(n)):
-        sign = -1.0 if _permutation_parity(perm) else 1.0
-        out += sign * block.transpose(perm)
-    out /= factorial(n)
+    """Project a (d,)*n tensor onto its totally antisymmetric part.
+
+    Factor k is antisymmetrized against the k before it by the
+    transpositions (i k): A_{k+1} = (1 - sum_{i<k} (i k)) A_k / (k+1).
+    Only two block-sized arrays are alive at a time.
+    """
+    out = block.copy()
+    for k in range(1, n):
+        prev = out
+        out = prev.copy()
+        for i in range(k):
+            out -= prev.swapaxes(i, k)
+        out /= k + 1
     return out
 
 
@@ -273,9 +267,9 @@ def save_state(path, state: MultiState) -> None:
             "vacuum_index": state.vacuum_index,
         }
         fh.write(json.dumps(header) + "\n")
-        for idx, amp in enumerate(state.amplitudes):
-            if amp != 0:
-                fh.write(f"{idx} {float(amp.real)!r} {float(amp.imag)!r}\n")
+        for idx in np.flatnonzero(state.amplitudes):
+            amp = state.amplitudes[idx]
+            fh.write(f"{idx} {float(amp.real)!r} {float(amp.imag)!r}\n")
 
 
 def load_state(path) -> MultiState:

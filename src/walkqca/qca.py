@@ -94,13 +94,10 @@ def faulty_local_coin(kind: str, theta: float) -> LocalCoin:
 
 
 def shift_slot_map(lattice: CellLattice) -> np.ndarray:
-    """Destination slot of each slot's content under one shift."""
-    dest = np.empty(lattice.n_qubits, dtype=np.int64)
-    for t in range(lattice.n_types):
-        for x in range(lattice.n_sites):
-            dest[lattice.slot(t, x, 0)] = lattice.slot(t, (x + 1) % lattice.n_sites, 0)
-            dest[lattice.slot(t, x, 1)] = lattice.slot(t, (x - 1) % lattice.n_sites, 1)
-    return dest
+    """Destination slot of each slot's content: R one site (two slots) up, L one down."""
+    ring = 2 * lattice.n_sites
+    s = np.arange(lattice.n_qubits, dtype=np.int64)
+    return s - s % ring + (s % ring + 2 - 4 * (s % 2)) % ring
 
 
 def qca_shift_permutation(lattice: CellLattice) -> np.ndarray:
@@ -210,20 +207,10 @@ def embedding_indices(lattice: CellLattice, walk_dim: int) -> np.ndarray:
         raise ValueError(
             f"walk dimension {walk_dim} does not match {lattice.n_sites} sites"
         )
-    f = walk_dim + 1
-    total = f ** lattice.n_types
-    out = np.zeros(total, dtype=np.int64)
-    for j in range(total):
-        bits = 0
-        rem = j
-        for t_back in range(lattice.n_types):
-            t = lattice.n_types - 1 - t_back
-            v = rem % f
-            rem //= f
-            if v < walk_dim:
-                bits |= 1 << lattice.slot(t, v // 2, v % 2)
-        out[j] = bits
-    return out
+    # Row t holds type t's value; slot(t, v // 2, v % 2) = t * walk_dim + v.
+    values = np.indices((walk_dim + 1,) * lattice.n_types).reshape(lattice.n_types, -1)
+    slots = values + walk_dim * np.arange(lattice.n_types)[:, None]
+    return np.where(values < walk_dim, 1 << slots, 0).sum(axis=0)
 
 
 def one_particle_sector_isomorphism(
@@ -275,20 +262,11 @@ def locality_check(
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     coin = build_local_coin(theta)
 
-    dest = shift_slot_map(lattice)
-    nearest = True
-    for t in range(lattice.n_types):
-        for x in range(lattice.n_sites):
-            for e in (0, 1):
-                d_slot = int(dest[lattice.slot(t, x, e)])
-                site_to = (d_slot // 2) % lattice.n_sites
-                type_to = (d_slot // 2) // lattice.n_sites
-                if (
-                    _ring_distance(x, site_to, lattice.n_sites) != 1
-                    or d_slot % 2 != e
-                    or type_to != t
-                ):
-                    nearest = False
+    # Every slot keeps its direction and type and hops one site on the ring.
+    dest, src = shift_slot_map(lattice), np.arange(lattice.n_qubits)
+    hop = (dest // 2 - src // 2) % n_sites
+    same = (dest % 2 == src % 2) & (dest // (2 * n_sites) == src // (2 * n_sites))
+    nearest = bool(np.all(same & ((hop == 1) | (hop == n_sites - 1))))
 
     # Conjugating a single-site observable by the full coin layer must act
     # like the cell coin alone: build both on a small dense instance.

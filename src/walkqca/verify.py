@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class VerifyOptions:
         for name in ("n_max", "n_random"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # An infinite tolerance passes every residual check; 0, -1 or nan fails them all.
+        if not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -77,7 +81,7 @@ def check_unitarity(options: VerifyOptions) -> list[CheckResult]:
     res = [
         _result(
             f"walk-{spec.dimension}d-unitarity",
-            _unitarity_residual(walk.build_walk_unitary(spec).matrix),
+            _unitarity_residual(walk.build_walk_unitary(spec)),
             options.tol,
         )
         for spec in (options.spec1d, options.spec2d)
@@ -260,7 +264,8 @@ def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
 
 
 def check_intertwine(options: VerifyOptions) -> list[CheckResult]:
-    spec1 = LatticeSpec(1, 2, options.spec1d.dx, options.spec1d.dt, options.spec1d.theta)
+    # Not N=2: on two sites a +1 roll equals a -1 roll, so a direction error passes.
+    spec1 = LatticeSpec(1, 4, options.spec1d.dx, options.spec1d.dt, options.spec1d.theta)
     return [
         _result(
             "fock-firstquantized-intertwining",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import reduce
 from math import cos, sin, sqrt
 
@@ -26,17 +25,6 @@ from .lattice import (
     momentum_grid,
     require_on_grid,
 )
-
-COIN_LABELS = ("R", "L")
-
-
-@dataclass(frozen=True)
-class WalkUnitary:
-    """Dense one-step walk unitary with its ordered (position..., coin) labels."""
-
-    matrix: np.ndarray
-    basis: tuple[tuple, ...]
-
 
 # The coin frame in the {R, L} storage basis: each axis's direction basis
 # V_a, columns (forward, backward).  V_x is the identity, R and L; V_y
@@ -112,7 +100,7 @@ def step_into(spec: LatticeSpec, src: np.ndarray, out: np.ndarray) -> None:
     Matrix-free, O(walk_dim) per column: along each lattice axis the
     forward coin component is rolled by +1 and the backward one by -1,
     then one 2x2 mix (see :func:`_step_mixes`) acts on the coin axis.
-    Equals applying ``build_walk_unitary(spec).matrix`` to axis 1.  `out`
+    Equals applying ``build_walk_unitary(spec)`` to axis 1.  `out`
     may be a strided view but must not overlap `src`, which is not written.
     """
     a, dim, b = src.shape
@@ -150,11 +138,9 @@ def _step_slab(spec: LatticeSpec, mixes: list[np.ndarray], src: np.ndarray, out:
         x = y
 
 
-def build_walk_unitary(spec: LatticeSpec) -> WalkUnitary:
-    """Dense walk on the lattice, the oracle for :func:`step_into`."""
-    sites = itertools.product(range(spec.N), repeat=spec.dimension)
-    basis = tuple((*site, c) for site in sites for c in COIN_LABELS)
-    return WalkUnitary(walk_matrix(spec.N, spec.dimension, spec.theta), basis)
+def build_walk_unitary(spec: LatticeSpec) -> np.ndarray:
+    """Dense walk matrix on the lattice, the oracle for :func:`step_into`."""
+    return walk_matrix(spec.N, spec.dimension, spec.theta)
 
 
 def momentum_state(spec: LatticeSpec, mode: MomentumMode) -> np.ndarray:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from . import walk
 
-WalkUnitary = walk.WalkUnitary
 momentum_state_1d = walk.momentum_state
 momentum_block_1d = walk.momentum_block
 walk_eigenstate_1d = walk.walk_eigenstate
@@ -26,7 +25,7 @@ def pauli_coefficients_1d(k_dx: float, theta: float) -> tuple[float, float, floa
     return walk.pauli_coefficients((k_dx,), theta)
 
 
-def build_walk_unitary_1d(spec) -> walk.WalkUnitary:
+def build_walk_unitary_1d(spec):
     """:func:`walkqca.walk.build_walk_unitary`, refusing lattices of another dimension."""
     if spec.dimension != 1:
         raise ValueError(f"expected a 1D lattice, got dimension {spec.dimension}")

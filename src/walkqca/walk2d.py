@@ -20,7 +20,7 @@ def pauli_coefficients_2d(kx_dx: float, ky_dx: float, theta: float) -> tuple[flo
     return walk.pauli_coefficients((kx_dx, ky_dx), theta)
 
 
-def build_walk_unitary_2d(spec) -> walk.WalkUnitary:
+def build_walk_unitary_2d(spec):
     """:func:`walkqca.walk.build_walk_unitary`, refusing lattices of another dimension."""
     if spec.dimension != 2:
         raise ValueError(f"expected a 2D lattice, got dimension {spec.dimension}")

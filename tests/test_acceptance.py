@@ -47,8 +47,8 @@ def unitarity_defect(u):
 
 
 def test_criterion_1_unitarity():
-    u1 = build_walk_unitary_1d(make_lattice(1, 64, 1.0, 1.0, 0.3)).matrix
-    u2 = build_walk_unitary_2d(make_lattice(2, 16, 1.0, 1.0, 0.3)).matrix
+    u1 = build_walk_unitary_1d(make_lattice(1, 64, 1.0, 1.0, 0.3))
+    u2 = build_walk_unitary_2d(make_lattice(2, 16, 1.0, 1.0, 0.3))
     worst = max(unitarity_defect(u1), unitarity_defect(u2))
     report("C1", "walk unitarity (1D N=64, 2D N=16)", worst)
 
@@ -73,7 +73,7 @@ def test_criterion_3_eigenphase_law():
     # diagonalize numerically, independent of the closed forms
     worst = 0.0
     spec1 = make_lattice(1, 8, 1.0, 1.0, 0.3)
-    u1 = build_walk_unitary_1d(spec1).matrix
+    u1 = build_walk_unitary_1d(spec1)
     for mode in momentum_grid(spec1):
         plane = momentum_state_1d(spec1, mode)
         pair = np.column_stack([np.kron(plane, e) for e in np.eye(2)])
@@ -83,7 +83,7 @@ def test_criterion_3_eigenphase_law():
         worst = max(worst, abs(cos(momentum_block_1d(spec1, mode).phi)
                                - cos(mode.k[0] * spec1.dx) * cos(spec1.theta)))
     spec2 = make_lattice(2, 4, 1.0, 1.0, 0.3)
-    u2 = build_walk_unitary_2d(spec2).matrix
+    u2 = build_walk_unitary_2d(spec2)
     for mode in momentum_grid(spec2):
         plane = momentum_state_2d(spec2, mode)
         pair = np.column_stack([np.kron(plane, e) for e in np.eye(2)])

@@ -369,3 +369,30 @@ def test_golden_spectrum_row(tmp_path):
     assert float(zero["r1"]) == pytest.approx(0.09983341664682815, abs=1e-15)
     assert float(zero["phi"]) == pytest.approx(0.1, abs=1e-12)
     assert zero["degenerate"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["verify", "--tol", "inf"], "tol must be finite and positive, got inf"),
+        (["verify", "--tol", "nan"], "tol must be finite and positive, got nan"),
+        (["verify", "--tol", "0"], "tol must be finite and positive, got 0.0"),
+        (["verify", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
+        (["dispersion", "--halvings", "0"], "need at least 2 halvings for a fit, got 0"),
+        (["qca-demo", "--steps", "-1"], "steps must be non-negative, got -1"),
+    ],
+)
+def test_malformed_flag_values_rejected_with_exit_2(tmp_path, capsys, argv, words):
+    assert run([*argv, "--out", tmp_path]) == 2
+    captured = capsys.readouterr()
+    assert words in captured.err and len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol"])
+@pytest.mark.parametrize("command", ["spectrum", "dispersion", "evolve", "qca-demo"])
+def test_only_verify_takes_seed_and_tol(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, "1", "--out", tmp_path])
+    assert exc.value.code == 2

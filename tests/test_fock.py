@@ -1,3 +1,4 @@
+import cmath
 import itertools
 
 import numpy as np
@@ -27,6 +28,7 @@ from walkqca.lattice import (
     negate_mode,
 )
 from walkqca.multiparticle import total_evolution_apply
+from walkqca.walk import momentum_block
 from walkqca.walk1d import momentum_block_1d
 from walkqca.walk2d import momentum_block_2d
 
@@ -306,6 +308,22 @@ def test_intertwining_near_quarter_phase():
     assert intertwining_residual(make_lattice(1, 4, 1.0, 1.0, 0.25), 3) < TOL
 
 
+def test_intertwining_check_catches_swapped_rolls_only_beyond_two_sites(monkeypatch):
+    # negative control: rolling R by -1 and L by +1 breaks the walk, but on
+    # two sites a -1 roll equals a +1 roll, which is why the verify check
+    # runs on four
+    from walkqca import walk
+    from walkqca.verify import VerifyOptions, check_intertwine, intertwining_residual
+
+    options = VerifyOptions(spec1d=make_lattice(1, 8, 1.0, 1.0, 0.05), spec2d=SPEC2D)
+    assert check_intertwine(options)[0].passed
+    roll = walk._roll_into
+    monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
+    (row,) = check_intertwine(options)
+    assert not row.passed and row.max_residual > 1.0
+    assert intertwining_residual(make_lattice(1, 2, 1.0, 1.0, 0.05), 3) < TOL
+
+
 def test_mode_cap():
     labels = energy_labels(make_lattice(1, 32, 1.0, 1.0, 0.3))
     with pytest.raises(ValueError):
@@ -326,3 +344,47 @@ def test_operator_csv_dump(tmp_path):
         row, col, re, im = line.split(",")
         rebuilt[int(row), int(col)] = float(re) + 1j * float(im)
     np.testing.assert_array_equal(rebuilt, op.matrix)
+
+
+# Per-bitstring loops: the plain forms of the Fock builders, kept as oracles.
+
+
+def _parity_below(bits, position):
+    return bin(bits & ((1 << position) - 1)).count("1") & 1
+
+
+def _creation_oracle(basis, label):
+    pos = basis.index(label)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for bits in range(basis.dim):
+        if not (bits >> pos) & 1:
+            mat[bits | (1 << pos), bits] = -1.0 if _parity_below(bits, pos) else 1.0
+    return mat
+
+
+def _number_oracle(basis, label):
+    pos = basis.index(label)
+    diag = np.array([(bits >> pos) & 1 for bits in range(basis.dim)], dtype=float)
+    return np.diag(diag).astype(complex)
+
+
+def _evolution_oracle(basis, spec):
+    phases = [label.branch * momentum_block(spec, label.mode).phi for label in basis.modes]
+    diag = np.empty(basis.dim, dtype=complex)
+    for bits in range(basis.dim):
+        total = sum(phases[i] for i in range(len(basis.modes)) if (bits >> i) & 1)
+        diag[bits] = cmath.exp(1j * total)
+    return np.diag(diag)
+
+
+REVERSED_KEY = lambda lab: tuple(-x for x in mode_ordering_key(lab))
+
+
+@pytest.mark.parametrize("key", [mode_ordering_key, REVERSED_KEY], ids=["canonical", "reversed"])
+@pytest.mark.parametrize("spec", [SPEC2, SPEC, SPEC2D], ids=["1d-N2", "1d-N4", "2d-N2"])
+def test_fock_builders_equal_the_per_bitstring_loops(spec, key):
+    basis = fock_basis(energy_labels(spec), key=key)
+    for label in basis.modes:
+        assert np.array_equal(creation_op(basis, label).matrix, _creation_oracle(basis, label))
+        assert np.array_equal(number_op(basis, label).matrix, _number_oracle(basis, label))
+    assert np.array_equal(evolution_diagonal(basis, spec).matrix, _evolution_oracle(basis, spec))

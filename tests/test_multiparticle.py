@@ -1,5 +1,5 @@
 import itertools
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from walkqca.lattice import EnergyModeLabel, energy_labels, make_lattice, momentum_mode
 from walkqca.multiparticle import (
     MultiState,
+    _antisymmetrize_tensor,
     PhysicalBasisLabel,
     antisymmetrize,
     eigenphase_check,
@@ -46,7 +47,7 @@ def test_single_particle_factor_evolves_by_walk():
     psi = random_walk_vector(rng, SPEC.walk_dim)
     state = product_state([psi, None, None], SPEC.walk_dim)
     out = total_evolution_apply(SPEC, 3, state)
-    u = build_walk_unitary_1d(SPEC).matrix
+    u = build_walk_unitary_1d(SPEC)
     expected = product_state([u @ psi, None, None], SPEC.walk_dim)
     np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=TOL)
 
@@ -279,7 +280,7 @@ def test_total_evolution_equals_the_dense_per_factor_product(spec, n_max):
     f = spec.walk_dim + 1
     raw = rng.standard_normal(f**n_max) + 1j * rng.standard_normal(f**n_max)
     state = MultiState(raw.copy(), spec.walk_dim, n_max)
-    u_ext = extended_unitary(build_walk_unitary(spec).matrix)
+    u_ext = extended_unitary(build_walk_unitary(spec))
     expected = state.tensor()
     for axis in range(n_max):
         expected = np.moveaxis(np.tensordot(u_ext, expected, axes=(1, axis)), 0, axis)
@@ -287,3 +288,40 @@ def test_total_evolution_equals_the_dense_per_factor_product(spec, n_max):
     np.testing.assert_allclose(out.amplitudes, expected.reshape(-1), rtol=0, atol=1e-14)
     np.testing.assert_array_equal(state.amplitudes, raw)
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+def _permutation_parity(perm):
+    return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]) % 2
+
+
+def _antisymmetrize_oracle(block, n):
+    """The signed sum over all n! permutations, in itertools order."""
+    if n <= 1:
+        return block.copy()
+    out = np.zeros_like(block)
+    for perm in itertools.permutations(range(n)):
+        sign = -1.0 if _permutation_parity(perm) else 1.0
+        out += sign * block.transpose(perm)
+    out /= factorial(n)
+    return out
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_antisymmetrizer_equals_the_permutation_sum(n):
+    # the block is the strided first-n-occupied view of an (n+1)-factor
+    # state, as antisymmetrize passes it
+    rng = np.random.default_rng(20 + n)
+    d = 6
+    arr = np.zeros((d + 1,) * (n + 1), dtype=complex)
+    idx = (slice(0, d),) * n + (d,)
+    arr[idx] = rng.standard_normal((d,) * n) + 1j * rng.standard_normal((d,) * n)
+    block = arr[idx]
+    expected = _antisymmetrize_oracle(block, n)
+    got = _antisymmetrize_tensor(block, n)
+    via_state = antisymmetrize(MultiState(arr.reshape(-1), d, n + 1), n).tensor()[idx]
+    for out in (got, via_state):
+        if n <= 2:
+            assert np.array_equal(out, expected)
+        else:
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+    assert np.max(np.abs(expected)) > 0.1  # d >= n, so the antisymmetric part is not zero

@@ -10,6 +10,7 @@ from walkqca.qca import (
     apply_coin,
     apply_shift,
     build_local_coin,
+    embedding_indices,
     faulty_local_coin,
     locality_check,
     localized_particle_state,
@@ -18,6 +19,7 @@ from walkqca.qca import (
     qca_shift_permutation,
     qca_step,
     qca_step_operator,
+    shift_slot_map,
     type_number_expectations,
 )
 from walkqca.walk1d import walk_matrix_1d
@@ -153,6 +155,20 @@ def test_locality_check_catches_a_coin_layer_that_moves_a_cell(monkeypatch):
 
     monkeypatch.setattr(qca, "apply_coin", sweep_then_swap)
     assert locality_check(4, 1, 0.3, steps=1).coin_conjugation_residual > 1e-3
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda dest: dest[dest],  # two shifts: every slot hops two sites
+        lambda dest: (dest + dest.size // 2) % dest.size,  # and into the other type
+    ],
+    ids=["two-sites", "next-type"],
+)
+def test_locality_check_catches_a_shift_that_is_not_nearest_neighbor(monkeypatch, fault):
+    original = qca.shift_slot_map
+    monkeypatch.setattr(qca, "shift_slot_map", lambda lattice: fault(original(lattice)))
+    assert not locality_check(5, 2, 0.3, steps=1).shift_nearest_neighbor
 
 
 def test_two_steps_spread_at_most_two_sites():
@@ -327,3 +343,41 @@ def test_occupations_match_the_bitmask_oracle(n_sites, n_types):
     state = _random_state(lattice, 3)
     got = occupation_expectations(lattice, state)
     np.testing.assert_allclose(got, _occupation_oracle(lattice, state), atol=TOL)
+
+
+# Slot-by-slot loops: the plain forms of the automaton's slot bookkeeping.
+
+MAP_LATTICES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1), (3, 3), (2, 3)]
+
+
+def _shift_slot_oracle(lattice):
+    dest = np.empty(lattice.n_qubits, dtype=np.int64)
+    for t in range(lattice.n_types):
+        for x in range(lattice.n_sites):
+            dest[lattice.slot(t, x, 0)] = lattice.slot(t, (x + 1) % lattice.n_sites, 0)
+            dest[lattice.slot(t, x, 1)] = lattice.slot(t, (x - 1) % lattice.n_sites, 1)
+    return dest
+
+
+def _embedding_oracle(lattice, walk_dim):
+    f = walk_dim + 1
+    out = np.zeros(f**lattice.n_types, dtype=np.int64)
+    for j in range(out.size):
+        bits, rem = 0, j
+        for t in reversed(range(lattice.n_types)):
+            v = rem % f
+            rem //= f
+            if v < walk_dim:
+                bits |= 1 << lattice.slot(t, v // 2, v % 2)
+        out[j] = bits
+    return out
+
+
+@pytest.mark.parametrize("n_sites,n_types", MAP_LATTICES)
+def test_slot_maps_equal_the_slot_loops(n_sites, n_types):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    dest = shift_slot_map(lattice)
+    assert dest.dtype == np.int64
+    np.testing.assert_array_equal(dest, _shift_slot_oracle(lattice))
+    emb = embedding_indices(lattice, 2 * n_sites)
+    np.testing.assert_array_equal(emb, _embedding_oracle(lattice, 2 * n_sites))

@@ -26,7 +26,7 @@ def test_2d_block_at_zero_ky_equals_1d_block(n, theta):
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, -2.0])
 def test_step_into_equals_the_dense_walk(dimension, n, theta):
     spec = make_lattice(dimension, n, 1.0, 1.0, theta)
-    u = walk.build_walk_unitary(spec).matrix
+    u = walk.build_walk_unitary(spec)
     rng = np.random.default_rng(n)
     shape = (3, spec.walk_dim, 4)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -64,7 +64,7 @@ def test_hot_paths_build_no_dense_walk(monkeypatch, dimension, n):
     spec = make_lattice(dimension, n, 1.0, 1.0, 0.3)
     psi = np.random.default_rng(5).standard_normal(spec.walk_dim).astype(complex)
     state = multiparticle.product_state([psi, None], spec.walk_dim)
-    expected = walk.build_walk_unitary(spec).matrix @ psi
+    expected = walk.build_walk_unitary(spec) @ psi
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense walk built")

@@ -26,7 +26,7 @@ def basis_vector(spec, x, coin):
 
 def test_zero_angle_is_pure_conditional_shift():
     spec = make_lattice(1, 4, 1.0, 1.0, 0.0)
-    u = build_walk_unitary_1d(spec).matrix
+    u = build_walk_unitary_1d(spec)
     out = u @ basis_vector(spec, 0, 0)
     np.testing.assert_allclose(out, basis_vector(spec, 1, 0), atol=TOL)
     out_l = u @ basis_vector(spec, 0, 1)
@@ -35,19 +35,19 @@ def test_zero_angle_is_pure_conditional_shift():
 
 def test_quarter_turn_coin_swaps_and_phases():
     spec = make_lattice(1, 4, 1.0, 1.0, pi / 2)
-    u = build_walk_unitary_1d(spec).matrix
+    u = build_walk_unitary_1d(spec)
     out = u @ basis_vector(spec, 0, 0)
     np.testing.assert_allclose(out, 1j * basis_vector(spec, 1, 1), atol=TOL)
 
 
 @pytest.mark.parametrize("n,theta", [(2, 0.3), (4, 0.3), (8, 1.1), (6, 0.0), (2, pi / 2)])
 def test_unitarity(n, theta):
-    u = build_walk_unitary_1d(make_lattice(1, n, 1.0, 1.0, theta)).matrix
+    u = build_walk_unitary_1d(make_lattice(1, n, 1.0, 1.0, theta))
     assert np.max(np.abs(u.conj().T @ u - np.eye(2 * n))) < TOL
 
 
 def test_sparsity_at_most_two_entries_per_row_and_column():
-    u = build_walk_unitary_1d(make_lattice(1, 8, 1.0, 1.0, 0.3)).matrix
+    u = build_walk_unitary_1d(make_lattice(1, 8, 1.0, 1.0, 0.3))
     nz = np.abs(u) > 1e-14
     assert nz.sum(axis=0).max() <= 2
     assert nz.sum(axis=1).max() <= 2
@@ -155,7 +155,7 @@ def test_walk_eigenstate_coin_part_at_zero_momentum():
 
 def test_walk_eigenstates_satisfy_dense_eigen_equation():
     spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
-    u = build_walk_unitary_1d(spec).matrix
+    u = build_walk_unitary_1d(spec)
     for mode in momentum_grid(spec):
         block = momentum_block_1d(spec, mode)
         for branch in (-1, 1):
@@ -169,7 +169,7 @@ def test_forced_quarter_phase_eigenstate():
     spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
     mode = momentum_mode(spec, 1)  # k dx = pi/2
     state = walk_eigenstate_1d(spec, EnergyModeLabel(mode, -1))
-    u = build_walk_unitary_1d(spec).matrix
+    u = build_walk_unitary_1d(spec)
     np.testing.assert_allclose(u @ state, np.exp(-1j * pi / 2) * state, atol=TOL)
 
 

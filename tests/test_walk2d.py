@@ -83,7 +83,7 @@ def site_coin_vector(spec, x, y, coin_vec):
 def test_zero_angle_step_spreads_diagonally():
     # oracle: apply the three factor matrices one after another
     spec = make_lattice(2, 4, 1.0, 1.0, 0.0)
-    u = build_walk_unitary_2d(spec).matrix
+    u = build_walk_unitary_2d(spec)
     start = site_coin_vector(spec, 0, 0, R)
     out = u @ start
     # the R state is an equal-weight mix of U and D, so the particle lands
@@ -98,13 +98,13 @@ def test_zero_angle_step_spreads_diagonally():
 
 @pytest.mark.parametrize("n,theta", [(2, 0.3), (4, 1.1), (2, 0.0)])
 def test_unitarity(n, theta):
-    u = build_walk_unitary_2d(make_lattice(2, n, 1.0, 1.0, theta)).matrix
+    u = build_walk_unitary_2d(make_lattice(2, n, 1.0, 1.0, theta))
     assert np.max(np.abs(u.conj().T @ u - np.eye(2 * n * n))) < TOL
 
 
 def test_momentum_pair_invariant_under_step():
     spec = make_lattice(2, 4, 1.0, 1.0, 0.4)
-    u = build_walk_unitary_2d(spec).matrix
+    u = build_walk_unitary_2d(spec)
     for ell in ((0, 0), (1, 0), (1, 2), (-1, 1)):
         mode = momentum_mode(spec, ell)
         plane = momentum_state_2d(spec, mode)
@@ -176,7 +176,7 @@ def test_eigenvector_formula_at_zero_momentum():
 
 def test_walk_eigenstates_on_dense_unitary():
     spec = make_lattice(2, 4, 1.0, 1.0, 0.3)
-    u = build_walk_unitary_2d(spec).matrix
+    u = build_walk_unitary_2d(spec)
     for ell in ((0, 0), (1, 1), (2, -1), (1, 0)):
         mode = momentum_mode(spec, ell)
         block = momentum_block_2d(spec, mode)
