@@ -19,7 +19,7 @@ spec = make_lattice(dimension=1, N=16, dx=1.0, dt=1.0, theta=0.05)
 print(f"1D lattice, theta = {spec.theta}: c = {spec.c}, mc^2 = {spec.mc2}")
 
 print("\n  k          E_exact     E_rel       rel_err")
-for rec in dispersion_table(spec, mode_filter=lambda m: 0 <= m.ell[0] <= 4):
+for rec in [r for r in dispersion_table(spec) if 0 <= r.mode.ell[0] <= 4]:
     print(
         f"  {rec.mode.k[0]:>8.4f}  {rec.phi_over_dt:>9.6f}  {rec.e_rel:>9.6f}"
         f"  {rec.rel_err:.2e}"

@@ -61,7 +61,6 @@ from .multiparticle import (
 )
 from .qca import (
     CellLattice,
-    LocalCoin,
     build_local_coin,
     locality_check,
     one_particle_sector_isomorphism,

@@ -149,9 +149,15 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
 def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: Path) -> int:
     econf = config["evolve"]
     n_max = _count(econf, "n_max", 2, "evolve")
+    if n_max < 1:
+        raise ValueError(f"evolve.n_max must be at least 1, got {n_max}")
     label_doc = econf.get("labels") or []
     if not isinstance(label_doc, list) or not all(isinstance(item, dict) for item in label_doc):
         raise ValueError(f"evolve.labels must be a list of objects, got {label_doc!r}")
+    for i, item in enumerate(label_doc):
+        for key in ("ell", "branch"):
+            if key not in item:
+                raise ValueError(f"evolve.labels[{i}] is missing key {key!r}")
     labels = [
         EnergyModeLabel(momentum_mode(spec, item["ell"]), item["branch"]) for item in label_doc
     ]

@@ -71,11 +71,8 @@ def dispersion_record(spec: LatticeSpec, mode: MomentumMode) -> DispersionRecord
     return DispersionRecord(mode, phi_over_dt, e_rel, abs_err, rel_err)
 
 
-def dispersion_table(spec: LatticeSpec, mode_filter=None) -> list[DispersionRecord]:
-    modes = momentum_grid(spec)
-    if mode_filter is not None:
-        modes = [m for m in modes if mode_filter(m)]
-    return [dispersion_record(spec, m) for m in modes]
+def dispersion_table(spec: LatticeSpec) -> list[DispersionRecord]:
+    return [dispersion_record(spec, m) for m in momentum_grid(spec)]
 
 
 def effective_generator(r, dt: float) -> np.ndarray:

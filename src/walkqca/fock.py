@@ -50,10 +50,10 @@ class FockBasis:
             raise ValueError(f"label {label} is not in this basis") from None
 
 
-def fock_basis(labels, key=mode_ordering_key) -> FockBasis:
-    """Basis over the given labels, sorted by `key` (canonical by default)."""
-    modes = sorted(labels, key=key)
-    keys = [key(m) for m in modes]
+def fock_basis(labels) -> FockBasis:
+    """Basis over the given labels in the canonical order."""
+    modes = sorted(labels, key=mode_ordering_key)
+    keys = [mode_ordering_key(m) for m in modes]
     if any(a == b for a, b in zip(keys, keys[1:])):
         raise ValueError("duplicate energy labels in basis")
     return FockBasis(tuple(modes))

@@ -58,30 +58,22 @@ class CellLattice:
         return ((type_idx * self.n_sites + site) * 2) + direction
 
 
-@dataclass(frozen=True)
-class LocalCoin:
-    """4x4 unitary on one cell's (R, L) slot pair, in the order (empty, R, L, RL)."""
+def build_local_coin(theta: float) -> np.ndarray:
+    """Number-conserving 4x4 cell coin on one cell's (R, L) slot pair.
 
-    matrix: np.ndarray
-
-
-def build_local_coin(theta: float, pair_phase: complex = 1.0) -> LocalCoin:
-    """Number-conserving cell coin: identity on empty, walk coin on one particle.
-
-    The one-particle block is :func:`walkqca.walk.coin_matrix`.  The
-    doubly occupied state only picks up `pair_phase` (default 1); no
-    requirement pins it down and sectors with at most one particle per
-    type never see it.
+    In the cell order (empty, R, L, RL): identity on the empty and the
+    doubly occupied cell, :func:`walkqca.walk.coin_matrix` on one
+    particle.  No requirement pins the doubly occupied phase down, and
+    sectors with at most one particle per type never see it.
     """
     mat = np.eye(4, dtype=complex)
     mat[1:3, 1:3] = walk.coin_matrix(theta)
-    mat[3, 3] = pair_phase
-    return LocalCoin(mat)
+    return mat
 
 
-def faulty_local_coin(kind: str, theta: float) -> LocalCoin:
+def faulty_local_coin(kind: str, theta: float) -> np.ndarray:
     """Deliberately broken coins for negative-control verification runs."""
-    mat = build_local_coin(theta).matrix.copy()
+    mat = build_local_coin(theta)
     if kind == "coin-nonconserving":
         # unitary, but trades the empty cell for the doubly occupied one
         mat[0, 0] = mat[3, 3] = 0.0
@@ -90,7 +82,7 @@ def faulty_local_coin(kind: str, theta: float) -> LocalCoin:
         mat[3, 3] = 0.5
     else:
         raise ValueError(f"unknown fault kind {kind!r}")
-    return LocalCoin(mat)
+    return mat
 
 
 def shift_slot_map(lattice: CellLattice) -> np.ndarray:
@@ -102,12 +94,8 @@ def shift_slot_map(lattice: CellLattice) -> np.ndarray:
 
 def qca_shift_permutation(lattice: CellLattice) -> np.ndarray:
     """Destination basis index for every basis index under the shift."""
-    dest = shift_slot_map(lattice)
-    basis = np.arange(lattice.dim, dtype=np.int64)
-    perm = np.zeros(lattice.dim, dtype=np.int64)
-    for s in range(lattice.n_qubits):
-        perm |= ((basis >> s) & 1) << dest[s]
-    return perm
+    # The shifted index vector holds, at each destination, its source.
+    return np.argsort(apply_shift(lattice, np.arange(lattice.dim, dtype=np.int64)))
 
 
 def apply_shift(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
@@ -121,7 +109,7 @@ def apply_shift(lattice: CellLattice, state: np.ndarray) -> np.ndarray:
     return state.reshape(-1, *(2,) * q).transpose(0, *axes).reshape(state.shape)
 
 
-def apply_coin(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
+def apply_coin(lattice: CellLattice, coin: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Sweep the gate over the (4,)*cells view, two cells per matmul, from the back.
 
     Cell slots are adjacent bits, R the low one, so each axis of that view
@@ -129,7 +117,7 @@ def apply_coin(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.n
     (dim,) vector or a (k, dim) stack of them.
     """
     cells = lattice.n_sites * lattice.n_types
-    g = coin.matrix.astype(complex)
+    g = coin.astype(complex)
     pair = np.kron(g, g)
     # The last two cells, as a gemm on the transposed view: at q=18 the
     # right-hand form `state.reshape(-1, 16) @ pair.T` peaks 4 MB higher
@@ -147,13 +135,13 @@ def _check_state(lattice: CellLattice, state: np.ndarray) -> None:
         raise ValueError(f"state has shape {state.shape}, expected ({lattice.dim},)")
 
 
-def qca_step(lattice: CellLattice, coin: LocalCoin, state: np.ndarray) -> np.ndarray:
+def qca_step(lattice: CellLattice, coin: np.ndarray, state: np.ndarray) -> np.ndarray:
     """One automaton step: shift, then the coin on every cell."""
     _check_state(lattice, state)
     return apply_coin(lattice, coin, apply_shift(lattice, state))
 
 
-def qca_step_operator(lattice: CellLattice, coin: LocalCoin) -> np.ndarray:
+def qca_step_operator(lattice: CellLattice, coin: np.ndarray) -> np.ndarray:
     """Dense matrix of one step; guarded to small instances."""
     if lattice.dim > DENSE_OPERATOR_CAP:
         raise ValueError(
@@ -214,7 +202,7 @@ def embedding_indices(lattice: CellLattice, walk_dim: int) -> np.ndarray:
 
 
 def one_particle_sector_isomorphism(
-    n_sites: int, n_types: int, theta: float, coin: LocalCoin | None = None
+    n_sites: int, n_types: int, theta: float, coin: np.ndarray | None = None
 ) -> float:
     """Max residual between one qca step and the factor-wise walk step.
 
@@ -255,10 +243,8 @@ class LocalityReport:
     spread_within_cone: bool
 
 
-def locality_check(
-    n_sites: int, n_types: int, theta: float, steps: int = 3, support_tol: float = 1e-12
-) -> LocalityReport:
-    """Structural locality: shift reach, coin site-support, light cone."""
+def locality_check(n_sites: int, n_types: int, theta: float) -> LocalityReport:
+    """Structural locality: shift reach, coin site-support, a three-step light cone."""
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     coin = build_local_coin(theta)
 
@@ -281,17 +267,17 @@ def locality_check(
 
     coin_full = apply_coin(probe, coin, np.eye(probe.dim, dtype=complex)).T
     conjugated = coin_full @ on_site(herm) @ coin_full.conj().T
-    local_full = on_site(coin.matrix @ herm @ coin.matrix.conj().T)
+    local_full = on_site(coin @ herm @ coin.conj().T)
     coin_residual = float(np.max(np.abs(conjugated - local_full)))
 
     start = n_sites // 2
     state = localized_particle_state(lattice, start, 0)
     radius_one = 0
     within = True
-    for step in range(1, steps + 1):
+    for step in range(1, 4):
         state = qca_step(lattice, coin, state)
         occ = occupation_expectations(lattice, state).sum(axis=(0, 2))
-        support = [x for x in range(n_sites) if occ[x] > support_tol]
+        support = [x for x in range(n_sites) if occ[x] > 1e-12]
         radius = max((_ring_distance(start, x, n_sites) for x in support), default=0)
         if step == 1:
             radius_one = radius

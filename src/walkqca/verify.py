@@ -71,7 +71,7 @@ def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def _qca_coin(options: VerifyOptions, theta: float) -> qca.LocalCoin:
+def _qca_coin(options: VerifyOptions, theta: float) -> np.ndarray:
     if options.inject_fault:
         return qca.faulty_local_coin(options.inject_fault, theta)
     return qca.build_local_coin(theta)

@@ -41,30 +41,6 @@ def coin_matrix(theta: float) -> np.ndarray:
     return cos(theta) * np.eye(2, dtype=complex) + 1j * sin(theta) * SIGMA_X
 
 
-def shift_matrix(n: int) -> np.ndarray:
-    """Cyclic shift by one site: S|x> = |x+1 mod n>."""
-    return np.roll(np.eye(n, dtype=complex), 1, axis=0)
-
-
-def walk_matrix(n: int, dimension: int, theta: float) -> np.ndarray:
-    """One-step matrix on 2*n**dimension amplitudes; accepts any n >= 2.
-
-    Each axis contributes one leg, the shift along that axis conditioned
-    on its direction pair; the legs act in axis order, then the coin.
-    """
-    proj = lambda v: np.outer(v, v.conj())
-    legs = []
-    for axis in range(dimension):
-        factors = [shift_matrix(n) if a == axis else np.eye(n, dtype=complex) for a in range(dimension)]
-        s = reduce(np.kron, factors)
-        forward, backward = DIRECTION_BASES[axis].T
-        legs.append(np.kron(s, proj(forward)) + np.kron(s.conj().T, proj(backward)))
-    u = np.kron(np.eye(n**dimension, dtype=complex), coin_matrix(theta))
-    for leg in reversed(legs):
-        u = u @ leg
-    return u
-
-
 def _step_mixes(dimension: int, theta: float) -> list[np.ndarray]:
     """The 2x2 coin-axis mix after each axis's roll in :func:`step_into`.
 
@@ -103,22 +79,28 @@ def step_into(spec: LatticeSpec, src: np.ndarray, out: np.ndarray) -> None:
     Equals applying ``build_walk_unitary(spec)`` to axis 1.  `out`
     may be a strided view but must not overlap `src`, which is not written.
     """
-    a, dim, b = src.shape
+    _, dim, _ = src.shape
     if dim != spec.walk_dim or out.shape != src.shape:
         raise ValueError(
             f"step expects (A, {spec.walk_dim}, B) arrays, got {src.shape} into {out.shape}"
         )
-    mixes = _step_mixes(spec.dimension, spec.theta)
+    _step_slabs(spec.N, spec.dimension, spec.theta, src, out)
+
+
+def _step_slabs(n: int, dimension: int, theta: float, src: np.ndarray, out: np.ndarray) -> None:
+    """:func:`step_into` on n sites per axis, unchecked; any n >= 2."""
+    a, dim, b = src.shape
+    mixes = _step_mixes(dimension, theta)
     cols = min(b, max(1, SLAB_AMPLITUDES // dim))
     rows = max(1, SLAB_AMPLITUDES // (dim * cols))
     for top, left in itertools.product(range(0, a, rows), range(0, b, cols)):
         slab = np.s_[top:top + rows, :, left:left + cols]
-        _step_slab(spec, mixes, src[slab], out[slab])
+        _step_slab(n, dimension, mixes, src[slab], out[slab])
 
 
-def _step_slab(spec: LatticeSpec, mixes: list[np.ndarray], src: np.ndarray, out: np.ndarray) -> None:
+def _step_slab(n: int, dimension: int, mixes: list[np.ndarray], src: np.ndarray, out: np.ndarray) -> None:
     a, _, b = src.shape
-    grid = (a, *(spec.N,) * spec.dimension)
+    grid = (a, *(n,) * dimension)
     x = src.reshape(*grid, 2, b)
     y = out.reshape(*grid, 2, b)
     r0, r1, t = np.empty((3, *grid, b), dtype=complex)
@@ -138,8 +120,20 @@ def _step_slab(spec: LatticeSpec, mixes: list[np.ndarray], src: np.ndarray, out:
         x = y
 
 
+def walk_matrix(n: int, dimension: int, theta: float) -> np.ndarray:
+    """One-step matrix on 2*n**dimension amplitudes: the step of the identity.
+
+    Column j is the step of basis vector j.  Accepts any n >= 2, odd
+    rings too, which :class:`LatticeSpec` refuses.
+    """
+    dim = 2 * n**dimension
+    u = np.empty((1, dim, dim), dtype=complex)
+    _step_slabs(n, dimension, theta, np.eye(dim, dtype=complex)[None], u)
+    return u[0]
+
+
 def build_walk_unitary(spec: LatticeSpec) -> np.ndarray:
-    """Dense walk matrix on the lattice, the oracle for :func:`step_into`."""
+    """Dense walk matrix on the lattice, :func:`step_into` applied to the identity."""
     return walk_matrix(spec.N, spec.dimension, spec.theta)
 
 

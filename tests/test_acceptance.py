@@ -208,7 +208,7 @@ def test_criterion_9_qca_embedding():
         qca.one_particle_sector_isomorphism(3, 1, 0.3),
         qca.one_particle_sector_isomorphism(3, 2, 0.3),
     )
-    rep = qca.locality_check(3, 1, 0.3, steps=2)
+    rep = qca.locality_check(3, 1, 0.3)
     light_cone_ok = rep.light_cone_radius_per_step == 1 and rep.spread_within_cone
     worst = max(worst, rep.coin_conjugation_residual, 0.0 if light_cone_ok else 1.0)
     report("C9", "automaton sectors match the walk evolutions; 1-site light cone", worst)

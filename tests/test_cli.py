@@ -308,6 +308,14 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
         ("evolve", {"evolve": {"labels": [{"ell": [1.7], "branch": 1}]}}, "momentum indices must be integers"),
         ("evolve", {"evolve": {"labels": [{"ell": [1], "branch": 1.0}]}}, "branch must be +1 or -1, got 1.0"),
         ("evolve", {"evolve": {"labels": [5]}}, "evolve.labels must be a list of objects"),
+        ("evolve", {"evolve": {"n_max": 0}}, "evolve.n_max must be at least 1, got 0"),
+        ("evolve", {"evolve": {"n_max": -1}}, "evolve.n_max must be at least 1, got -1"),
+        ("evolve", {"evolve": {"labels": [{"branch": 1}]}}, "evolve.labels[0] is missing key 'ell'"),
+        (
+            "evolve",
+            {"evolve": {"labels": [{"ell": [1], "branch": 1}, {"ell": [2]}]}},
+            "evolve.labels[1] is missing key 'branch'",
+        ),
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):

@@ -83,7 +83,7 @@ def test_dispersion_table_invariants_and_filter():
     for rec in records:
         assert rec.phi_over_dt >= 0.0
         assert rec.e_rel >= spec.mc2 - TOL
-    half = dispersion_table(spec, mode_filter=lambda m: m.ell[1] == 0)
+    half = [rec for rec in records if rec.mode.ell[1] == 0]
     assert len(half) == 4
 
 

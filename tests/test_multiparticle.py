@@ -4,6 +4,7 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
+from kron_walk import kron_walk
 from walkqca.lattice import EnergyModeLabel, energy_labels, make_lattice, momentum_mode
 from walkqca.multiparticle import (
     MultiState,
@@ -22,7 +23,6 @@ from walkqca.multiparticle import (
     total_evolution_apply,
     vacuum_state,
 )
-from walkqca.walk import build_walk_unitary
 from walkqca.walk1d import build_walk_unitary_1d, walk_eigenstate_1d
 
 TOL = 1e-12
@@ -280,7 +280,7 @@ def test_total_evolution_equals_the_dense_per_factor_product(spec, n_max):
     f = spec.walk_dim + 1
     raw = rng.standard_normal(f**n_max) + 1j * rng.standard_normal(f**n_max)
     state = MultiState(raw.copy(), spec.walk_dim, n_max)
-    u_ext = extended_unitary(build_walk_unitary(spec))
+    u_ext = extended_unitary(kron_walk(spec.N, spec.dimension, spec.theta))
     expected = state.tensor()
     for axis in range(n_max):
         expected = np.moveaxis(np.tensordot(u_ext, expected, axes=(1, axis)), 0, axis)

@@ -6,7 +6,6 @@ import pytest
 from walkqca import qca
 from walkqca.qca import (
     CellLattice,
-    LocalCoin,
     apply_coin,
     apply_shift,
     build_local_coin,
@@ -29,9 +28,16 @@ TOL = 1e-12
 CELL_NUMBER = np.diag([0.0, 1.0, 1.0, 2.0])
 
 
+def _pair_phase_coin(theta, phase):
+    """The cell coin with `phase` on the doubly occupied cell."""
+    coin = build_local_coin(theta)
+    coin[3, 3] = phase
+    return coin
+
+
 def test_local_coin_action():
     theta = 0.3
-    coin = build_local_coin(theta).matrix
+    coin = build_local_coin(theta)
     np.testing.assert_array_equal(coin[:, 0], [1, 0, 0, 0])  # empty cell untouched
     # one particle in the R slot mixes into the L slot with the walk phases
     np.testing.assert_allclose(coin[:, 1], [0, cos(theta), 1j * sin(theta), 0], atol=TOL)
@@ -40,14 +46,14 @@ def test_local_coin_action():
 
 def test_local_coin_is_unitary_and_number_conserving():
     for theta in (0.0, 0.3, 1.4):
-        coin = build_local_coin(theta).matrix
+        coin = build_local_coin(theta)
         assert np.max(np.abs(coin.conj().T @ coin - np.eye(4))) < TOL
         assert np.max(np.abs(coin @ CELL_NUMBER - CELL_NUMBER @ coin)) < TOL
 
 
 def test_local_coin_one_particle_block_matches_walk_coin():
     theta = 0.77
-    coin = build_local_coin(theta).matrix
+    coin = build_local_coin(theta)
     walk_coin = np.array([[cos(theta), 1j * sin(theta)], [1j * sin(theta), cos(theta)]])
     np.testing.assert_allclose(coin[1:3, 1:3], walk_coin, atol=TOL)
 
@@ -115,7 +121,7 @@ def test_sector_isomorphism_insensitive_to_pair_phase():
     # the doubly occupied cell state is outside the <=1-per-type sector,
     # so any phase on it leaves the isomorphism exact
     for phase in (1.0, np.exp(0.7j), -1.0):
-        coin = build_local_coin(0.3, pair_phase=phase)
+        coin = _pair_phase_coin(0.3, phase)
         assert one_particle_sector_isomorphism(3, 2, 0.3, coin=coin) < TOL
 
 
@@ -135,7 +141,7 @@ def test_one_particle_matches_walk_directly():
 
 
 def test_locality_report():
-    report = locality_check(6, 1, 0.3, steps=3)
+    report = locality_check(6, 1, 0.3)
     assert report.shift_nearest_neighbor
     assert report.coin_conjugation_residual < TOL
     assert report.light_cone_radius_per_step == 1
@@ -154,7 +160,7 @@ def test_locality_check_catches_a_coin_layer_that_moves_a_cell(monkeypatch):
         return out.swapaxes(-1, -2).reshape(state.shape)
 
     monkeypatch.setattr(qca, "apply_coin", sweep_then_swap)
-    assert locality_check(4, 1, 0.3, steps=1).coin_conjugation_residual > 1e-3
+    assert locality_check(4, 1, 0.3).coin_conjugation_residual > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -168,7 +174,7 @@ def test_locality_check_catches_a_coin_layer_that_moves_a_cell(monkeypatch):
 def test_locality_check_catches_a_shift_that_is_not_nearest_neighbor(monkeypatch, fault):
     original = qca.shift_slot_map
     monkeypatch.setattr(qca, "shift_slot_map", lambda lattice: fault(original(lattice)))
-    assert not locality_check(5, 2, 0.3, steps=1).shift_nearest_neighbor
+    assert not locality_check(5, 2, 0.3).shift_nearest_neighbor
 
 
 def test_two_steps_spread_at_most_two_sites():
@@ -184,11 +190,11 @@ def test_two_steps_spread_at_most_two_sites():
 
 
 def test_faulty_coins_break_the_right_invariants():
-    bad_number = faulty_local_coin("coin-nonconserving", 0.3).matrix
+    bad_number = faulty_local_coin("coin-nonconserving", 0.3)
     assert np.max(np.abs(bad_number.conj().T @ bad_number - np.eye(4))) < TOL  # still unitary
     assert np.max(np.abs(bad_number @ CELL_NUMBER - CELL_NUMBER @ bad_number)) > 0.5
 
-    bad_unitary = faulty_local_coin("coin-nonunitary", 0.3).matrix
+    bad_unitary = faulty_local_coin("coin-nonunitary", 0.3)
     assert np.max(np.abs(bad_unitary.conj().T @ bad_unitary - np.eye(4))) > 0.5
     with pytest.raises(ValueError):
         faulty_local_coin("unknown", 0.3)
@@ -241,9 +247,19 @@ def _random_state(lattice, seed):
     return state / np.linalg.norm(state)
 
 
+def _shift_permutation_oracle(lattice):
+    """Destination basis index of every basis index, moved bit by bit."""
+    dest = shift_slot_map(lattice)
+    basis = np.arange(lattice.dim, dtype=np.int64)
+    perm = np.zeros(lattice.dim, dtype=np.int64)
+    for s in range(lattice.n_qubits):
+        perm |= ((basis >> s) & 1) << dest[s]
+    return perm
+
+
 def _shift_oracle(lattice, state):
     out = np.empty_like(state)
-    out[qca_shift_permutation(lattice)] = state
+    out[_shift_permutation_oracle(lattice)] = state
     return out
 
 
@@ -275,10 +291,10 @@ def _occupation_oracle(lattice, state):
 
 
 KERNEL_GATES = {
-    "fermionic": build_local_coin(0.3).matrix,
-    "pair-phase": build_local_coin(0.3, pair_phase=np.exp(0.7j)).matrix,
-    "coin-nonconserving": faulty_local_coin("coin-nonconserving", 0.3).matrix,
-    "coin-nonunitary": faulty_local_coin("coin-nonunitary", 0.3).matrix,
+    "fermionic": build_local_coin(0.3),
+    "pair-phase": _pair_phase_coin(0.3, np.exp(0.7j)),
+    "coin-nonconserving": faulty_local_coin("coin-nonconserving", 0.3),
+    "coin-nonunitary": faulty_local_coin("coin-nonunitary", 0.3),
     # the coins above are all symmetric under R <-> L; this one is not
     "random": np.random.default_rng(5).standard_normal((4, 8)).view(complex),
 }
@@ -297,7 +313,7 @@ def test_coin_matches_the_per_cell_oracle(n_sites, n_types, gate_name):
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     gate = KERNEL_GATES[gate_name]
     state = _random_state(lattice, 2)
-    got = apply_coin(lattice, LocalCoin(gate), state)
+    got = apply_coin(lattice, gate, state)
     np.testing.assert_allclose(got, _coin_oracle(lattice, gate, state), atol=TOL)
 
 
@@ -309,14 +325,14 @@ def test_coin_oracle_comparison_catches_swapped_r_and_l(n_sites, n_types):
     gate = KERNEL_GATES["random"]
     swapped = gate[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
     state = _random_state(lattice, 2)
-    got = apply_coin(lattice, LocalCoin(swapped), state)
+    got = apply_coin(lattice, swapped, state)
     assert np.max(np.abs(got - _coin_oracle(lattice, gate, state))) > 1e-3
 
 
 @pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES + [(3, 3)])
 def test_batched_kernels_match_row_by_row_calls(n_sites, n_types):
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
-    coin = LocalCoin(KERNEL_GATES["random"])
+    coin = KERNEL_GATES["random"]
     rng = np.random.default_rng(4)
     stack = rng.standard_normal((5, lattice.dim)) + 1j * rng.standard_normal((5, lattice.dim))
     stack /= np.linalg.norm(stack, axis=1, keepdims=True)
@@ -330,7 +346,7 @@ def test_batched_kernels_match_row_by_row_calls(n_sites, n_types):
 @pytest.mark.parametrize("n_sites,n_types", [(2, 1), (3, 1), (2, 2)])
 def test_step_operator_matches_a_column_loop(n_sites, n_types):
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
-    coin = LocalCoin(KERNEL_GATES["random"])
+    coin = KERNEL_GATES["random"]
     columns = [qca_step(lattice, coin, e) for e in np.eye(lattice.dim, dtype=complex)]
     np.testing.assert_allclose(
         qca_step_operator(lattice, coin), np.column_stack(columns), rtol=0, atol=1e-14
@@ -381,3 +397,9 @@ def test_slot_maps_equal_the_slot_loops(n_sites, n_types):
     np.testing.assert_array_equal(dest, _shift_slot_oracle(lattice))
     emb = embedding_indices(lattice, 2 * n_sites)
     np.testing.assert_array_equal(emb, _embedding_oracle(lattice, 2 * n_sites))
+
+
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)
+def test_shift_permutation_equals_the_bit_loop(n_sites, n_types):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    np.testing.assert_array_equal(qca_shift_permutation(lattice), _shift_permutation_oracle(lattice))

@@ -3,6 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from kron_walk import kron_walk
 from walkqca import multiparticle, walk
 from walkqca.lattice import make_lattice, momentum_mode
 
@@ -26,7 +27,7 @@ def test_2d_block_at_zero_ky_equals_1d_block(n, theta):
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, -2.0])
 def test_step_into_equals_the_dense_walk(dimension, n, theta):
     spec = make_lattice(dimension, n, 1.0, 1.0, theta)
-    u = walk.build_walk_unitary(spec)
+    u = kron_walk(n, dimension, theta)
     rng = np.random.default_rng(n)
     shape = (3, spec.walk_dim, 4)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -64,7 +65,7 @@ def test_hot_paths_build_no_dense_walk(monkeypatch, dimension, n):
     spec = make_lattice(dimension, n, 1.0, 1.0, 0.3)
     psi = np.random.default_rng(5).standard_normal(spec.walk_dim).astype(complex)
     state = multiparticle.product_state([psi, None], spec.walk_dim)
-    expected = walk.build_walk_unitary(spec) @ psi
+    expected = kron_walk(n, dimension, 0.3) @ psi
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense walk built")
@@ -73,3 +74,24 @@ def test_hot_paths_build_no_dense_walk(monkeypatch, dimension, n):
     assert walk.verify_block_consistency(spec) < 1e-12
     out = multiparticle.total_evolution_apply(spec, 2, state)
     np.testing.assert_allclose(out.tensor()[:-1, -1], expected, rtol=0, atol=1e-14)
+
+
+# Odd rings reach only the dense matrix: LatticeSpec refuses odd N.
+ODD_RINGS = [(1, 3), (1, 5), (2, 3)]
+
+
+@pytest.mark.parametrize("dimension,n", ODD_RINGS)
+@pytest.mark.parametrize("theta", [0.0, 0.3, -2.0])
+def test_walk_matrix_on_odd_rings_equals_the_kron_oracle(dimension, n, theta):
+    np.testing.assert_allclose(
+        walk.walk_matrix(n, dimension, theta), kron_walk(n, dimension, theta), rtol=0, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("dimension,n", ODD_RINGS + [(1, 4), (2, 4)])
+def test_kron_oracle_comparison_catches_swapped_rolls(monkeypatch, dimension, n):
+    # negative control: from three sites on, a +1 roll is not a -1 roll
+    roll = walk._roll_into
+    monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
+    swapped = walk.walk_matrix(n, dimension, 0.3)
+    assert np.max(np.abs(swapped - kron_walk(n, dimension, 0.3))) > 0.5
