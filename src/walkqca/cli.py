@@ -1,7 +1,8 @@
 """Experiment runner: spectra, dispersion, verification, and evolution traces.
 
-Configuration is a single JSON document (see DEFAULT_CONFIG for the
-schema); command-line flags override it.  Exit codes: 0 success, 1
+Configuration is a single JSON document; DEFAULT_CONFIG lists every key
+with its default, and any other key is refused.  Command-line flags
+override it.  Exit codes: 0 success, 1
 verification failure, 2 invalid input or configuration.
 """
 
@@ -21,13 +22,15 @@ from .lattice import EnergyModeLabel, LatticeSpec, is_integer, momentum_mode
 DEFAULT_CONFIG = {
     "lattice": {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.05},
     "dispersion": {"halvings": 3},
-    "verify": {"n_max": 3, "n_random": 30, "qca_sites": 3, "qca_types": 2},
+    # A null verify.theta takes the lattice angle, or 0.3 where that is 0.
+    "verify": {"n_1d": 4, "n_2d": 2, "theta": None, "n_max": 3, "n_random": 30, "qca_sites": 3, "qca_types": 2},
     "evolve": {
         "system": "multiparticle",
         "steps": 4,
         "n_max": 2,
         "labels": [],
-        "qca": {"sites": 8, "types": 1, "site": 0, "direction": "R"},
+        "dump_state": False,
+        "qca": {"sites": 8, "types": 1, "site": 0, "direction": "R", "initial": "localized"},
     },
 }
 
@@ -35,7 +38,9 @@ DEFAULT_CONFIG = {
 def _merge(base: dict, override: dict, where: str = "") -> dict:
     out = dict(base)
     for key, val in override.items():
-        if isinstance(out.get(key), dict):
+        if key not in base:
+            raise ValueError(f"unknown config key {where}{key}")
+        if isinstance(base[key], dict):
             if not isinstance(val, dict):
                 raise ValueError(f"config section {where}{key} must be a JSON object, got {val!r}")
             out[key] = _merge(out[key], val, f"{where}{key}.")
@@ -44,9 +49,9 @@ def _merge(base: dict, override: dict, where: str = "") -> dict:
     return out
 
 
-def _count(section: dict, key: str, default: int, where: str) -> int:
+def _count(section: dict, key: str, where: str) -> int:
     """An integer setting of a config section; bools and floats are refused."""
-    value = section.get(key, default)
+    value = section[key]
     if not is_integer(value):
         raise ValueError(f"{where}.{key} must be an integer, got {value!r}")
     return value
@@ -82,7 +87,7 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
     halvings = args.halvings
     if halvings is None:
-        halvings = _count(config["dispersion"], "halvings", 3, "dispersion")
+        halvings = _count(config["dispersion"], "halvings", "dispersion")
     # The study checks the halvings, so a bad count writes no file.
     study = dirac.convergence_study(spec, halvings=halvings)
     records = dirac.dispersion_table(spec)
@@ -118,20 +123,22 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
     # blocks) falls back to the default.
     vconf = config["verify"]
     lattice_doc = config["lattice"]
-    theta = vconf.get("theta", lattice_doc["theta"] or 0.3)
-    count = lambda key, default: _count(vconf, key, default, "verify")
-    spec1d = LatticeSpec(1, count("n_1d", 4), lattice_doc["dx"], lattice_doc["dt"], theta)
-    spec2d = LatticeSpec(2, count("n_2d", 2), lattice_doc["dx"], lattice_doc["dt"], theta)
+    theta = vconf["theta"]
+    if theta is None:
+        theta = lattice_doc["theta"] or 0.3
+    count = lambda key: _count(vconf, key, "verify")
+    spec1d = LatticeSpec(1, count("n_1d"), lattice_doc["dx"], lattice_doc["dt"], theta)
+    spec2d = LatticeSpec(2, count("n_2d"), lattice_doc["dx"], lattice_doc["dt"], theta)
     options = verify.VerifyOptions(
         spec1d=spec1d,
         spec2d=spec2d,
-        n_max=count("n_max", 3),
-        n_random=count("n_random", 30),
-        qca_sites=count("qca_sites", 3),
-        qca_types=count("qca_types", 2),
+        n_max=count("n_max"),
+        n_random=count("n_random"),
+        qca_sites=count("qca_sites"),
+        qca_types=count("qca_types"),
         tol=args.tol,
         seed=args.seed,
-        inject_fault=args.inject_fault or vconf.get("inject_fault"),
+        inject_fault=args.inject_fault,
     )
     results = verify.run_verification(options, only=args.only or None)
     report = [r.to_dict() for r in results]
@@ -148,10 +155,12 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
 
 def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: Path) -> int:
     econf = config["evolve"]
-    n_max = _count(econf, "n_max", 2, "evolve")
+    n_max = _count(econf, "n_max", "evolve")
     if n_max < 1:
         raise ValueError(f"evolve.n_max must be at least 1, got {n_max}")
-    label_doc = econf.get("labels") or []
+    if not isinstance(econf["dump_state"], bool):
+        raise ValueError(f"evolve.dump_state must be true or false, got {econf['dump_state']!r}")
+    label_doc = econf["labels"]
     if not isinstance(label_doc, list) or not all(isinstance(item, dict) for item in label_doc):
         raise ValueError(f"evolve.labels must be a list of objects, got {label_doc!r}")
     for i, item in enumerate(label_doc):
@@ -176,7 +185,7 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
             state = multiparticle.total_evolution_apply(spec, state.n_factors, state)
     _write_csv(out_dir / "evolution.csv", ["step", "factor", "occupancy"], rows)
     print(f"wrote {len(rows)} occupation rows to {out_dir / 'evolution.csv'}")
-    if econf.get("dump_state"):
+    if econf["dump_state"]:
         multiparticle.save_state(out_dir / "final_state.txt", state)
         print(f"wrote final state to {out_dir / 'final_state.txt'}")
     return 0
@@ -204,17 +213,17 @@ def _qca_occupation_rows(lattice: qca.CellLattice, coin, state, steps: int) -> l
 
 def _evolve_qca(config: dict, theta: float, steps: int, out_dir: Path | None) -> int:
     qconf = config["evolve"]["qca"]
-    lattice = qca.CellLattice(n_sites=qconf.get("sites", 8), n_types=qconf.get("types", 1))
+    lattice = qca.CellLattice(n_sites=qconf["sites"], n_types=qconf["types"])
     coin = qca.build_local_coin(theta)
-    direction = str(qconf.get("direction", "R")).upper()
+    direction = str(qconf["direction"]).upper()
     if direction not in ("R", "L"):
         raise ValueError(f"unknown qca direction {qconf['direction']!r}; use R or L")
-    initial = qconf.get("initial", "localized")
+    initial = qconf["initial"]
     if initial == "vacuum":
         state = np.zeros(lattice.dim, dtype=complex)
         state[0] = 1.0
     elif initial == "localized":
-        state = qca.localized_particle_state(lattice, qconf.get("site", 0), "RL".index(direction))
+        state = qca.localized_particle_state(lattice, qconf["site"], "RL".index(direction))
     else:
         raise ValueError(f"unknown qca initial state {initial!r}; use localized or vacuum")
     rows = _qca_occupation_rows(lattice, coin, state, steps)
@@ -237,8 +246,8 @@ def _steps(steps: int) -> int:
 
 def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
-    steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", 4, "evolve"))
-    system = config["evolve"].get("system", "multiparticle")
+    steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", "evolve"))
+    system = config["evolve"]["system"]
     if system == "qca":
         return _evolve_qca(config, spec.theta, steps, out_dir)
     if system != "multiparticle":

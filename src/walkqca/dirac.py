@@ -15,7 +15,7 @@ quadratically as (k*dx, theta) -> 0, which the convergence study fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from math import pi, sqrt
 
 import numpy as np
@@ -49,26 +49,29 @@ class DispersionRecord:
     rel_err: float
 
 
-def _dispersion_errors(phi_over_dt: float, e_rel: float) -> tuple[float, float]:
-    abs_err = abs(phi_over_dt - e_rel)
-    if e_rel < 1e-300:
-        rel_err = 0.0 if abs_err < 1e-300 else float("inf")
-    else:
-        rel_err = abs_err / e_rel
-    return abs_err, rel_err
-
-
 def relativistic_energy(spec: LatticeSpec, k: tuple[float, ...]) -> float:
     p2 = sum((HBAR * kc) ** 2 for kc in k)
     return sqrt(p2 * spec.c**2 + spec.mc2**2)
 
 
+def _dispersion_at(spec: LatticeSpec, k_dx: tuple[float, ...]) -> tuple[float, ...]:
+    """phi/dt, E_rel, abs_err and rel_err at dimensionless momenta k_dx."""
+    phi_over_dt = HBAR * eigenphase_from_r(pauli_coefficients(k_dx, spec.theta)) / spec.dt
+    e_rel = relativistic_energy(spec, tuple(kd / spec.dx for kd in k_dx))
+    abs_err = abs(phi_over_dt - e_rel)
+    if e_rel < 1e-300:
+        rel_err = 0.0 if abs_err < 1e-300 else float("inf")
+    else:
+        rel_err = abs_err / e_rel
+    return phi_over_dt, e_rel, abs_err, rel_err
+
+
+def _grid_k_dx(spec: LatticeSpec, mode: MomentumMode) -> tuple[float, ...]:
+    return tuple(kc * spec.dx for kc in mode.k)
+
+
 def dispersion_record(spec: LatticeSpec, mode: MomentumMode) -> DispersionRecord:
-    r = pauli_coefficients(tuple(kc * spec.dx for kc in mode.k), spec.theta)
-    phi_over_dt = HBAR * eigenphase_from_r(r) / spec.dt
-    e_rel = relativistic_energy(spec, mode.k)
-    abs_err, rel_err = _dispersion_errors(phi_over_dt, e_rel)
-    return DispersionRecord(mode, phi_over_dt, e_rel, abs_err, rel_err)
+    return DispersionRecord(mode, *_dispersion_at(spec, _grid_k_dx(spec, mode)))
 
 
 def dispersion_table(spec: LatticeSpec) -> list[DispersionRecord]:
@@ -109,12 +112,15 @@ class GeneratorComparison:
     deviation: float
 
 
+def _generator_at(spec: LatticeSpec, k_dx: tuple[float, ...]) -> tuple:
+    """H_eff, H_dirac and the spectral-norm deviation at dimensionless momenta k_dx."""
+    h_eff = effective_generator(pauli_coefficients(k_dx, spec.theta), spec.dt)
+    h_dirac = dirac_generator(spec, tuple(kd / spec.dx for kd in k_dx))
+    return h_eff, h_dirac, float(np.linalg.norm(h_eff - h_dirac, ord=2))
+
+
 def generator_comparison(spec: LatticeSpec, mode: MomentumMode) -> GeneratorComparison:
-    r = pauli_coefficients(tuple(kc * spec.dx for kc in mode.k), spec.theta)
-    h_eff = effective_generator(r, spec.dt)
-    h_dirac = dirac_generator(spec, mode.k)
-    deviation = float(np.linalg.norm(h_eff - h_dirac, ord=2))
-    return GeneratorComparison(mode, h_eff, h_dirac, deviation)
+    return GeneratorComparison(mode, *_generator_at(spec, _grid_k_dx(spec, mode)))
 
 
 def first_order_step_deviation(
@@ -125,11 +131,10 @@ def first_order_step_deviation(
     The one-step block minus its first-order relativistic prediction;
     shrinks quadratically under joint scaling of (k*dx, theta).
     """
-    r = pauli_coefficients(k_dx, theta)
-    m = matrix_from_r(r)
+    m = matrix_from_r(pauli_coefficients(k_dx, theta))
     k = tuple(kd / spec.dx for kd in k_dx)
-    scaled = LatticeSpec(spec.dimension, spec.N, spec.dx, spec.dt, theta)
-    predicted = np.eye(2, dtype=complex) - 1j * dirac_generator(scaled, k) * spec.dt / HBAR
+    h_dirac = dirac_generator(replace(spec, theta=theta), k)
+    predicted = np.eye(2, dtype=complex) - 1j * h_dirac * spec.dt / HBAR
     return float(np.linalg.norm(m - predicted, ord=2))
 
 
@@ -151,22 +156,7 @@ class ConvergenceStudy:
     within_expected_order: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "scale": row.scale,
-                    "k_dx": list(row.k_dx),
-                    "theta": row.theta,
-                    "dispersion_rel_err": row.dispersion_rel_err,
-                    "generator_deviation": row.generator_deviation,
-                }
-                for row in self.rows
-            ],
-            "dispersion_order": self.dispersion_order,
-            "generator_order": self.generator_order,
-            "exact": self.exact,
-            "within_expected_order": self.within_expected_order,
-        }
+        return asdict(self)
 
 
 DEFAULT_BASE_K_DX = {1: (0.1,), 2: (0.1, 0.07)}
@@ -202,17 +192,10 @@ def convergence_study(
     for level in range(halvings + 1):
         scale = 0.5**level
         k_dx = tuple(scale * kd for kd in base_k_dx)
-        theta = scale * spec.theta
-        r = pauli_coefficients(k_dx, theta)
-        phi = eigenphase_from_r(r)
-        target = sqrt(sum(kd * kd for kd in k_dx) + theta * theta)
-        _, rel_err = _dispersion_errors(phi, target)
-        k = tuple(kd / spec.dx for kd in k_dx)
-        scaled_spec = LatticeSpec(spec.dimension, spec.N, spec.dx, spec.dt, theta)
-        h_eff = effective_generator(r, spec.dt)
-        h_dirac = dirac_generator(scaled_spec, k)
-        deviation = float(np.linalg.norm(h_eff - h_dirac, ord=2))
-        rows.append(ConvergenceRow(scale, k_dx, theta, rel_err, deviation))
+        scaled = replace(spec, theta=scale * spec.theta)
+        rel_err = _dispersion_at(scaled, k_dx)[3]
+        deviation = _generator_at(scaled, k_dx)[2]
+        rows.append(ConvergenceRow(scale, k_dx, scaled.theta, rel_err, deviation))
     scales = [row.scale for row in rows]
     disp_order = _fit_order(scales, [row.dispersion_rel_err for row in rows])
     gen_order = _fit_order(scales, [row.generator_deviation for row in rows])

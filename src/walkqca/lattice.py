@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isfinite, pi
 from numbers import Integral, Real
 
@@ -74,13 +74,7 @@ class LatticeSpec:
         return 2 * self.n_sites
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "N": self.N,
-            "dx": self.dx,
-            "dt": self.dt,
-            "theta": self.theta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LatticeSpec":

@@ -230,11 +230,6 @@ def one_particle_sector_isomorphism(
     return worst
 
 
-def _ring_distance(a: int, b: int, n: int) -> int:
-    d = abs(a - b) % n
-    return min(d, n - d)
-
-
 @dataclass(frozen=True)
 class LocalityReport:
     shift_nearest_neighbor: bool
@@ -271,14 +266,15 @@ def locality_check(n_sites: int, n_types: int, theta: float) -> LocalityReport:
     coin_residual = float(np.max(np.abs(conjugated - local_full)))
 
     start = n_sites // 2
+    offset = np.abs(np.arange(n_sites) - start)
+    distance = np.minimum(offset, n_sites - offset)  # ring distance to the start site
     state = localized_particle_state(lattice, start, 0)
     radius_one = 0
     within = True
     for step in range(1, 4):
         state = qca_step(lattice, coin, state)
         occ = occupation_expectations(lattice, state).sum(axis=(0, 2))
-        support = [x for x in range(n_sites) if occ[x] > 1e-12]
-        radius = max((_ring_distance(start, x, n_sites) for x in support), default=0)
+        radius = int(distance[occ > 1e-12].max(initial=0))
         if step == 1:
             radius_one = radius
         if radius > step:

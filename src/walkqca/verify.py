@@ -8,7 +8,7 @@ residual 0 or 1 against tolerance 0.5.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite
 
 import numpy as np
@@ -58,8 +58,9 @@ class VerifyOptions:
 
     def __post_init__(self):
         # Zero samples, or only the vacuum (n_max 0), would let the
-        # preservation and intertwining checks pass untested.
-        for name in ("n_max", "n_random"):
+        # preservation and intertwining checks pass untested, and fewer
+        # than one type would skip the multi-type sector without a word.
+        for name in ("n_max", "n_random", "qca_types"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # An infinite tolerance passes every residual check; 0, -1 or nan fails them all.
@@ -186,7 +187,7 @@ def _labels_up_to(spec: LatticeSpec, n: int):
 
 
 def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
-    spec1 = LatticeSpec(1, 2, options.spec1d.dx, options.spec1d.dt, options.spec1d.theta)
+    spec1 = replace(options.spec1d, N=2)
     worst1 = max(
         multiparticle.eigenphase_check(spec1, labels, 3)
         for labels in _labels_up_to(spec1, 3)
@@ -233,15 +234,11 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
 def check_momentum_ops(options: VerifyOptions) -> list[CheckResult]:
     return [
         _result(
-            "momentum-ops-conjugation-1d",
-            momentum_ops_residual(options.spec1d),
+            f"momentum-ops-conjugation-{spec.dimension}d",
+            momentum_ops_residual(spec),
             options.tol,
-        ),
-        _result(
-            "momentum-ops-conjugation-2d",
-            momentum_ops_residual(options.spec2d),
-            options.tol,
-        ),
+        )
+        for spec in (options.spec1d, options.spec2d)
     ]
 
 
@@ -265,7 +262,7 @@ def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
 
 def check_intertwine(options: VerifyOptions) -> list[CheckResult]:
     # Not N=2: on two sites a +1 roll equals a -1 roll, so a direction error passes.
-    spec1 = LatticeSpec(1, 4, options.spec1d.dx, options.spec1d.dt, options.spec1d.theta)
+    spec1 = replace(options.spec1d, N=4)
     return [
         _result(
             "fock-firstquantized-intertwining",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from . import walk
 
-momentum_state_1d = walk.momentum_state
 momentum_block_1d = walk.momentum_block
 walk_eigenstate_1d = walk.walk_eigenstate
 verify_block_consistency = walk.verify_block_consistency
@@ -18,11 +17,6 @@ spectrum_rows_1d = walk.spectrum_rows
 def walk_matrix_1d(n_sites: int, theta: float):
     """One-step matrix on 2*n_sites amplitudes; accepts any n_sites >= 2, odd ones too."""
     return walk.walk_matrix(n_sites, 1, theta)
-
-
-def pauli_coefficients_1d(k_dx: float, theta: float) -> tuple[float, float, float, float]:
-    """(r0, r1, r2, r3) of the block at dimensionless momentum k*dx."""
-    return walk.pauli_coefficients((k_dx,), theta)
 
 
 def build_walk_unitary_1d(spec):

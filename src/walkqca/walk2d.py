@@ -8,16 +8,10 @@ from __future__ import annotations
 
 from . import walk
 
-momentum_state_2d = walk.momentum_state
 momentum_block_2d = walk.momentum_block
 walk_eigenstate_2d = walk.walk_eigenstate
 verify_block_consistency_2d = walk.verify_block_consistency
 spectrum_rows_2d = walk.spectrum_rows
-
-
-def pauli_coefficients_2d(kx_dx: float, ky_dx: float, theta: float) -> tuple[float, float, float, float]:
-    """(r0, r1, r2, r3) of the block at dimensionless momenta (kx*dx, ky*dx)."""
-    return walk.pauli_coefficients((kx_dx, ky_dx), theta)
 
 
 def build_walk_unitary_2d(spec):

@@ -19,16 +19,15 @@ from walkqca.lattice import (
     momentum_grid,
     momentum_mode,
 )
+from walkqca.walk import momentum_state
 from walkqca.walk1d import (
     build_walk_unitary_1d,
     momentum_block_1d,
-    momentum_state_1d,
     verify_block_consistency,
 )
 from walkqca.walk2d import (
     build_walk_unitary_2d,
     momentum_block_2d,
-    momentum_state_2d,
     verify_block_consistency_2d,
 )
 
@@ -75,7 +74,7 @@ def test_criterion_3_eigenphase_law():
     spec1 = make_lattice(1, 8, 1.0, 1.0, 0.3)
     u1 = build_walk_unitary_1d(spec1)
     for mode in momentum_grid(spec1):
-        plane = momentum_state_1d(spec1, mode)
+        plane = momentum_state(spec1, mode)
         pair = np.column_stack([np.kron(plane, e) for e in np.eye(2)])
         phases = np.sort(np.angle(np.linalg.eigvals(pair.conj().T @ u1 @ pair)))
         law = acos(max(-1.0, min(1.0, cos(mode.k[0] * spec1.dx) * cos(spec1.theta))))
@@ -85,7 +84,7 @@ def test_criterion_3_eigenphase_law():
     spec2 = make_lattice(2, 4, 1.0, 1.0, 0.3)
     u2 = build_walk_unitary_2d(spec2)
     for mode in momentum_grid(spec2):
-        plane = momentum_state_2d(spec2, mode)
+        plane = momentum_state(spec2, mode)
         pair = np.column_stack([np.kron(plane, e) for e in np.eye(2)])
         phases = np.sort(np.angle(np.linalg.eigvals(pair.conj().T @ u2 @ pair)))
         block = momentum_block_2d(spec2, mode)

@@ -1,13 +1,14 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from walkqca import fock
-from walkqca.cli import main
+from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
-from walkqca.verify import momentum_ops_residual
+from walkqca.verify import VerifyOptions, momentum_ops_residual
 
 
 def run(args):
@@ -316,6 +317,17 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
             {"evolve": {"labels": [{"ell": [1], "branch": 1}, {"ell": [2]}]}},
             "evolve.labels[1] is missing key 'branch'",
         ),
+        ("evolve", {"evolve": {"labels": None}}, "evolve.labels must be a list of objects, got None"),
+        ("verify", {"verify": {"qca_types": 0}}, "qca_types must be at least 1, got 0"),
+        ("verify", {"verify": {"qca_types": -1}}, "qca_types must be at least 1, got -1"),
+        ("evolve", {"evolve": {"dump_state": "no"}}, "evolve.dump_state must be true or false, got 'no'"),
+        ("evolve", {"evolve": {"dump_state": 1}}, "evolve.dump_state must be true or false, got 1"),
+        ("spectrum", {"lattic": {"N": 4}}, "unknown config key lattic"),
+        ("spectrum", {"lattice": {"NN": 4}}, "unknown config key lattice.NN"),
+        ("verify", {"verify": {"n_rnadom": 1}}, "unknown config key verify.n_rnadom"),
+        ("verify", {"verify": {"inject_fault": "coin-nonconserving"}}, "unknown config key verify.inject_fault"),
+        ("evolve", {"evolve": {"sytem": "qca"}}, "unknown config key evolve.sytem"),
+        ("evolve", {"evolve": {"system": "qca", "qca": {"type": 1}}}, "unknown config key evolve.qca.type"),
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
@@ -323,6 +335,14 @@ def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, w
     assert run([command, "--config", cfg, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert words in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "final_state.txt").exists()
+
+
+def test_verify_options_defaults_are_the_cli_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(VerifyOptions)}
+    shared = defaults.keys() & DEFAULT_CONFIG["verify"].keys()
+    assert shared == {"n_max", "n_random", "qca_sites", "qca_types"}
+    assert all(defaults[key] == DEFAULT_CONFIG["verify"][key] for key in shared)
 
 
 def test_evolve_takes_a_scalar_momentum_index(tmp_path):

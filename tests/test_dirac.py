@@ -17,7 +17,8 @@ from walkqca.dirac import (
 )
 from walkqca.fock import evolution_diagonal, fock_basis, momentum_mode_ops
 from walkqca.lattice import EnergyModeLabel, make_lattice, momentum_grid, momentum_mode
-from walkqca.walk1d import momentum_block_1d, pauli_coefficients_1d
+from walkqca.walk import pauli_coefficients
+from walkqca.walk1d import momentum_block_1d
 
 TOL = 1e-12
 
@@ -63,7 +64,7 @@ def test_dispersion_spot_value():
     rel = abs(phi - target) / target
     assert rel == pytest.approx(3.3366689682378514e-4, rel=1e-9)
     # the same numbers through the library at a grid momentum
-    r = pauli_coefficients_1d(0.1, 0.05)
+    r = pauli_coefficients((0.1,), 0.05)
     from walkqca.blocks import eigenphase_from_r
 
     assert eigenphase_from_r(r) == pytest.approx(phi, abs=1e-14)
@@ -127,7 +128,7 @@ def test_generator_exponentiates_back_to_block():
     spec = make_lattice(1, 10, 1.0, 1.0, 0.7)
     for ell in (1, 3, -2):
         mode = momentum_mode(spec, ell)
-        r = pauli_coefficients_1d(mode.k[0] * spec.dx, spec.theta)
+        r = pauli_coefficients((mode.k[0] * spec.dx,), spec.theta)
         h = effective_generator(r, spec.dt)
         np.testing.assert_allclose(
             scipy.linalg.expm(-1j * h * spec.dt), matrix_from_r(r), atol=1e-12
@@ -149,7 +150,7 @@ def test_generator_halving_ratio_is_quadratic():
 
 
 def generator_deviation_at(spec, k_dx, theta):
-    r = pauli_coefficients_1d(k_dx, theta)
+    r = pauli_coefficients((k_dx,), theta)
     h_eff = effective_generator(r, spec.dt)
     probe = make_lattice(1, spec.N, spec.dx, spec.dt, theta)
     h_dirac = dirac_generator(probe, (k_dx / spec.dx,))
@@ -183,6 +184,21 @@ def test_convergence_study_2d_axis_and_generic():
     assert generic.dispersion_order == pytest.approx(1.0, abs=0.2)
     leading = 0.1 * 0.07 * 0.05 / (0.1**2 + 0.07**2 + 0.05**2)
     assert generic.rows[0].dispersion_rel_err == pytest.approx(leading, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "spec,ell",
+    [
+        (make_lattice(1, 8, 1.0, 1.0, 0.05), (1,)),
+        (make_lattice(1, 8, 0.3, 0.7, 0.2), (-2,)),
+        (make_lattice(2, 6, 0.5, 0.25, 1.1), (1, -1)),
+    ],
+)
+def test_convergence_study_first_row_is_the_grid_evaluation(spec, ell):
+    mode = momentum_mode(spec, ell)
+    study = convergence_study(spec, 2, base_k_dx=tuple(kc * spec.dx for kc in mode.k))
+    assert study.rows[0].dispersion_rel_err == dispersion_record(spec, mode).rel_err
+    assert study.rows[0].generator_deviation == generator_comparison(spec, mode).deviation
 
 
 def test_convergence_study_massless_is_exact():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from walkqca.lattice import EnergyModeLabel, make_lattice, momentum_grid, momentum_mode
+from walkqca.walk import momentum_state, pauli_coefficients
 from walkqca.walk1d import (
     build_walk_unitary_1d,
     momentum_block_1d,
-    momentum_state_1d,
-    pauli_coefficients_1d,
     spectrum_rows_1d,
     verify_block_consistency,
     walk_eigenstate_1d,
@@ -56,7 +55,7 @@ def test_sparsity_at_most_two_entries_per_row_and_column():
 def test_momentum_state_is_shift_eigenvector():
     spec = make_lattice(1, 6, 0.5, 1.0, 0.2)
     for mode in momentum_grid(spec):
-        plane = momentum_state_1d(spec, mode)
+        plane = momentum_state(spec, mode)
         shifted = np.roll(plane, 1)  # S|x> = |x+dx>
         np.testing.assert_allclose(shifted, np.exp(1j * mode.k[0] * spec.dx) * plane, atol=TOL)
 
@@ -88,7 +87,7 @@ def test_spot_eigenphase_against_independent_diagonalization():
     assert phases[1] == pytest.approx(0.11176609378183253, abs=1e-14)
     assert phases[1] == pytest.approx(acos(cos(k_dx) * cos(theta)), abs=1e-14)
 
-    r = pauli_coefficients_1d(k_dx, theta)
+    r = pauli_coefficients((k_dx,), theta)
     assert acos(r[0]) == pytest.approx(phases[1], abs=1e-13)
 
 

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from walkqca.blocks import SIGMA_X, SIGMA_Y, SIGMA_Z
 from walkqca.lattice import EnergyModeLabel, make_lattice, momentum_grid, momentum_mode
-from walkqca.walk import DIRECTION_BASES, coin_matrix
+from walkqca.walk import DIRECTION_BASES, coin_matrix, momentum_state, pauli_coefficients
 from walkqca.walk2d import (
     build_walk_unitary_2d,
     momentum_block_2d,
-    momentum_state_2d,
-    pauli_coefficients_2d,
     spectrum_rows_2d,
     verify_block_consistency_2d,
     walk_eigenstate_2d,
@@ -107,7 +105,7 @@ def test_momentum_pair_invariant_under_step():
     u = build_walk_unitary_2d(spec)
     for ell in ((0, 0), (1, 0), (1, 2), (-1, 1)):
         mode = momentum_mode(spec, ell)
-        plane = momentum_state_2d(spec, mode)
+        plane = momentum_state(spec, mode)
         basis = [np.kron(plane, e) for e in (np.array([1.0, 0]), np.array([0, 1.0]))]
         span = np.column_stack(basis)
         for vec in basis:
@@ -142,7 +140,7 @@ def test_spot_eigenphase_against_factor_built_oracle():
     phases = np.sort(np.angle(np.linalg.eigvals(direct)))
     assert phases[1] == pytest.approx(0.13442942835353514, abs=1e-14)
 
-    r = pauli_coefficients_2d(a, b, theta)
+    r = pauli_coefficients((a, b), theta)
     assert sum(c * c for c in r) == pytest.approx(1.0, abs=TOL)
     np.testing.assert_allclose(
         direct,
