@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ DEFAULT_CONFIG = {
     "lattice": {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.05},
     "dispersion": {"halvings": 3},
     # A null verify.theta takes the lattice angle, or 0.3 where that is 0.
-    "verify": {"n_1d": 4, "n_2d": 2, "theta": None, "n_max": 3, "n_random": 30, "qca_sites": 3, "qca_types": 2},
+    "verify": {"n_1d": 4, "n_2d": 4, "theta": None, "n_max": 3, "n_random": 30, "qca_sites": 3, "qca_types": 2},
     "evolve": {
         "system": "multiparticle",
         "steps": 4,
@@ -127,11 +128,17 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
     if theta is None:
         theta = lattice_doc["theta"] or 0.3
     count = lambda key: _count(vconf, key, "verify")
-    spec1d = LatticeSpec(1, count("n_1d"), lattice_doc["dx"], lattice_doc["dt"], theta)
-    spec2d = LatticeSpec(2, count("n_2d"), lattice_doc["dx"], lattice_doc["dt"], theta)
+    # Everything but N is checked here, so a refused size below is the key's own.
+    base = LatticeSpec(1, 2, lattice_doc["dx"], lattice_doc["dt"], theta)
+    specs = []
+    for dimension, key in ((1, "n_1d"), (2, "n_2d")):
+        n = count(key)
+        try:
+            specs.append(replace(base, dimension=dimension, N=n))
+        except ValueError as exc:
+            raise ValueError(f"verify.{key}: {exc}") from None
     options = verify.VerifyOptions(
-        spec1d=spec1d,
-        spec2d=spec2d,
+        *specs,
         n_max=count("n_max"),
         n_random=count("n_random"),
         qca_sites=count("qca_sites"),
@@ -164,6 +171,7 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
     if not isinstance(label_doc, list) or not all(isinstance(item, dict) for item in label_doc):
         raise ValueError(f"evolve.labels must be a list of objects, got {label_doc!r}")
     for i, item in enumerate(label_doc):
+        _merge(dict.fromkeys(("ell", "branch")), item, f"evolve.labels[{i}].")  # refuses other keys
         for key in ("ell", "branch"):
             if key not in item:
                 raise ValueError(f"evolve.labels[{i}] is missing key {key!r}")
@@ -249,6 +257,8 @@ def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", "evolve"))
     system = config["evolve"]["system"]
     if system == "qca":
+        if config["evolve"]["dump_state"] is not False:
+            raise ValueError("evolve.dump_state applies only to the multiparticle system")
         return _evolve_qca(config, spec.theta, steps, out_dir)
     if system != "multiparticle":
         raise ValueError(f"unknown evolve system {system!r}")

@@ -11,6 +11,7 @@ the factor-wise walk evolution on the distinguishable-particle space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -214,11 +215,8 @@ def one_particle_sector_isomorphism(
     if coin is None:
         coin = build_local_coin(theta)
     ext = extended_unitary(walk.walk_matrix(n_sites, 1, theta))
-    d = ext.shape[0] - 1
-    u_total = np.array([[1.0]], dtype=complex)
-    for _ in range(n_types):
-        u_total = np.kron(u_total, ext)
-    emb = embedding_indices(lattice, d)
+    u_total = reduce(np.kron, [ext] * n_types)
+    emb = embedding_indices(lattice, ext.shape[0] - 1)
     worst = 0.0
     for j in range(u_total.shape[0]):
         e = np.zeros(lattice.dim, dtype=complex)
@@ -269,19 +267,14 @@ def locality_check(n_sites: int, n_types: int, theta: float) -> LocalityReport:
     offset = np.abs(np.arange(n_sites) - start)
     distance = np.minimum(offset, n_sites - offset)  # ring distance to the start site
     state = localized_particle_state(lattice, start, 0)
-    radius_one = 0
-    within = True
-    for step in range(1, 4):
+    radii = []  # after steps 1, 2, 3
+    for _ in range(3):
         state = qca_step(lattice, coin, state)
         occ = occupation_expectations(lattice, state).sum(axis=(0, 2))
-        radius = int(distance[occ > 1e-12].max(initial=0))
-        if step == 1:
-            radius_one = radius
-        if radius > step:
-            within = False
+        radii.append(int(distance[occ > 1e-12].max(initial=0)))
     return LocalityReport(
         shift_nearest_neighbor=nearest,
         coin_conjugation_residual=coin_residual,
-        light_cone_radius_per_step=radius_one,
-        spread_within_cone=within,
+        light_cone_radius_per_step=radii[0],
+        spread_within_cone=all(radius <= step for step, radius in enumerate(radii, start=1)),
     )

@@ -66,6 +66,11 @@ class VerifyOptions:
         # An infinite tolerance passes every residual check; 0, -1 or nan fails them all.
         if not (isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        # The automaton size is refused here, before any suite has run.
+        try:
+            qca.CellLattice(self.qca_sites, self.qca_types)
+        except ValueError as exc:
+            raise ValueError(f"qca_sites {self.qca_sites}, qca_types {self.qca_types}: {exc}") from None
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -104,28 +109,21 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
         )
         for spec in specs
     ]
-    norm_dev = 0.0
-    phase_dev = 0.0
-    vec_dev = 0.0
-    for spec in specs:
-        for mode in momentum_grid(spec):
-            block = walk.momentum_block(spec, mode)
-            norm_dev = max(norm_dev, abs(sum(c * c for c in block.r) - 1.0))
-            eig = np.sort(np.angle(np.linalg.eigvals(block.matrix)))
-            phase_dev = max(
-                phase_dev, float(np.max(np.abs(eig - np.array([-block.phi, block.phi]))))
-            )
-            if not block.degenerate:
-                lam = np.exp(1j * block.phi)
-                vec_dev = max(
-                    vec_dev,
-                    float(np.linalg.norm(block.matrix @ block.v_plus - lam * block.v_plus)),
-                    float(
-                        np.linalg.norm(
-                            block.matrix @ block.v_minus - lam.conjugate() * block.v_minus
-                        )
-                    ),
-                )
+    blocks = [walk.momentum_block(spec, mode) for spec in specs for mode in momentum_grid(spec)]
+    r = np.array([block.r for block in blocks])
+    phi = np.array([block.phi for block in blocks])
+    mats = np.array([block.matrix for block in blocks])
+    eig = np.sort(np.angle(np.linalg.eigvals(mats)))
+    # M v - lam v for v_plus with exp(i*phi) and v_minus with exp(-i*phi), where defined
+    live = np.array([not block.degenerate for block in blocks])
+    vecs = np.array([(block.v_plus, block.v_minus) for block in blocks])[live, :, :, None]
+    lam = np.exp(1j * phi[live])
+    dev = mats[live, None] @ vecs - np.stack([lam, lam.conj()], axis=-1)[..., None, None] * vecs
+    norm_dev = np.max(np.abs(sum(c * c for c in r.T) - 1.0))
+    gap = np.abs(eig - np.stack([-phi, phi], axis=-1))
+    phase_dev = np.max(np.minimum(gap, 2 * np.pi - gap))  # phases agree modulo 2*pi
+    # One norm per vector: a norm along an axis rounds differently.
+    vec_dev = max(map(np.linalg.norm, dev.reshape(-1, 2)), default=0.0)
     res.append(_result("pauli-normalization", norm_dev, options.tol))
     res.append(_result("eigenphase-law", phase_dev, options.tol))
     res.append(_result("eigenvector-residual", vec_dev, options.tol))
@@ -169,14 +167,12 @@ def check_preservation(options: VerifyOptions) -> list[CheckResult]:
         ("physical-preservation-1d", options.spec1d, min(options.n_max, 3)),
         ("physical-preservation-2d", options.spec2d, min(options.n_max, 2)),
     ):
-        worst = 0.0
+        residuals = []
         for _ in range(options.n_random):
             state = multiparticle.random_physical_state(spec.walk_dim, n_max, rng)
             evolved = multiparticle.total_evolution_apply(spec, n_max, state)
-            worst = max(
-                worst, multiparticle.physical_subspace_projector_residual(evolved)
-            )
-        out.append(_result(name, worst, options.tol))
+            residuals.append(multiparticle.physical_subspace_projector_residual(evolved))
+        out.append(_result(name, max(residuals), options.tol))
     return out
 
 
@@ -187,18 +183,13 @@ def _labels_up_to(spec: LatticeSpec, n: int):
 
 
 def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
-    spec1 = replace(options.spec1d, N=2)
-    worst1 = max(
-        multiparticle.eigenphase_check(spec1, labels, 3)
-        for labels in _labels_up_to(spec1, 3)
-    )
-    worst2 = max(
-        multiparticle.eigenphase_check(options.spec2d, labels, 2)
-        for labels in _labels_up_to(options.spec2d, 2)
-    )
     return [
-        _result("multiparticle-eigenphase-1d", worst1, options.tol),
-        _result("multiparticle-eigenphase-2d", worst2, options.tol),
+        _result(
+            f"multiparticle-eigenphase-{spec.dimension}d",
+            max(multiparticle.eigenphase_check(spec, labels, n) for labels in _labels_up_to(spec, n)),
+            options.tol,
+        )
+        for spec, n in ((replace(options.spec1d, N=2), 3), (options.spec2d, 2))
     ]
 
 
@@ -262,14 +253,8 @@ def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
 
 def check_intertwine(options: VerifyOptions) -> list[CheckResult]:
     # Not N=2: on two sites a +1 roll equals a -1 roll, so a direction error passes.
-    spec1 = replace(options.spec1d, N=4)
-    return [
-        _result(
-            "fock-firstquantized-intertwining",
-            intertwining_residual(spec1, min(options.n_max, 3)),
-            options.tol,
-        )
-    ]
+    residual = intertwining_residual(replace(options.spec1d, N=4), min(options.n_max, 3))
+    return [_result("fock-firstquantized-intertwining", residual, options.tol)]
 
 
 def check_qca_number(options: VerifyOptions) -> list[CheckResult]:
@@ -289,28 +274,22 @@ def check_qca_number(options: VerifyOptions) -> list[CheckResult]:
 def check_isomorphism(options: VerifyOptions) -> list[CheckResult]:
     theta = options.spec1d.theta
     coin = _qca_coin(options, theta)
-    res = [
+    sectors = {"one-particle": 1, "multi-type": options.qca_types}
+    if options.qca_types < 2:  # one type is the one-particle sector again
+        del sectors["multi-type"]
+    return [
         _result(
-            "qca-one-particle-sector",
-            qca.one_particle_sector_isomorphism(options.qca_sites, 1, theta, coin=coin),
+            f"qca-{name}-sector",
+            qca.one_particle_sector_isomorphism(options.qca_sites, n_types, theta, coin=coin),
             options.tol,
         )
+        for name, n_types in sectors.items()
     ]
-    if options.qca_types >= 2:
-        res.append(
-            _result(
-                "qca-multi-type-sector",
-                qca.one_particle_sector_isomorphism(
-                    options.qca_sites, options.qca_types, theta, coin=coin
-                ),
-                options.tol,
-            )
-        )
-    return res
 
 
 def check_locality(options: VerifyOptions) -> list[CheckResult]:
-    report = qca.locality_check(options.qca_sites, 1, options.spec1d.theta)
+    # Not 3 sites: on a 3-site ring a +2 hop equals a -1 hop, so a shift that hops twice passes.
+    report = qca.locality_check(max(options.qca_sites, 4), 1, options.spec1d.theta)
     return [
         _bool_result("qca-shift-nearest-neighbor", report.shift_nearest_neighbor),
         _result("qca-coin-site-support", report.coin_conjugation_residual, options.tol),
@@ -326,26 +305,18 @@ def check_dispersion(options: VerifyOptions) -> list[CheckResult]:
     # (k_x*dx, k_y*dx, theta) vanishes; on generic rays the k_x*k_y*theta
     # anisotropy makes it linear, so only the generator deviation is held
     # to second order there.
-    def order_dev(study, orders):
-        if study.exact:
-            return 0.0
-        return max(abs(o - 2.0) for o in orders if o is not None)
-
-    study_1d = dirac.convergence_study(options.spec1d, halvings=3)
-    study_axis = dirac.convergence_study(options.spec2d, halvings=3, base_k_dx=(0.1, 0.0))
-    study_generic = dirac.convergence_study(options.spec2d, halvings=3)
-    results = [
-        (
-            "dispersion-order-1d",
-            order_dev(study_1d, (study_1d.dispersion_order, study_1d.generator_order)),
-        ),
-        (
-            "dispersion-order-2d-axis",
-            order_dev(study_axis, (study_axis.dispersion_order, study_axis.generator_order)),
-        ),
-        ("generator-order-2d", order_dev(study_generic, (study_generic.generator_order,))),
-    ]
-    return [CheckResult(name, dev, 0.2, dev <= 0.2) for name, dev in results]
+    both = ("dispersion_order", "generator_order")
+    res = []
+    for name, spec, base_k_dx, held in (
+        ("dispersion-order-1d", options.spec1d, None, both),
+        ("dispersion-order-2d-axis", options.spec2d, (0.1, 0.0), both),
+        ("generator-order-2d", options.spec2d, None, ("generator_order",)),
+    ):
+        study = dirac.convergence_study(spec, halvings=3, base_k_dx=base_k_dx)
+        orders = [getattr(study, key) for key in held]
+        dev = 0.0 if study.exact else max(abs(o - 2.0) for o in orders if o is not None)
+        res.append(CheckResult(name, dev, 0.2, dev <= 0.2))
+    return res
 
 
 SUITES = {

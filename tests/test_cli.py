@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from walkqca import fock
+from walkqca import fock, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
@@ -145,7 +145,7 @@ def test_verify_rejects_an_n_max_below_one_with_exit_2(tmp_path, capsys, n_max):
 
 def test_verify_rejects_a_momentum_ops_check_with_no_mode_to_test(tmp_path, capsys):
     # at theta = 0 every block of the 2D N = 2 lattice is +-identity
-    cfg = write_config(tmp_path, {"verify": {"theta": 0.0}})
+    cfg = write_config(tmp_path, {"verify": {"theta": 0.0, "n_2d": 2}})
     assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "momentum-ops"]) == 2
     err = capsys.readouterr().err
     assert "degenerate" in err and len(err.strip().splitlines()) == 1
@@ -164,6 +164,35 @@ def test_verify_momentum_ops_1d_tests_the_pole_modes_at_zero_theta(monkeypatch):
     monkeypatch.setattr(fock, "momentum_mode_ops", recording_ops)
     assert momentum_ops_residual(make_lattice(1, 4, 1.0, 1.0, 0.0)) < 1e-12
     assert checked == [(-1,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "fault,failing",
+    [
+        (lambda b: {"phi": 1.01 * b.phi}, {"eigenphase-law", "eigenvector-residual"}),
+        (lambda b: {"v_minus": b.v_plus}, {"eigenvector-residual"}),
+        (lambda b: {"r": tuple(1.001 * c for c in b.r)}, {"pauli-normalization"}),
+    ],
+    ids=["phase", "eigenvector", "normalization"],
+)
+def test_block_checks_catch_a_corrupted_block(monkeypatch, fault, failing):
+    block_of = walk.momentum_block
+
+    def corrupted(spec, mode):
+        block = block_of(spec, mode)
+        return dataclasses.replace(block, **fault(block))
+
+    monkeypatch.setattr(walk, "momentum_block", corrupted)
+    spec1d, spec2d = make_lattice(1, 4, 1.0, 1.0, 0.3), make_lattice(2, 4, 1.0, 1.0, 0.3)
+    rows = verify.check_blocks(VerifyOptions(spec1d, spec2d))
+    assert {row.check for row in rows if not row.passed} == failing
+
+
+def test_eigenphase_law_holds_at_a_block_of_minus_identity(tmp_path):
+    # theta = pi/2 makes the 2D N=4 block at ell = (1, 1) -1 times the
+    # identity: both eigenphases are pi, which equals -pi.
+    cfg = write_config(tmp_path, {"verify": {"theta": 1.5707963267948966, "n_2d": 4}})
+    assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "blocks"]) == 0
 
 
 def test_verify_injected_faults_fail(tmp_path):
@@ -328,6 +357,21 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
         ("verify", {"verify": {"inject_fault": "coin-nonconserving"}}, "unknown config key verify.inject_fault"),
         ("evolve", {"evolve": {"sytem": "qca"}}, "unknown config key evolve.sytem"),
         ("evolve", {"evolve": {"system": "qca", "qca": {"type": 1}}}, "unknown config key evolve.qca.type"),
+        ("verify", {"verify": {"n_1d": 3}}, "verify.n_1d: N must be an even integer >= 2, got 3"),
+        ("verify", {"verify": {"n_2d": 0}}, "verify.n_2d: N must be an even integer >= 2, got 0"),
+        ("verify", {"verify": {"qca_sites": 1}}, "qca_sites 1, qca_types 2: need at least 2 sites, got 1"),
+        ("verify", {"verify": {"qca_sites": 6}}, "qca_sites 6, qca_types 2: 24 qubits exceed"),
+        ("verify", {"verify": {"qca_types": 4}}, "qca_sites 3, qca_types 4: 24 qubits exceed"),
+        (
+            "evolve",
+            {"evolve": {"system": "qca", "dump_state": True}},
+            "evolve.dump_state applies only to the multiparticle system",
+        ),
+        (
+            "evolve",
+            {"evolve": {"labels": [{"ell": 1, "branch": 1}, {"ell": 1, "branch": 1, "x": 2}]}},
+            "unknown config key evolve.labels[1].x",
+        ),
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
@@ -336,6 +380,49 @@ def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, w
     err = capsys.readouterr().err
     assert words in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "final_state.txt").exists()
+
+
+def test_verify_rejects_an_automaton_size_before_any_suite_runs(tmp_path, monkeypatch):
+    ran = []
+    for name, suite in verify.SUITES.items():
+
+        def record(options, name=name, suite=suite):
+            ran.append(name)
+            return suite(options)
+
+        monkeypatch.setitem(verify.SUITES, name, record)
+    for qconf in ({"qca_sites": 1}, {"qca_sites": 12}):
+        assert run(["verify", "--config", write_config(tmp_path, {"verify": qconf}), "--out", tmp_path]) == 2
+    assert ran == []
+    assert run(["verify", "--out", tmp_path, "--only", "car"]) == 0
+    assert ran == ["car"]
+
+
+def test_default_verify_catches_a_y_roll_reversal(tmp_path, monkeypatch):
+    # At N=2 a +1 roll equals a -1 roll, so only the default N=4 can see
+    # a 2D walk whose y axis rolls the wrong way.
+    roll = walk._roll_into
+    reversed_y = lambda dst, src, shift, axis: roll(dst, src, -shift if axis == 2 else shift, axis)
+    monkeypatch.setattr(walk, "_roll_into", reversed_y)
+    cfg = write_config(tmp_path, {"verify": {"n_2d": 2}})
+    assert run(["verify", "--config", cfg, "--out", tmp_path]) == 0
+    assert run(["verify", "--out", tmp_path]) == 1
+    report = json.loads((tmp_path / "verification.json").read_text())
+    failed = {entry["check"] for entry in report if not entry["pass"]}
+    assert {"block-consistency-2d", "multiparticle-eigenphase-2d"} <= failed
+    assert not any(name.endswith("-1d") for name in failed)
+
+
+def test_verify_locality_catches_a_two_site_hop_at_the_default_config(tmp_path, monkeypatch):
+    # On the default 3-site ring a +2 hop equals a -1 hop; the suite runs on 4 sites.
+    shift = qca.shift_slot_map
+    monkeypatch.setattr(qca, "shift_slot_map", lambda lattice: shift(lattice)[shift(lattice)])
+    report = qca.locality_check(3, 1, 0.3)
+    assert report.shift_nearest_neighbor and report.light_cone_radius_per_step == 1
+    assert run(["verify", "--out", tmp_path, "--only", "locality"]) == 1
+    report = json.loads((tmp_path / "verification.json").read_text())
+    failed = [entry["check"] for entry in report if not entry["pass"]]
+    assert failed == ["qca-shift-nearest-neighbor", "qca-light-cone"]
 
 
 def test_verify_options_defaults_are_the_cli_defaults():
