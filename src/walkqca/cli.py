@@ -255,13 +255,17 @@ def _steps(steps: int) -> int:
 def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
     steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", "evolve"))
-    system = config["evolve"]["system"]
-    if system == "qca":
-        if config["evolve"]["dump_state"] is not False:
-            raise ValueError("evolve.dump_state applies only to the multiparticle system")
-        return _evolve_qca(config, spec.theta, steps, out_dir)
-    if system != "multiparticle":
+    econf = config["evolve"]
+    system = econf["system"]
+    if system not in ("multiparticle", "qca"):
         raise ValueError(f"unknown evolve system {system!r}")
+    # A setting only the other system reads must keep its default; repr tells 0 from false.
+    other = {"multiparticle": "qca", "qca": "multiparticle"}[system]
+    for key in {"multiparticle": ("n_max", "labels", "dump_state"), "qca": ("qca",)}[other]:
+        if repr(econf[key]) != repr(DEFAULT_CONFIG["evolve"][key]):
+            raise ValueError(f"evolve.{key} applies only to the {other} system")
+    if system == "qca":
+        return _evolve_qca(config, spec.theta, steps, out_dir)
     return _evolve_multiparticle(config, spec, steps, out_dir)
 
 

@@ -110,12 +110,18 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
         for spec in specs
     ]
     blocks = [walk.momentum_block(spec, mode) for spec in specs for mode in momentum_grid(spec)]
+    live = np.array([not block.degenerate for block in blocks])
+    if not live.any():
+        lattices = " and ".join(f"{spec.dimension}D N={spec.N}" for spec in specs)
+        raise ValueError(
+            f"every momentum block of the {lattices} lattices at theta={specs[0].theta} "
+            "is degenerate; the eigenvector-residual check has no vector to test"
+        )
     r = np.array([block.r for block in blocks])
     phi = np.array([block.phi for block in blocks])
     mats = np.array([block.matrix for block in blocks])
     eig = np.sort(np.angle(np.linalg.eigvals(mats)))
     # M v - lam v for v_plus with exp(i*phi) and v_minus with exp(-i*phi), where defined
-    live = np.array([not block.degenerate for block in blocks])
     vecs = np.array([(block.v_plus, block.v_minus) for block in blocks])[live, :, :, None]
     lam = np.exp(1j * phi[live])
     dev = mats[live, None] @ vecs - np.stack([lam, lam.conj()], axis=-1)[..., None, None] * vecs
@@ -123,7 +129,7 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
     gap = np.abs(eig - np.stack([-phi, phi], axis=-1))
     phase_dev = np.max(np.minimum(gap, 2 * np.pi - gap))  # phases agree modulo 2*pi
     # One norm per vector: a norm along an axis rounds differently.
-    vec_dev = max(map(np.linalg.norm, dev.reshape(-1, 2)), default=0.0)
+    vec_dev = max(map(np.linalg.norm, dev.reshape(-1, 2)))
     res.append(_result("pauli-normalization", norm_dev, options.tol))
     res.append(_result("eigenphase-law", phase_dev, options.tol))
     res.append(_result("eigenvector-residual", vec_dev, options.tol))

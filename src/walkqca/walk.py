@@ -175,23 +175,23 @@ def walk_eigenstate(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
 
 
 def verify_block_consistency(spec: LatticeSpec) -> float:
-    """Max deviation between the walk step restricted to each momentum pair and its block.
+    """Max entrywise deviation of one walk step from F^dag (+)_k M_k F, every mode at once.
 
-    For each grid mode the two columns |k>|R>, |k>|L> are propagated
-    through one full walk step (the matrix-free :func:`step_into`) and
-    compared entrywise against the closed-form block acting on the pair.
+    Two seeded columns of unit-modulus amplitudes (so a fault of size d at
+    one amplitude reads about d) go through one :func:`step_into` and are
+    matched with their FFT, times each mode's block, transformed back.
+    <k| is exp(+i*k.x)/sqrt(n_sites): mode ell is index ell mod N of ifftn.
     """
+    grid, axes = (spec.N,) * spec.dimension, tuple(range(spec.dimension))
+    pair = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, (spec.walk_dim, 2)))
     stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
-    worst = 0.0
+    step_into(spec, pair[None], stepped)
+    blocks = np.empty((*grid, 2, 2), dtype=complex)
     for mode in momentum_grid(spec):
-        plane = momentum_state(spec, mode)
-        pair = np.column_stack(
-            [np.kron(plane, e) for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-        )
-        step_into(spec, pair[None], stepped)
-        block = momentum_block(spec, mode)
-        worst = max(worst, float(np.max(np.abs(stepped[0] - pair @ block.matrix))))
-    return worst
+        blocks[tuple(e % spec.N for e in mode.ell)] = momentum_block(spec, mode).matrix
+    modes = np.fft.ifftn(pair.reshape(*grid, 2, 2), axes=axes, norm="ortho")
+    expected = np.fft.fftn(blocks @ modes, axes=axes, norm="ortho").reshape(stepped[0].shape)
+    return float(np.max(np.abs(stepped[0] - expected)))
 
 
 # CSV momentum column names, by the number of axes.

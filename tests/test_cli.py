@@ -372,6 +372,20 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
             {"evolve": {"labels": [{"ell": 1, "branch": 1}, {"ell": 1, "branch": 1, "x": 2}]}},
             "unknown config key evolve.labels[1].x",
         ),
+        (
+            "verify",
+            {"verify": {"theta": 0, "n_1d": 2, "n_2d": 2}},
+            "every momentum block of the 1D N=2 and 2D N=2 lattices at theta=0 is degenerate; "
+            "the eigenvector-residual check has no vector to test",
+        ),
+        ("evolve", {"evolve": {"system": "qca", "n_max": 3}}, "evolve.n_max applies only to the multiparticle system"),
+        (
+            "evolve",
+            {"evolve": {"system": "qca", "labels": [{"ell": 1, "branch": 1}]}},
+            "evolve.labels applies only to the multiparticle system",
+        ),
+        ("evolve", {"evolve": {"system": "qca", "dump_state": 0}}, "evolve.dump_state applies only to the multiparticle"),
+        ("evolve", {"evolve": {"qca": {"sites": 4}}}, "evolve.qca applies only to the qca system"),
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
@@ -379,7 +393,14 @@ def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, w
     assert run([command, "--config", cfg, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert words in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "final_state.txt").exists()
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written
+
+
+def test_evolve_accepts_the_other_systems_settings_at_their_defaults(tmp_path):
+    doc = {"evolve": {"system": "qca", "n_max": 2, "labels": [], "dump_state": False, "qca": {"sites": 4}}}
+    assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 1]) == 0
+    doc = {"evolve": {"qca": {"sites": 8, "types": 1}}}
+    assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 1]) == 0
 
 
 def test_verify_rejects_an_automaton_size_before_any_suite_runs(tmp_path, monkeypatch):

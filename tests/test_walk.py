@@ -5,7 +5,7 @@ import pytest
 
 from kron_walk import kron_walk
 from walkqca import multiparticle, walk
-from walkqca.lattice import make_lattice, momentum_mode
+from walkqca.lattice import make_lattice, momentum_grid, momentum_mode
 
 
 @pytest.mark.parametrize("n", [2, 4, 10])
@@ -95,3 +95,96 @@ def test_kron_oracle_comparison_catches_swapped_rolls(monkeypatch, dimension, n)
     monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
     swapped = walk.walk_matrix(n, dimension, 0.3)
     assert np.max(np.abs(swapped - kron_walk(n, dimension, 0.3))) > 0.5
+
+
+def _block_consistency_oracle(spec):
+    """The per-mode loop: step the plane-wave pair |k>|R>, |k>|L> and compare with the block."""
+    stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
+    worst = 0.0
+    for mode in momentum_grid(spec):
+        plane = walk.momentum_state(spec, mode)
+        pair = np.column_stack([np.kron(plane, e) for e in np.eye(2)])
+        walk.step_into(spec, pair[None], stepped)
+        block = walk.momentum_block(spec, mode)
+        worst = max(worst, float(np.max(np.abs(stepped[0] - pair @ block.matrix))))
+    return worst
+
+
+BLOCK_ANGLES = [0.0, 0.05, 0.3, -2.0]
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 4), (1, 32), (1, 512), (2, 2), (2, 4), (2, 16)])
+@pytest.mark.parametrize("theta", BLOCK_ANGLES)
+def test_block_consistency_and_its_oracle_hold(dimension, n, theta):
+    spec = make_lattice(dimension, n, 1.0, 1.0, theta)
+    assert walk.verify_block_consistency(spec) <= 1e-12
+    assert _block_consistency_oracle(spec) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", BLOCK_ANGLES)
+def test_block_consistency_holds_on_2d_n64(theta):
+    # one plane-wave pair per mode would step 4096 pairs here
+    assert walk.verify_block_consistency(make_lattice(2, 64, 1.0, 1.0, theta)) <= 1e-12
+
+
+def _reverse_y_roll(monkeypatch):
+    roll = walk._roll_into
+    monkeypatch.setattr(
+        walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift if axis == 2 else shift, axis)
+    )
+
+
+def _perturb_one_amplitude(monkeypatch):
+    step = walk.step_into
+
+    def perturbed(spec, src, out):  # the walk plus 1e-6 at entry (0, 0)
+        step(spec, src, out)
+        out[:, 0] += 1e-6 * src[:, 0]
+
+    monkeypatch.setattr(walk, "step_into", perturbed)
+
+
+def _tilt_coin(monkeypatch):
+    coin = walk.coin_matrix
+    monkeypatch.setattr(walk, "coin_matrix", lambda theta: coin(theta + 1e-9))
+
+
+BLOCK_FAULTS = {
+    "y-roll-reversed": _reverse_y_roll,
+    "one-amplitude": _perturb_one_amplitude,
+    "coin-angle": _tilt_coin,
+}
+
+
+@pytest.mark.parametrize(
+    "fault,dimension,n",
+    [("y-roll-reversed", 2, 4), ("y-roll-reversed", 2, 16)]
+    + [(fault, *lattice) for fault in ("one-amplitude", "coin-angle") for lattice in [(2, 4), (2, 16), (1, 32)]],
+)
+def test_block_consistency_reads_a_fault_at_least_as_strongly_as_the_oracle(monkeypatch, fault, dimension, n):
+    # negative control: each fault touches the step and not the closed-form blocks
+    spec = make_lattice(dimension, n, 1.0, 1.0, 0.3)
+    BLOCK_FAULTS[fault](monkeypatch)
+    reading = walk.verify_block_consistency(spec)
+    assert reading > 1e-12
+    assert reading >= _block_consistency_oracle(spec)
+    if fault == "one-amplitude":  # unit-modulus input: a fault of size d reads about d
+        assert reading >= 5e-7
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def test_block_consistency_steps_once_and_builds_no_plane_wave(monkeypatch, dimension, n):
+    calls = []
+    step = walk.step_into
+
+    def counted(*args):
+        calls.append(args)
+        step(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plane wave built")
+
+    monkeypatch.setattr(walk, "step_into", counted)
+    monkeypatch.setattr(walk, "momentum_state", refuse)
+    assert walk.verify_block_consistency(make_lattice(dimension, n, 1.0, 1.0, 0.3)) < 1e-12
+    assert len(calls) == 1
