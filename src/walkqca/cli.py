@@ -58,6 +58,13 @@ def _count(section: dict, key: str, where: str) -> int:
     return value
 
 
+def _keep_unread_defaults(section: dict, defaults: dict, keys, where: str, reader: str) -> None:
+    """A setting the run does not read must keep its default; repr tells 0 from false."""
+    for key in keys:
+        if repr(section[key]) != repr(defaults[key]):
+            raise ValueError(f"{where}{key} applies only to {reader}")
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return dict(DEFAULT_CONFIG)
@@ -219,19 +226,24 @@ def _qca_occupation_rows(lattice: qca.CellLattice, coin, state, steps: int) -> l
     return rows
 
 
-def _evolve_qca(config: dict, theta: float, steps: int, out_dir: Path | None) -> int:
+def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | None) -> int:
+    if spec.dimension != 1:
+        raise ValueError("the qca system is one-dimensional; lattice.dimension must be 1")
     qconf = config["evolve"]["qca"]
     lattice = qca.CellLattice(n_sites=qconf["sites"], n_types=qconf["types"])
-    coin = qca.build_local_coin(theta)
-    direction = str(qconf["direction"]).upper()
-    if direction not in ("R", "L"):
-        raise ValueError(f"unknown qca direction {qconf['direction']!r}; use R or L")
+    coin = qca.build_local_coin(spec.theta)
     initial = qconf["initial"]
     if initial == "vacuum":
+        keys, reader = ("site", "direction"), "the localized initial state"
+        _keep_unread_defaults(qconf, DEFAULT_CONFIG["evolve"]["qca"], keys, "evolve.qca.", reader)
         state = np.zeros(lattice.dim, dtype=complex)
         state[0] = 1.0
     elif initial == "localized":
-        state = qca.localized_particle_state(lattice, qconf["site"], "RL".index(direction))
+        direction = str(qconf["direction"]).upper()
+        if direction not in ("R", "L"):
+            raise ValueError(f"unknown qca direction {qconf['direction']!r}; use R or L")
+        site = _count(qconf, "site", "evolve.qca")
+        state = qca.localized_particle_state(lattice, site, "RL".index(direction))
     else:
         raise ValueError(f"unknown qca initial state {initial!r}; use localized or vacuum")
     rows = _qca_occupation_rows(lattice, coin, state, steps)
@@ -259,19 +271,17 @@ def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     system = econf["system"]
     if system not in ("multiparticle", "qca"):
         raise ValueError(f"unknown evolve system {system!r}")
-    # A setting only the other system reads must keep its default; repr tells 0 from false.
     other = {"multiparticle": "qca", "qca": "multiparticle"}[system]
-    for key in {"multiparticle": ("n_max", "labels", "dump_state"), "qca": ("qca",)}[other]:
-        if repr(econf[key]) != repr(DEFAULT_CONFIG["evolve"][key]):
-            raise ValueError(f"evolve.{key} applies only to the {other} system")
+    keys = {"multiparticle": ("n_max", "labels", "dump_state"), "qca": ("qca",)}[other]
+    _keep_unread_defaults(econf, DEFAULT_CONFIG["evolve"], keys, "evolve.", f"the {other} system")
     if system == "qca":
-        return _evolve_qca(config, spec.theta, steps, out_dir)
+        return _evolve_qca(config, spec, steps, out_dir)
     return _evolve_multiparticle(config, spec, steps, out_dir)
 
 
 def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
     steps = _steps(args.steps if args.steps is not None else 6)
-    return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]).theta, steps, None)
+    return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]), steps, None)
 
 
 COMMANDS = {

@@ -306,7 +306,7 @@ QCA_LATTICE = {"dimension": 1, "N": 4, "dx": 1.0, "dt": 1.0, "theta": 0.4}
         ({"sites": "4"}, "n_sites must be an integer, got '4'"),
         ({"sites": 4.0}, "n_sites must be an integer, got 4.0"),
         ({"sites": 4, "types": True}, "n_types must be an integer, got True"),
-        ({"sites": 4, "site": True}, "site True is outside"),
+        ({"sites": 4, "site": True}, "evolve.qca.site must be an integer, got True"),
     ],
 )
 def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, qconf, words):
@@ -386,12 +386,25 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
         ),
         ("evolve", {"evolve": {"system": "qca", "dump_state": 0}}, "evolve.dump_state applies only to the multiparticle"),
         ("evolve", {"evolve": {"qca": {"sites": 4}}}, "evolve.qca applies only to the qca system"),
+    ]
+    + [
+        (command, {"lattice": lattice, "evolve": {"system": "qca", "qca": qconf}}, words)
+        for command in ("evolve", "qca-demo")
+        for lattice, qconf, words in [
+            ({}, {"initial": "vacuum", "site": 99}, "evolve.qca.site applies only to the localized initial state"),
+            ({}, {"initial": "vacuum", "site": 0.0}, "evolve.qca.site applies only to the localized initial state"),
+            ({}, {"initial": "vacuum", "direction": "L"}, "evolve.qca.direction applies only to the localized"),
+            ({}, {"site": 1.0}, "evolve.qca.site must be an integer, got 1.0"),
+            ({}, {"site": "1"}, "evolve.qca.site must be an integer, got '1'"),
+            ({"dimension": 2, "N": 4}, {}, "the qca system is one-dimensional; lattice.dimension must be 1"),
+        ]
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
     cfg = write_config(tmp_path, doc)
     assert run([command, "--config", cfg, "--out", tmp_path]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert words in err and len(err.strip().splitlines()) == 1
     assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written
 

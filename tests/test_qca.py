@@ -1,9 +1,11 @@
+from functools import reduce
 from math import cos, sin
 
 import numpy as np
 import pytest
 
 from walkqca import qca
+from walkqca.multiparticle import extended_unitary
 from walkqca.qca import (
     CellLattice,
     apply_coin,
@@ -21,6 +23,7 @@ from walkqca.qca import (
     shift_slot_map,
     type_number_expectations,
 )
+from walkqca.walk import walk_matrix
 from walkqca.walk1d import walk_matrix_1d
 
 TOL = 1e-12
@@ -403,3 +406,97 @@ def test_slot_maps_equal_the_slot_loops(n_sites, n_types):
 def test_shift_permutation_equals_the_bit_loop(n_sites, n_types):
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     np.testing.assert_array_equal(qca_shift_permutation(lattice), _shift_permutation_oracle(lattice))
+
+
+# The per-basis-vector loop: step each embedded basis vector and compare it
+# with its column of the T-fold Kronecker product of the extended walk.
+
+
+def _sector_isomorphism_oracle(n_sites, n_types, theta, coin=None):
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    if coin is None:
+        coin = build_local_coin(theta)
+    ext = extended_unitary(walk_matrix(n_sites, 1, theta))
+    u_total = reduce(np.kron, [ext] * n_types)
+    emb = embedding_indices(lattice, ext.shape[0] - 1)
+    worst = 0.0
+    for j in range(u_total.shape[0]):
+        e = np.zeros(lattice.dim, dtype=complex)
+        e[emb[j]] = 1.0
+        stepped = qca_step(lattice, coin, e)
+        expected = np.zeros(lattice.dim, dtype=complex)
+        expected[emb] = u_total[:, j]
+        worst = max(worst, float(np.linalg.norm(stepped - expected)))
+    return worst
+
+
+SECTOR_THETAS = [0.0, 0.3, -2.0]
+
+
+@pytest.mark.parametrize("theta", SECTOR_THETAS)
+@pytest.mark.parametrize("n_sites,n_types", [(2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_sector_isomorphism_and_its_oracle_hold(n_sites, n_types, theta):
+    assert one_particle_sector_isomorphism(n_sites, n_types, theta) < TOL
+    assert _sector_isomorphism_oracle(n_sites, n_types, theta) < TOL
+
+
+@pytest.mark.parametrize("theta", SECTOR_THETAS)
+@pytest.mark.parametrize("n_sites,n_types", [(3, 3), (2, 5)])  # 343 and 3,125 sector states
+def test_sector_isomorphism_holds_where_the_oracle_is_not_run(n_sites, n_types, theta):
+    assert one_particle_sector_isomorphism(n_sites, n_types, theta) < TOL
+
+
+COIN_FAULTS = {
+    "coin-nonconserving": lambda theta: faulty_local_coin("coin-nonconserving", theta),
+    "coin-angle": lambda theta: build_local_coin(theta + 1e-9),
+}
+# Each maps (lattice, true destination slots) to faulty ones; the inverse
+# permutation moves R slots down a site and L slots up.
+SHIFT_FAULTS = {
+    "shift-reversed": lambda lattice, dest: np.argsort(dest),
+    "shift-two-sites": lambda lattice, dest: dest[dest],
+    "shift-reversed-type-1": lambda lattice, dest: np.where(
+        np.arange(dest.size) < 2 * lattice.n_sites, dest, np.argsort(dest)
+    ),
+}
+SECTOR_FAULTS = list(COIN_FAULTS) + list(SHIFT_FAULTS)
+
+
+@pytest.mark.parametrize(
+    "n_sites,n_types,fault",
+    [(4, 2, fault) for fault in SECTOR_FAULTS] + [(4, 1, fault) for fault in SECTOR_FAULTS[:4]],
+)
+def test_sector_isomorphism_reads_faults_at_least_as_strongly_as_the_oracle(
+    monkeypatch, n_sites, n_types, fault
+):
+    theta, coin = 0.3, None
+    if fault in COIN_FAULTS:
+        coin = COIN_FAULTS[fault](theta)
+    else:
+        original = qca.shift_slot_map
+        monkeypatch.setattr(
+            qca, "shift_slot_map", lambda lattice: SHIFT_FAULTS[fault](lattice, original(lattice))
+        )
+    got = one_particle_sector_isomorphism(n_sites, n_types, theta, coin=coin)
+    assert got > TOL
+    assert got >= _sector_isomorphism_oracle(n_sites, n_types, theta, coin=coin)
+
+
+def test_sector_isomorphism_steps_once_and_builds_no_product_over_types(monkeypatch):
+    calls = []
+    step, kron = qca.qca_step, np.kron
+
+    def counted_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    def cell_kron_only(a, b):  # the coin sweep pairs two 4x4 cell gates, nothing else
+        assert np.shape(a) == np.shape(b) == (4, 4), "Kronecker product over types built"
+        return kron(a, b)
+
+    monkeypatch.setattr(qca, "qca_step", counted_step)
+    monkeypatch.setattr(np, "kron", cell_kron_only)
+    for n_sites, n_types in ((3, 1), (4, 2), (3, 3)):
+        calls.clear()
+        assert one_particle_sector_isomorphism(n_sites, n_types, 0.3) < TOL
+        assert len(calls) == 1
