@@ -99,18 +99,10 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     # The study checks the halvings, so a bad count writes no file.
     study = dirac.convergence_study(spec, halvings=halvings)
     records = dirac.dispersion_table(spec)
-    rows = []
-    for rec in records:
-        row = walk.mode_columns(rec.mode)
-        row.update(
-            phi_over_dt=rec.phi_over_dt,
-            e_rel=rec.e_rel,
-            abs_err=rec.abs_err,
-            rel_err=rec.rel_err,
-        )
-        rows.append(row)
-    fields = list(rows[0].keys())
-    _write_csv(out_dir / "dispersion.csv", fields, rows)
+    rows = [walk.mode_columns(rec.mode) for rec in records]
+    for row, rec in zip(rows, records):
+        row.update(phi_over_dt=rec.phi_over_dt, e_rel=rec.e_rel, abs_err=rec.abs_err, rel_err=rec.rel_err)
+    _write_csv(out_dir / "dispersion.csv", list(rows[0]), rows)
 
     doc = study.to_dict()
     doc["dimension"] = spec.dimension
@@ -193,9 +185,7 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
         for factor in range(state.n_factors):
             axes = tuple(a for a in range(state.n_factors) if a != factor)
             weights = np.sum(probs, axis=axes)
-            rows.append(
-                {"step": step, "factor": factor, "occupancy": float(np.sum(weights[:d]))}
-            )
+            rows.append({"step": step, "factor": factor, "occupancy": float(np.sum(weights[:d]))})
         if step < steps:
             state = multiparticle.total_evolution_apply(spec, state.n_factors, state)
     _write_csv(out_dir / "evolution.csv", ["step", "factor", "occupancy"], rows)
@@ -210,17 +200,11 @@ def _qca_occupation_rows(lattice: qca.CellLattice, coin, state, steps: int) -> l
     rows = []
     for step in range(steps + 1):
         occ = qca.occupation_expectations(lattice, state)
-        for t in range(lattice.n_types):
-            for site in range(lattice.n_sites):
-                rows.append(
-                    {
-                        "step": step,
-                        "site": site,
-                        "type": t,
-                        "n_r": occ[t, site, 0],
-                        "n_l": occ[t, site, 1],
-                    }
-                )
+        rows += [
+            {"step": step, "site": site, "type": t, "n_r": occ[t, site, 0], "n_l": occ[t, site, 1]}
+            for t in range(lattice.n_types)
+            for site in range(lattice.n_sites)
+        ]
         if step < steps:
             state = qca.qca_step(lattice, coin, state)
     return rows
@@ -229,6 +213,9 @@ def _qca_occupation_rows(lattice: qca.CellLattice, coin, state, steps: int) -> l
 def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | None) -> int:
     if spec.dimension != 1:
         raise ValueError("the qca system is one-dimensional; lattice.dimension must be 1")
+    # The automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it.
+    reader = "the walk, not the qca system"
+    _keep_unread_defaults(config["lattice"], DEFAULT_CONFIG["lattice"], ("N", "dx", "dt"), "lattice.", reader)
     qconf = config["evolve"]["qca"]
     lattice = qca.CellLattice(n_sites=qconf["sites"], n_types=qconf["types"])
     coin = qca.build_local_coin(spec.theta)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, sqrt
 
 import numpy as np
@@ -23,6 +24,10 @@ from .lattice import EnergyModeLabel, LatticeSpec, mode_ordering_key
 AMPLITUDE_CAP = 2_000_000
 
 SUPPORT_TOL = 1e-12
+
+# States per step in eigenstate_residual.  Rounding grows with the run: one sum
+# of all 8,385 2D N=8 states read 3.8e-13, runs of this size 6.1e-14.
+RUN_STATES = 1024
 
 
 @dataclass(frozen=True)
@@ -216,15 +221,34 @@ def physical_basis_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
     return ordered_product_state(spec, labels.modes, n_max)
 
 
-def eigenphase_check(spec: LatticeSpec, labels, n_max: int) -> float:
-    """Residual of U_total psi = exp(i * sum(branch * phi)) psi for an energy-basis state."""
-    labels = list(labels)
-    state = physical_basis_state(spec, labels, n_max)
-    total_phase = sum(label.branch * walk.momentum_block(spec, label.mode).phi for label in labels)
-    evolved = total_evolution_apply(spec, n_max, state)
-    return float(
-        np.linalg.norm(evolved.amplitudes - np.exp(1j * total_phase) * state.amplitudes)
+def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
+    """Largest 2-norm of U_total sum(a psi) - sum(a lam psi) over runs of (psi, lam) pairs.
+
+    Each run takes the next RUN_STATES pairs as they are read, weights them
+    with :func:`walk.unit_phases` a, and is stepped once; no pairs read 0.
+    """
+    pairs, amps = iter(pairs), walk.unit_phases(RUN_STATES)
+    worst, dim = 0.0, (spec.walk_dim + 1) ** n_max
+    while True:
+        superposed, expected = np.zeros((2, dim), dtype=complex)
+        count = 0
+        for count, (amp, (state, eigenvalue)) in enumerate(zip(amps, pairs), 1):
+            superposed += amp * state.amplitudes
+            expected += amp * eigenvalue * state.amplitudes
+        if not count:
+            return worst
+        stepped = total_evolution_apply(spec, n_max, MultiState(superposed, spec.walk_dim, n_max))
+        worst = max(worst, float(np.linalg.norm(stepped.amplitudes - expected)))
+
+
+def eigenphase_check(spec: LatticeSpec, label_sets, n_max: int) -> float:
+    """Residual of U_total psi = exp(i * sum(branch * phi)) psi over energy-basis states."""
+    phase = cache(lambda label: label.branch * walk.momentum_block(spec, label.mode).phi)
+    pairs = (
+        (physical_basis_state(spec, labels, n_max), np.exp(1j * sum(map(phase, labels))))
+        for labels in map(list, label_sets)
     )
+    return eigenstate_residual(spec, n_max, pairs)
 
 
 def project_physical(state: MultiState) -> MultiState:

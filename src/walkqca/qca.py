@@ -216,7 +216,7 @@ def one_particle_sector_isomorphism(
     if coin is None:
         coin = build_local_coin(theta)
     ext = extended_unitary(walk.walk_matrix(n_sites, 1, theta))
-    amps = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, (len(ext),) * n_types))
+    amps = walk.unit_phases((len(ext),) * n_types)
     emb = embedding_indices(lattice, len(ext) - 1)
     state = np.zeros(lattice.dim, dtype=complex)
     state[emb] = amps.ravel()

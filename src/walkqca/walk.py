@@ -174,16 +174,20 @@ def walk_eigenstate(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
     return np.kron(momentum_state(spec, label.mode), coin_part)
 
 
+def unit_phases(shape) -> np.ndarray:
+    """Seeded unit-modulus amplitudes: in a superposition a fault of size d at one term reads about d."""
+    return np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, shape))
+
+
 def verify_block_consistency(spec: LatticeSpec) -> float:
     """Max entrywise deviation of one walk step from F^dag (+)_k M_k F, every mode at once.
 
-    Two seeded columns of unit-modulus amplitudes (so a fault of size d at
-    one amplitude reads about d) go through one :func:`step_into` and are
-    matched with their FFT, times each mode's block, transformed back.
+    Two :func:`unit_phases` columns go through one :func:`step_into` and
+    are matched with their FFT, times each mode's block, transformed back.
     <k| is exp(+i*k.x)/sqrt(n_sites): mode ell is index ell mod N of ifftn.
     """
     grid, axes = (spec.N,) * spec.dimension, tuple(range(spec.dimension))
-    pair = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, (spec.walk_dim, 2)))
+    pair = unit_phases((spec.walk_dim, 2))
     stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
     step_into(spec, pair[None], stepped)
     blocks = np.empty((*grid, 2, 2), dtype=complex)

@@ -123,7 +123,7 @@ def test_criterion_5_multiparticle_eigenphases():
         labels = energy_labels(spec)
         for n in range(4):
             for combo in itertools.combinations(labels, n):
-                worst = max(worst, multiparticle.eigenphase_check(spec, combo, 3))
+                worst = max(worst, multiparticle.eigenphase_check(spec, [combo], 3))
     report("C5", "every n <= 3 energy-basis label is an eigenstate", worst)
 
 

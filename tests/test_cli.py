@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from walkqca import fock, qca, verify, walk
+from walkqca import fock, multiparticle, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
@@ -118,6 +118,37 @@ def test_verify_default_passes(tmp_path):
     report = json.loads((tmp_path / "verification.json").read_text())
     assert all(entry["pass"] for entry in report)
     assert {"check", "max_residual", "tolerance", "pass"} == set(report[0])
+
+
+def test_verify_car_catches_a_wrong_parity_sign(tmp_path, monkeypatch):
+    # negative control: the second mode's creation operator loses the
+    # parity sign it owes an occupied first mode, a_1^+ |10> = +|11>
+    create = fock.creation_op
+
+    def corrupted(basis, label):
+        mat = create(basis, label).matrix.copy()
+        if basis.index(label) == 1:
+            mat[0b11, 0b01] *= -1
+        return fock.FockOperator(mat)
+
+    monkeypatch.setattr(fock, "creation_op", corrupted)
+    options = VerifyOptions(make_lattice(1, 4, 1.0, 1.0, 0.3), make_lattice(2, 2, 1.0, 1.0, 0.3))
+    rows = verify.check_car(options)
+    assert [row.check for row in rows if not row.passed] == ["car-anticommutators"]
+    assert rows[0].max_residual > 1.0
+    assert run(["verify", "--out", tmp_path, "--only", "car"]) == 1
+
+
+@pytest.mark.parametrize("suite,rows", [("eigenphase", 2), ("intertwine", 1)])
+def test_verify_energy_basis_rows_step_once_at_the_default_config(tmp_path, monkeypatch, suite, rows):
+    # 15 and 529 eigenphase states, 93 intertwining images: one run of at most 1,024 each
+    calls = []
+    step = multiparticle.total_evolution_apply
+    monkeypatch.setattr(
+        multiparticle, "total_evolution_apply", lambda *args: calls.append(args) or step(*args)
+    )
+    assert run(["verify", "--out", tmp_path, "--only", suite]) == 0
+    assert len(calls) == rows
 
 
 def test_verify_only_filters_suites(tmp_path):
@@ -292,7 +323,7 @@ def test_evolve_qca_localized_light_cone(tmp_path):
             assert distance <= int(r["step"])
 
 
-QCA_LATTICE = {"dimension": 1, "N": 4, "dx": 1.0, "dt": 1.0, "theta": 0.4}
+QCA_LATTICE = {"dimension": 1, "dx": 1.0, "dt": 1.0, "theta": 0.4}
 
 
 @pytest.mark.parametrize(
@@ -398,6 +429,16 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
             ({}, {"site": "1"}, "evolve.qca.site must be an integer, got '1'"),
             ({"dimension": 2, "N": 4}, {}, "the qca system is one-dimensional; lattice.dimension must be 1"),
         ]
+    ]
+    + [
+        # the automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it
+        (
+            command,
+            {"lattice": lattice, "evolve": {"system": "qca"}},
+            f"lattice.{key} applies only to the walk, not the qca system",
+        )
+        for command in ("evolve", "qca-demo")
+        for lattice, key in [({"N": 4}, "N"), ({"N": 8, "dx": 0.5}, "dx"), ({"dt": 2.0}, "dt")]
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):

@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from walkqca import fock, walk
 from walkqca.fock import (
     DegenerateModeError,
     FockBasis,
@@ -29,6 +31,7 @@ from walkqca.lattice import (
     negate_mode,
 )
 from walkqca.multiparticle import total_evolution_apply
+from walkqca.verify import intertwining_residual
 from walkqca.walk import momentum_block
 from walkqca.walk1d import momentum_block_1d
 from walkqca.walk2d import momentum_block_2d
@@ -393,3 +396,67 @@ def test_fock_builders_equal_the_per_bitstring_loops(spec, key):
         assert np.array_equal(creation_op(basis, label).matrix, _creation_oracle(basis, label))
         assert np.array_equal(number_op(basis, label).matrix, _number_oracle(basis, label))
     assert np.array_equal(evolution_diagonal(basis, spec).matrix, _evolution_oracle(basis, spec))
+
+
+# The per-bitstring loop that intertwining_residual replaced, kept as its oracle.
+
+
+def _intertwining_oracle(spec, n_max):
+    basis = full_fock_basis(spec)
+    evo = evolution_diagonal(basis, spec).matrix
+    worst = 0.0
+    for bits in range(basis.dim):
+        if bin(bits).count("1") > n_max:
+            continue
+        mapped = fock.fock_to_firstquantized(basis, bits, spec, n_max)
+        evolved = total_evolution_apply(spec, n_max, mapped)
+        worst = max(worst, float(np.linalg.norm(evolved.amplitudes - evo[bits, bits] * mapped.amplitudes)))
+    return worst
+
+
+# 2D N=4 has 32 modes, past MODE_CAP, so the 2D case is N=2.
+@pytest.mark.parametrize("theta", [0.05, 0.3, -2.0])
+@pytest.mark.parametrize("dimension,n_sites", [(1, 2), (1, 4), (2, 2)], ids=["1d-N2", "1d-N4", "2d-N2"])
+def test_intertwining_residual_agrees_with_the_per_bitstring_loop(dimension, n_sites, theta):
+    spec = make_lattice(dimension, n_sites, 1.0, 1.0, theta)
+    got, expected = intertwining_residual(spec, 3), _intertwining_oracle(spec, 3)
+    assert got < TOL and expected < TOL and abs(got - expected) <= TOL
+
+
+def _reverse_x_roll(monkeypatch):
+    roll = walk._roll_into
+    monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
+
+
+def _shift_first_phase(monkeypatch):
+    # one momentum mode's eigenphase off by 1e-9, its eigenvectors kept
+    block_of, mode = walk.momentum_block, energy_labels(SPEC)[0].mode
+
+    def corrupted(spec, m):
+        block = block_of(spec, m)
+        return dataclasses.replace(block, phi=block.phi + 1e-9) if m == mode else block
+
+    monkeypatch.setattr(walk, "momentum_block", corrupted)
+
+
+def _swap_created_modes(monkeypatch):
+    # bits 0 and 1 create each other's mode; reversing only the creation
+    # order of a state flips its sign, which no eigenvalue check can see
+    to_first = fock.fock_to_firstquantized
+
+    def swapped(basis, bits, spec, n_max):
+        modes = (basis.modes[1], basis.modes[0], *basis.modes[2:])
+        return to_first(FockBasis(modes), bits, spec, n_max)
+
+    monkeypatch.setattr(fock, "fock_to_firstquantized", swapped)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_reverse_x_roll, _shift_first_phase, _swap_created_modes],
+    ids=["x-roll-reversed", "phase-1e-9", "created-modes-swapped"],
+)
+def test_intertwining_residual_reads_faults_at_least_as_strongly_as_the_loop(monkeypatch, fault):
+    fault(monkeypatch)
+    got, expected = intertwining_residual(SPEC, 3), _intertwining_oracle(SPEC, 3)
+    assert got > TOL and got >= expected

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
-from math import factorial, sqrt
+import weakref
+from math import ceil, factorial, sqrt
 
 import numpy as np
 import pytest
 
 from kron_walk import kron_walk
+from walkqca import multiparticle, walk
 from walkqca.lattice import EnergyModeLabel, energy_labels, make_lattice, momentum_mode
 from walkqca.multiparticle import (
     MultiState,
@@ -163,12 +166,12 @@ def test_energy_basis_is_orthonormal():
 
 
 def test_eigenphase_examples():
-    assert eigenphase_check(SPEC, [], 3) < TOL
+    assert eigenphase_check(SPEC, [[]], 3) < TOL
     labels4 = energy_labels(make_lattice(1, 4, 1.0, 1.0, 0.3))
     spec4 = make_lattice(1, 4, 1.0, 1.0, 0.3)
-    assert eigenphase_check(spec4, [labels4[0]], 1) < TOL
+    assert eigenphase_check(spec4, [[labels4[0]]], 1) < TOL
     pair = [labels4[1], labels4[4]]
-    assert eigenphase_check(spec4, pair, 2) < TOL
+    assert eigenphase_check(spec4, [pair], 2) < TOL
 
 
 def test_eigenphase_all_small_labels():
@@ -176,7 +179,7 @@ def test_eigenphase_all_small_labels():
     worst = 0.0
     for n in range(4):
         for combo in itertools.combinations(labels, n):
-            worst = max(worst, eigenphase_check(SPEC, combo, 3))
+            worst = max(worst, eigenphase_check(SPEC, [combo], 3))
     assert worst < TOL
 
 
@@ -325,3 +328,122 @@ def test_antisymmetrizer_equals_the_permutation_sum(n):
         else:
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
     assert np.max(np.abs(expected)) > 0.1  # d >= n, so the antisymmetric part is not zero
+
+
+# The per-state loop that eigenphase_check replaced, kept as its oracle.
+
+
+def _eigenphase_oracle(spec, label_sets, n_max):
+    worst = 0.0
+    for labels in label_sets:
+        labels = list(labels)
+        state = physical_basis_state(spec, labels, n_max)
+        phase = sum(label.branch * walk.momentum_block(spec, label.mode).phi for label in labels)
+        evolved = total_evolution_apply(spec, n_max, state)
+        worst = max(worst, float(np.linalg.norm(evolved.amplitudes - np.exp(1j * phase) * state.amplitudes)))
+    return worst
+
+
+def _label_sets(spec, n):
+    labels = energy_labels(spec)
+    return [combo for size in range(n + 1) for combo in itertools.combinations(labels, size)]
+
+
+def _reverse_roll(monkeypatch, axis):
+    """Roll one lattice axis (1 = x, 2 = y in the step's grid) the wrong way."""
+    roll = walk._roll_into
+    monkeypatch.setattr(
+        walk, "_roll_into", lambda dst, src, shift, ax: roll(dst, src, -shift if ax == axis else shift, ax)
+    )
+
+
+def _shift_phase(monkeypatch, mode, error):
+    """Move one momentum mode's eigenphase by `error`, leaving its eigenvectors."""
+    block_of = walk.momentum_block
+
+    def corrupted(spec, m):
+        block = block_of(spec, m)
+        return dataclasses.replace(block, phi=block.phi + error) if m == mode else block
+
+    monkeypatch.setattr(walk, "momentum_block", corrupted)
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    step = multiparticle.total_evolution_apply
+
+    def counted(spec, n_max, state):
+        calls.append(state)
+        return step(spec, n_max, state)
+
+    monkeypatch.setattr(multiparticle, "total_evolution_apply", counted)
+    return calls
+
+
+# (dimension, N, particles): 3 particles in 1D and 2 in 2D, as the verify suite runs them
+EIGENPHASE_LATTICES = [(1, 2, 3), (1, 4, 3), (2, 2, 3), (2, 4, 2)]
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, -2.0])
+@pytest.mark.parametrize("dimension,n_sites,n", EIGENPHASE_LATTICES, ids=["1d-N2", "1d-N4", "2d-N2", "2d-N4"])
+def test_eigenphase_check_agrees_with_the_per_state_loop(dimension, n_sites, n, theta):
+    spec = make_lattice(dimension, n_sites, 1.0, 1.0, theta)
+    sets = _label_sets(spec, n)
+    got, expected = eigenphase_check(spec, sets, n), _eigenphase_oracle(spec, sets, n)
+    assert got < TOL and expected < TOL and abs(got - expected) <= TOL
+
+
+@pytest.mark.parametrize(
+    "dimension,n,fault",
+    [
+        (2, 2, lambda mp, spec: _reverse_roll(mp, 2)),
+        (1, 3, lambda mp, spec: _reverse_roll(mp, 1)),
+        (1, 3, lambda mp, spec: _shift_phase(mp, energy_labels(spec)[0].mode, 1e-9)),
+        (2, 2, lambda mp, spec: _shift_phase(mp, energy_labels(spec)[5].mode, 1e-9)),
+    ],
+    ids=["y-roll-reversed-2d", "x-roll-reversed-1d", "phase-1e-9-1d", "phase-1e-9-2d"],
+)
+def test_eigenphase_check_reads_faults_at_least_as_strongly_as_the_loop(monkeypatch, dimension, n, fault):
+    spec = make_lattice(dimension, 4, 1.0, 1.0, 0.3)
+    sets = _label_sets(spec, n)
+    fault(monkeypatch, spec)
+    got, expected = eigenphase_check(spec, sets, n), _eigenphase_oracle(spec, sets, n)
+    assert got > TOL and got >= expected
+
+
+@pytest.mark.parametrize("count", [1, 1024, 1025])
+def test_eigenphase_check_steps_once_per_run_of_1024_states(monkeypatch, count):
+    spec = make_lattice(2, 6, 1.0, 1.0, 0.05)
+    sets = _label_sets(spec, 2)[:count]
+    calls = _count_steps(monkeypatch)
+    assert eigenphase_check(spec, sets, 2) < TOL
+    assert len(calls) == ceil(count / multiparticle.RUN_STATES) and multiparticle.RUN_STATES == 1024
+
+
+def test_eigenphase_check_at_2d_n6_takes_three_steps_and_stays_near_rounding(monkeypatch):
+    spec = make_lattice(2, 6, 1.0, 1.0, 0.05)
+    sets = _label_sets(spec, 2)
+    assert len(sets) == 2629
+    calls = _count_steps(monkeypatch)
+    assert eigenphase_check(spec, sets, 2) <= 1e-13
+    assert len(calls) == 3
+
+
+def test_eigenstate_residual_holds_one_state_at_a_time(monkeypatch):
+    # The pairs are read as the run fills: when the next state is asked
+    # for, every state but the last two read has been freed (the loop's
+    # tuples can hold the one before the last), whatever the run length.
+    spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
+    refs, alive = [], []
+
+    def pairs():
+        for labels in _label_sets(spec, 2):
+            alive.append(sum(ref() is not None for ref in refs))
+            state = physical_basis_state(spec, labels, 2)
+            refs.append(weakref.ref(state))
+            yield state, 1.0
+
+    assert multiparticle.eigenstate_residual(spec, 2, pairs()) > 0.1  # eigenvalue 1 is wrong
+    assert len(refs) == 37 and max(alive) <= 2
+    calls = _count_steps(monkeypatch)
+    assert multiparticle.eigenstate_residual(spec, 2, iter(())) == 0.0 and not calls
