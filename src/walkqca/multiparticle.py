@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import combinations, permutations
 from math import factorial, sqrt
 
 import numpy as np
@@ -198,17 +199,21 @@ def ordered_product_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
     them flips the overall sign.
     """
     labels = list(labels)
-    n = len(labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct (a repeat antisymmetrizes to zero)")
+    return _antisymmetrized_product(spec, [walk.walk_eigenstate(spec, label) for label in labels], n_max)
+
+
+def _antisymmetrized_product(spec: LatticeSpec, vectors, n_max: int) -> MultiState:
+    """sqrt(n!) times the antisymmetric part of the product of n walk vectors, over the first n factors."""
+    n, d = len(vectors), spec.walk_dim
     if n > n_max:
         raise ValueError(f"{n} labels exceed n_max = {n_max}")
-    if len(set(labels)) != n:
-        raise ValueError("labels must be distinct (a repeat antisymmetrizes to zero)")
     if n == 0:
-        return vacuum_state(spec.walk_dim, n_max)
-    d = spec.walk_dim
-    product = walk.walk_eigenstate(spec, labels[0])
-    for label in labels[1:]:
-        product = np.multiply.outer(product, walk.walk_eigenstate(spec, label))
+        return vacuum_state(d, n_max)
+    product = vectors[0]
+    for vec in vectors[1:]:
+        product = np.multiply.outer(product, vec)
     out = np.zeros((d + 1,) * n_max, dtype=complex)
     out[_occupied_block_index(n, n_max, d)] = sqrt(factorial(n)) * _antisymmetrize_tensor(product, n)
     return MultiState(out.reshape(-1), d, n_max)
@@ -242,13 +247,19 @@ def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
 
 
 def eigenphase_check(spec: LatticeSpec, label_sets, n_max: int) -> float:
-    """Residual of U_total psi = exp(i * sum(branch * phi)) psi over energy-basis states."""
+    """Residual of U_total psi = exp(i * sum(branch * phi)) psi over energy-basis states.
+
+    Each label's walk eigenstate and phase are computed once per call.
+    """
+    eigenstate = cache(partial(walk.walk_eigenstate, spec))
     phase = cache(lambda label: label.branch * walk.momentum_block(spec, label.mode).phi)
-    pairs = (
-        (physical_basis_state(spec, labels, n_max), np.exp(1j * sum(map(phase, labels))))
-        for labels in map(list, label_sets)
-    )
-    return eigenstate_residual(spec, n_max, pairs)
+
+    def pair(labels):
+        modes = PhysicalBasisLabel(tuple(labels)).modes
+        state = _antisymmetrized_product(spec, list(map(eigenstate, modes)), n_max)
+        return state, np.exp(1j * sum(map(phase, modes)))
+
+    return eigenstate_residual(spec, n_max, map(pair, label_sets))
 
 
 def project_physical(state: MultiState) -> MultiState:
@@ -271,15 +282,42 @@ def physical_subspace_projector_residual(state: MultiState) -> float:
     return float(np.linalg.norm(state.amplitudes - projected.amplitudes))
 
 
+def _increasing_tuples(d: int, n: int) -> np.ndarray:
+    """The C(d, n) strictly increasing n-tuples of 0..d-1 as rows, in lexicographic order."""
+    mask = np.ones((d,) * n, dtype=bool)
+    grid = np.ogrid[(slice(0, d),) * n]
+    for a, b in zip(grid, grid[1:]):
+        mask &= a < b
+    return np.argwhere(mask)
+
+
 def random_physical_state(walk_dim: int, n_factors: int, rng: np.random.Generator) -> MultiState:
-    """Seeded random unit vector inside the physical subspace."""
-    dim = (walk_dim + 1) ** n_factors
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    projected = project_physical(MultiState(raw, walk_dim, n_factors))
-    nrm = projected.norm()
+    """Seeded random unit vector, isotropic inside the physical subspace.
+
+    Sector n has one basis vector per strictly increasing n-tuple of walk
+    indices: the tuple's n! orderings over the first n factors, each with
+    its permutation's sign and weight 1/sqrt(n!), the other factors in the
+    vacuum.  Each basis vector gets one complex normal, sector 0 first, so
+    the state is physical by construction and has the distribution of an
+    isotropic draw of the whole space projected onto the subspace; sector
+    n carries weight in proportion to C(walk_dim, n).
+    """
+    f = walk_dim + 1
+    strides = f ** np.arange(n_factors - 1, -1, -1)
+    state = MultiState(np.zeros(f**n_factors, dtype=complex), walk_dim, n_factors)  # refuses sizes over the cap
+    amps = state.amplitudes
+    for n in range(n_factors + 1):
+        tuples = _increasing_tuples(walk_dim, n)
+        coeffs = (rng.standard_normal(len(tuples)) + 1j * rng.standard_normal(len(tuples))) / sqrt(factorial(n))
+        vacuum = f ** (n_factors - n) - 1  # flat offset of factors n.. at the vacuum index
+        for perm in permutations(range(n)):
+            sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+            amps[tuples[:, perm] @ strides[:n] + vacuum] = sign * coeffs
+    nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
-        raise ValueError("random draw projected to (numerically) zero; reseed")
-    return MultiState(projected.amplitudes / nrm, walk_dim, n_factors)
+        raise ValueError("random draw has (numerically) zero norm; reseed")
+    amps /= nrm
+    return state
 
 
 def save_state(path, state: MultiState) -> None:

@@ -18,6 +18,9 @@ from .lattice import EnergyModeLabel, LatticeSpec, energy_labels, momentum_grid
 
 DEFAULT_TOL = 1e-12
 
+# Largest particle number of the 1D preservation and intertwining checks.
+N_MAX_CAP = 3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -63,6 +66,9 @@ class VerifyOptions:
         for name in ("n_max", "n_random", "qca_types"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # A larger n_max would be capped by every check that reads it.
+        if self.n_max > N_MAX_CAP:
+            raise ValueError(f"verify.n_max must be at most {N_MAX_CAP}, got {self.n_max}")
         # An infinite tolerance passes every residual check; 0, -1 or nan fails them all.
         if not (isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
@@ -164,7 +170,7 @@ def check_preservation(options: VerifyOptions) -> list[CheckResult]:
     rng = np.random.default_rng(options.seed)
     out = []
     for name, spec, n_max in (
-        ("physical-preservation-1d", options.spec1d, min(options.n_max, 3)),
+        ("physical-preservation-1d", options.spec1d, options.n_max),
         ("physical-preservation-2d", options.spec2d, min(options.n_max, 2)),
     ):
         residuals = []
@@ -244,7 +250,7 @@ def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
 
 def check_intertwine(options: VerifyOptions) -> list[CheckResult]:
     # Not N=2: on two sites a +1 roll equals a -1 roll, so a direction error passes.
-    residual = intertwining_residual(replace(options.spec1d, N=4), min(options.n_max, 3))
+    residual = intertwining_residual(replace(options.spec1d, N=4), options.n_max)
     return [_result("fock-firstquantized-intertwining", residual, options.tol)]
 
 

@@ -439,6 +439,11 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
         )
         for command in ("evolve", "qca-demo")
         for lattice, key in [({"N": 4}, "N"), ({"N": 8, "dx": 0.5}, "dx"), ({"dt": 2.0}, "dt")]
+    ]
+    + [
+        # every check that reads verify.n_max caps it, so a larger one would change nothing
+        ("verify", {"verify": {"n_max": n_max}}, f"verify.n_max must be at most 3, got {n_max}")
+        for n_max in (4, 9)
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):

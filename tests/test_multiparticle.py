@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
+import json
 import weakref
-from math import ceil, factorial, sqrt
+from math import ceil, comb, factorial, sqrt
 
 import numpy as np
 import pytest
 
 from kron_walk import kron_walk
-from walkqca import multiparticle, walk
+from walkqca import cli, multiparticle, verify, walk
 from walkqca.lattice import EnergyModeLabel, energy_labels, make_lattice, momentum_mode
 from walkqca.multiparticle import (
     MultiState,
@@ -26,6 +27,7 @@ from walkqca.multiparticle import (
     total_evolution_apply,
     vacuum_state,
 )
+from walkqca.verify import VerifyOptions
 from walkqca.walk1d import build_walk_unitary_1d, walk_eigenstate_1d
 
 TOL = 1e-12
@@ -259,6 +261,8 @@ def test_sector_equivalence_across_type_choices():
 def test_amplitude_cap_enforced():
     with pytest.raises(ValueError):
         vacuum_state(128, 4)  # 129**4 > 2e6
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
+        random_physical_state(128, 4, np.random.default_rng(0))
 
 
 def test_state_dump_round_trip(tmp_path):
@@ -447,3 +451,101 @@ def test_eigenstate_residual_holds_one_state_at_a_time(monkeypatch):
     assert len(refs) == 37 and max(alive) <= 2
     calls = _count_steps(monkeypatch)
     assert multiparticle.eigenstate_residual(spec, 2, iter(())) == 0.0 and not calls
+
+
+def _parent_eigenphase_residual(spec, n):
+    """The eigenphase residual as built before each walk eigenstate was looked up once per call."""
+    phase = lambda label: label.branch * walk.momentum_block(spec, label.mode).phi
+    pairs = (
+        (physical_basis_state(spec, labels, n), np.exp(1j * sum(map(phase, labels))))
+        for labels in _label_sets(spec, n)
+    )
+    return multiparticle.eigenstate_residual(spec, n, pairs)
+
+
+def test_eigenphase_suite_builds_each_walk_eigenstate_once(monkeypatch):
+    # 4 labels of 1D N=2 and 32 of 2D N=4; the per-state build made 1,052 calls
+    calls = []
+    eigenstate = walk.walk_eigenstate
+    monkeypatch.setattr(walk, "walk_eigenstate", lambda spec, label: calls.append((spec, label)) or eigenstate(spec, label))
+    options = VerifyOptions(make_lattice(1, 4, 1.0, 1.0, 0.05), make_lattice(2, 4, 1.0, 1.0, 0.05))
+    assert all(row.passed for row in verify.check_eigenphase(options))
+    assert len(calls) == len(set(calls)) == 4 + 32
+
+
+@pytest.mark.parametrize(
+    "config,seed",
+    [({}, 0), ({"n_1d": 32, "n_2d": 4, "n_max": 3, "n_random": 10, "qca_sites": 4, "qca_types": 2}, 1)],
+    ids=["default", "n_1d-32"],
+)
+def test_eigenphase_rows_are_bit_identical_to_the_per_state_build(tmp_path, config, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"verify": config}))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path), "--seed", str(seed), "--only", "eigenphase"]) == 0
+    rows = json.loads((tmp_path / "verification.json").read_text())
+    theta = cli.DEFAULT_CONFIG["lattice"]["theta"]
+    lattices = [(make_lattice(1, 2, 1.0, 1.0, theta), 3), (make_lattice(2, config.get("n_2d", 4), 1.0, 1.0, theta), 2)]
+    assert [row["max_residual"] for row in rows] == [_parent_eigenphase_residual(spec, n) for spec, n in lattices]
+
+
+# The projected draw that random_physical_state replaced, kept as its oracle.
+
+
+def _projected_random_state_oracle(walk_dim, n_factors, rng):
+    dim = (walk_dim + 1) ** n_factors
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    projected = multiparticle.project_physical(MultiState(raw, walk_dim, n_factors))
+    return MultiState(projected.amplitudes / projected.norm(), walk_dim, n_factors)
+
+
+def _sector_weights(state):
+    tensor = state.tensor()
+    blocks = (multiparticle._occupied_block_index(n, state.n_factors, state.walk_dim) for n in range(state.n_factors + 1))
+    return np.array([np.sum(np.abs(tensor[idx]) ** 2) for idx in blocks])
+
+
+@pytest.mark.parametrize("d,n", [(4, 3), (6, 2), (32, 2), (64, 3)])
+def test_random_physical_state_is_a_seeded_unit_physical_vector_in_every_sector(d, n):
+    state = random_physical_state(d, n, np.random.default_rng(3))
+    assert abs(state.norm() - 1.0) <= 1e-15
+    assert physical_subspace_projector_residual(state) <= 1e-15
+    assert np.all(_sector_weights(state) > 0)
+    assert np.array_equal(state.amplitudes, random_physical_state(d, n, np.random.default_rng(3)).amplitudes)
+
+
+@pytest.mark.parametrize("draw", [random_physical_state, _projected_random_state_oracle], ids=["draw", "oracle"])
+def test_random_physical_state_sector_weights_follow_the_sector_dimensions(draw):
+    # The weights of an isotropic draw are Dirichlet(C(d, n)): at (4, 3) the
+    # means are (1, 4, 6, 4)/15 and the mean of 200 has a spread of at most 0.009.
+    d, n, rng = 4, 3, np.random.default_rng(11)
+    mean = np.mean([_sector_weights(draw(d, n, rng)) for _ in range(200)], axis=0)
+    dims = np.array([comb(d, k) for k in range(n + 1)])
+    np.testing.assert_allclose(mean, dims / dims.sum(), rtol=0, atol=0.04)
+
+
+def _step_last_factor_off_angle(monkeypatch, error):
+    """Step the last factor at a coin angle off by `error`, the others as the walk does."""
+
+    def faulty(spec, n_max, state):
+        tensor = state.tensor()
+        for axis in range(n_max):
+            angle = spec.theta + (error if axis == n_max - 1 else 0.0)
+            u = extended_unitary(walk.build_walk_unitary(dataclasses.replace(spec, theta=angle)))
+            tensor = np.moveaxis(np.tensordot(u, tensor, axes=(1, axis)), 0, axis)
+        return MultiState(tensor.reshape(-1), state.walk_dim, n_max)
+
+    monkeypatch.setattr(multiparticle, "total_evolution_apply", faulty)
+
+
+def test_preservation_suite_fails_when_the_last_factor_steps_at_another_angle(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"verify": {"n_random": 5}}))
+    _step_last_factor_off_angle(monkeypatch, 1e-9)
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path), "--only", "preservation"]) == 1
+    rows = json.loads((tmp_path / "verification.json").read_text())
+    assert [row["check"] for row in rows if not row["pass"]] == ["physical-preservation-1d", "physical-preservation-2d"]
+    # the same fault read through the projected draw: about 7e-10 for both
+    monkeypatch.setattr(multiparticle, "random_physical_state", _projected_random_state_oracle)
+    options = VerifyOptions(make_lattice(1, 4, 1.0, 1.0, 0.05), make_lattice(2, 4, 1.0, 1.0, 0.05), n_random=5)
+    for row, expected in zip(rows, verify.check_preservation(options)):
+        assert row["max_residual"] > 1e-12 and row["max_residual"] >= expected.max_residual / 2
