@@ -126,8 +126,9 @@ def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> M
     """One step of the n_max-fold vacuum-extended walk; the input state is not written.
 
     Each factor in turn is stepped with the matrix-free walk kernel through
-    an (A, factor_dim, B) view, its vacuum row copied, the result going
-    alternately into one of two step buffers.
+    an (A, factor_dim, B) view of one output array: factor 0 from the input,
+    with its vacuum row copied, and every later factor in place, where its
+    vacuum row already is.
     """
     if state.n_factors != n_max:
         raise ValueError(f"state has {state.n_factors} factors, expected {n_max}")
@@ -136,15 +137,16 @@ def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> M
             f"state walk dimension {state.walk_dim} does not match lattice ({spec.walk_dim})"
         )
     f, d = state.factor_dim, state.walk_dim
-    src = state.amplitudes
-    buffers = [np.empty_like(src) for _ in range(min(n_max, 2))]
-    for axis in range(n_max):
-        dst = buffers[axis % 2]
-        s, t = src.reshape(f**axis, f, -1), dst.reshape(f**axis, f, -1)
-        walk.step_into(spec, s[:, :d], t[:, :d])
-        t[:, d] = s[:, d]
-        src = dst
-    return MultiState(src.copy() if n_max == 0 else src, d, n_max)
+    if n_max == 0:
+        return MultiState(state.amplitudes.copy(), d, n_max)
+    out = np.empty_like(state.amplitudes)
+    src, head = state.amplitudes.reshape(1, f, -1), out.reshape(1, f, -1)
+    walk.step_into(spec, src[:, :d], head[:, :d])
+    head[:, d] = src[:, d]
+    for axis in range(1, n_max):
+        occupied = out.reshape(f**axis, f, -1)[:, :d]
+        walk.step_into(spec, occupied, occupied)
+    return MultiState(out, d, n_max)
 
 
 def _antisymmetrize_tensor(block: np.ndarray, n: int) -> np.ndarray:
@@ -168,6 +170,30 @@ def _occupied_block_index(n: int, n_factors: int, walk_dim: int):
     return (slice(0, walk_dim),) * n + (walk_dim,) * (n_factors - n)
 
 
+def _off_sector_indices(n_factors: int, walk_dim: int):
+    """Index tuples of the configurations in no first-n-occupied block.
+
+    One per first vacuum factor i and first occupied factor j > i.  The
+    views are disjoint, and with the n_factors + 1 blocks they cover the
+    whole tensor.
+    """
+    occupied, vacuum = slice(0, walk_dim), walk_dim
+    return [
+        (occupied,) * i + (vacuum,) * (j - i) + (occupied,)
+        for i in range(n_factors)
+        for j in range(i + 1, n_factors)
+    ]
+
+
+def _norm_of_pieces(pieces) -> float:
+    """2-norm of disjoint pieces of one vector, without joining them.
+
+    Each piece's norm is taken directly and the norms are combined by one
+    more 2-norm; a difference of squared norms would lose half the digits.
+    """
+    return float(np.linalg.norm([np.linalg.norm(piece) for piece in pieces]))
+
+
 def antisymmetrize(state: MultiState, n: int) -> MultiState:
     """Antisymmetrize over the first n factors (the remaining must be vacuum).
 
@@ -177,12 +203,10 @@ def antisymmetrize(state: MultiState, n: int) -> MultiState:
     if not 0 <= n <= state.n_factors:
         raise ValueError(f"n must lie in 0..{state.n_factors}, got {n}")
     arr = state.tensor()
-    idx = _occupied_block_index(n, state.n_factors, state.walk_dim)
-    # The outside weight is the norm of what lies outside the block, taken
-    # directly: the difference of squared norms loses half the digits.
-    rest = arr.copy()
-    rest[idx] = 0.0
-    outside = float(np.linalg.norm(rest))
+    nf, d = state.n_factors, state.walk_dim
+    idx = _occupied_block_index(n, nf, d)
+    others = [_occupied_block_index(m, nf, d) for m in range(nf + 1) if m != n]
+    outside = _norm_of_pieces(arr[i] for i in others + _off_sector_indices(nf, d))
     if outside > SUPPORT_TOL:
         raise ValueError(
             f"state has weight {outside:.3e} outside the first-{n}-occupied block"
@@ -233,17 +257,20 @@ def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
     with :func:`walk.unit_phases` a, and is stepped once; no pairs read 0.
     """
     pairs, amps = iter(pairs), walk.unit_phases(RUN_STATES)
-    worst, dim = 0.0, (spec.walk_dim + 1) ** n_max
+    runs = np.empty((2, (spec.walk_dim + 1) ** n_max), dtype=complex)
+    superposed, expected = runs
+    worst = 0.0
     while True:
-        superposed, expected = np.zeros((2, dim), dtype=complex)
+        runs.fill(0.0)
         count = 0
         for count, (amp, (state, eigenvalue)) in enumerate(zip(amps, pairs), 1):
             superposed += amp * state.amplitudes
             expected += amp * eigenvalue * state.amplitudes
         if not count:
             return worst
-        stepped = total_evolution_apply(spec, n_max, MultiState(superposed, spec.walk_dim, n_max))
-        worst = max(worst, float(np.linalg.norm(stepped.amplitudes - expected)))
+        stepped = total_evolution_apply(spec, n_max, MultiState(superposed, spec.walk_dim, n_max)).amplitudes
+        stepped -= expected
+        worst = max(worst, float(np.linalg.norm(stepped)))
 
 
 def eigenphase_check(spec: LatticeSpec, label_sets, n_max: int) -> float:
@@ -273,13 +300,24 @@ def project_physical(state: MultiState) -> MultiState:
 
 
 def physical_subspace_projector_residual(state: MultiState) -> float:
-    """Norm of the component of `state` outside the physical subspace.
+    """Norm of the component of `state` outside the physical subspace, ||psi - P psi||.
 
-    Computed as ||psi - P psi|| directly; the difference of squared norms
-    would lose half the available precision for nearly-physical states.
+    Taken from pieces, with no projection built: each block's difference
+    from its antisymmetric part (zero below two particles) and the weight
+    in no block.
     """
-    projected = project_physical(state)
-    return float(np.linalg.norm(state.amplitudes - projected.amplitudes))
+    arr, nf, d = state.tensor(), state.n_factors, state.walk_dim
+
+    def pieces():
+        for n in range(2, nf + 1):
+            block = arr[_occupied_block_index(n, nf, d)]
+            diff = _antisymmetrize_tensor(block, n)
+            diff -= block
+            yield diff
+        for idx in _off_sector_indices(nf, d):
+            yield arr[idx]
+
+    return _norm_of_pieces(pieces())
 
 
 def _increasing_tuples(d: int, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .blocks import SIGMA_X, BlockDecomposition, decompose
+from .blocks import IDENTITY_2, SIGMA_X, BlockDecomposition, decompose
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -38,7 +38,7 @@ DIRECTION_BASES = (
 
 def coin_matrix(theta: float) -> np.ndarray:
     """exp(i*theta*q) with q the coin swap; unitary for every real theta."""
-    return cos(theta) * np.eye(2, dtype=complex) + 1j * sin(theta) * SIGMA_X
+    return cos(theta) * IDENTITY_2 + 1j * sin(theta) * SIGMA_X
 
 
 def _step_mixes(dimension: int, theta: float) -> list[np.ndarray]:
@@ -76,34 +76,44 @@ def step_into(spec: LatticeSpec, src: np.ndarray, out: np.ndarray) -> None:
     Matrix-free, O(walk_dim) per column: along each lattice axis the
     forward coin component is rolled by +1 and the backward one by -1,
     then one 2x2 mix (see :func:`_step_mixes`) acts on the coin axis.
-    Equals applying ``build_walk_unitary(spec)`` to axis 1.  `out`
-    may be a strided view but must not overlap `src`, which is not written.
+    Equals applying ``build_walk_unitary(spec)`` to axis 1.  `out` may be
+    a strided view.  It is either `src` itself, for a step in place, or
+    shares no memory with it, and then `src` is not written.
     """
     _, dim, _ = src.shape
     if dim != spec.walk_dim or out.shape != src.shape:
         raise ValueError(
             f"step expects (A, {spec.walk_dim}, B) arrays, got {src.shape} into {out.shape}"
         )
+    if out is not src and np.may_share_memory(src, out):
+        raise ValueError("step_into's out must be src itself or share no memory with it")
     _step_slabs(spec.N, spec.dimension, spec.theta, src, out)
 
 
 def _step_slabs(n: int, dimension: int, theta: float, src: np.ndarray, out: np.ndarray) -> None:
-    """:func:`step_into` on n sites per axis, unchecked; any n >= 2."""
+    """:func:`step_into` on n sites per axis, unchecked; any n >= 2.
+
+    Each slab is read whole into the scratch before its part of `out` is
+    written, and the slabs are disjoint, so `out` may be `src`.
+    """
     a, dim, b = src.shape
     mixes = _step_mixes(dimension, theta)
     cols = min(b, max(1, SLAB_AMPLITUDES // dim))
-    rows = max(1, SLAB_AMPLITUDES // (dim * cols))
+    rows = min(a, max(1, SLAB_AMPLITUDES // (dim * cols)))
+    scratch = np.empty(3 * rows * (dim // 2) * cols, dtype=complex)
     for top, left in itertools.product(range(0, a, rows), range(0, b, cols)):
         slab = np.s_[top:top + rows, :, left:left + cols]
-        _step_slab(n, dimension, mixes, src[slab], out[slab])
+        _step_slab(n, dimension, mixes, src[slab], out[slab], scratch)
 
 
-def _step_slab(n: int, dimension: int, mixes: list[np.ndarray], src: np.ndarray, out: np.ndarray) -> None:
+def _step_slab(
+    n: int, dimension: int, mixes: list[np.ndarray], src: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
     a, _, b = src.shape
     grid = (a, *(n,) * dimension)
     x = src.reshape(*grid, 2, b)
     y = out.reshape(*grid, 2, b)
-    r0, r1, t = np.empty((3, *grid, b), dtype=complex)
+    r0, r1, t = scratch[: 3 * (src.size // 2)].reshape(3, *grid, b)
     y0, y1 = y[..., 0, :], y[..., 1, :]
     for axis, m in enumerate(mixes, start=1):
         _roll_into(r0, x[..., 0, :], 1, axis)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 import weakref
 from math import ceil, comb, factorial, sqrt
 
@@ -549,3 +550,132 @@ def test_preservation_suite_fails_when_the_last_factor_steps_at_another_angle(tm
     options = VerifyOptions(make_lattice(1, 4, 1.0, 1.0, 0.05), make_lattice(2, 4, 1.0, 1.0, 0.05), n_random=5)
     for row, expected in zip(rows, verify.check_preservation(options)):
         assert row["max_residual"] > 1e-12 and row["max_residual"] >= expected.max_residual / 2
+
+
+# The two-buffer step that total_evolution_apply replaced, kept as its oracle.
+
+
+def _two_buffer_step_oracle(spec, n_max, state):
+    f, d = state.factor_dim, state.walk_dim
+    src = state.amplitudes
+    buffers = [np.empty_like(src) for _ in range(min(n_max, 2))]
+    for axis in range(n_max):
+        dst = buffers[axis % 2]
+        s, t = src.reshape(f**axis, f, -1), dst.reshape(f**axis, f, -1)
+        walk.step_into(spec, s[:, :d], t[:, :d])
+        t[:, d] = s[:, d]
+        src = dst
+    return MultiState(src.copy() if n_max == 0 else src, d, n_max)
+
+
+@pytest.mark.parametrize(
+    "spec,n_max",
+    [(make_lattice(1, 4, 1.0, 1.0, 0.7), n) for n in (0, 1, 2, 3)]
+    + [(make_lattice(1, 24, 1.0, 1.0, 0.05), 3), (make_lattice(2, 4, 1.0, 1.0, -1.1), 2)],
+)
+def test_total_evolution_equals_the_two_buffer_step_and_leaves_its_input(spec, n_max):
+    rng = np.random.default_rng(30 + n_max)
+    f = spec.walk_dim + 1
+    raw = rng.standard_normal(f**n_max) + 1j * rng.standard_normal(f**n_max)
+    for state in (random_physical_state(spec.walk_dim, n_max, rng), MultiState(raw, spec.walk_dim, n_max)):
+        before = state.amplitudes.tobytes()
+        out = total_evolution_apply(spec, n_max, state)
+        assert state.amplitudes.tobytes() == before
+        assert np.array_equal(out.amplitudes, _two_buffer_step_oracle(spec, n_max, state).amplitudes)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+def _traced_peak(step, *args):
+    tracemalloc.start()
+    try:
+        step(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_total_evolution_allocates_one_state_and_the_slab_scratch():
+    # 3 particles on 1D N=32: 274,625 amplitudes, 4.4 MB.  The two-buffer
+    # step read 9.4 MB against this bound of 6.0 MB.
+    spec = make_lattice(1, 32, 1.0, 1.0, 0.05)
+    state = random_physical_state(spec.walk_dim, 3, np.random.default_rng(2))
+    bound = state.amplitudes.nbytes + 3 * walk.SLAB_AMPLITUDES * 16
+    assert _traced_peak(total_evolution_apply, spec, 3, state) <= bound
+    assert _traced_peak(_two_buffer_step_oracle, spec, 3, state) > bound
+
+
+# The residual that built the whole projection, kept as its oracle.
+
+
+def _projector_residual_oracle(state):
+    projected = multiparticle.project_physical(state)
+    return float(np.linalg.norm(state.amplitudes - projected.amplitudes))
+
+
+def _residual_states(walk_dim, n_factors, rng):
+    """A product, a physical, a 1e-9-perturbed physical and a random state."""
+    f = walk_dim + 1
+    physical = random_physical_state(walk_dim, n_factors, rng)
+    noise = rng.standard_normal(f**n_factors) + 1j * rng.standard_normal(f**n_factors)
+    return [
+        product_state([random_walk_vector(rng, walk_dim) for _ in range(n_factors)], walk_dim),
+        physical,
+        MultiState(physical.amplitudes + 1e-9 * noise / np.linalg.norm(noise), walk_dim, n_factors),
+        MultiState(noise, walk_dim, n_factors),
+    ]
+
+
+@pytest.mark.parametrize("d,n", [(4, 3), (8, 2), (48, 3), (32, 2)], ids=["1d-n2", "1d-n4", "1d-n24", "2d-n4"])
+def test_projector_residual_agrees_with_the_projection(d, n):
+    for state in _residual_states(d, n, np.random.default_rng(d + n)):
+        expected = _projector_residual_oracle(state)
+        assert abs(physical_subspace_projector_residual(state) - expected) <= 1e-15 * expected
+
+
+@pytest.mark.parametrize("n_factors", [2, 3, 4])
+def test_projector_residual_reads_weight_in_each_off_sector_view(n_factors):
+    d, eps, rng = 4, 1e-9, np.random.default_rng(n_factors)
+    views = multiparticle._off_sector_indices(n_factors, d)
+    assert len(views) == n_factors * (n_factors - 1) // 2
+    for idx in views:
+        # a one-particle state, whose block residuals are exactly zero, plus eps in one view
+        state = product_state([random_walk_vector(rng, d)] + [None] * (n_factors - 1), d)
+        tensor = state.tensor()
+        piece = rng.standard_normal(tensor[idx].shape) + 1j * rng.standard_normal(tensor[idx].shape)
+        tensor[idx] = eps * piece / np.linalg.norm(piece)
+        assert abs(physical_subspace_projector_residual(state) - eps) <= 1e-15 * eps
+    assert physical_subspace_projector_residual(random_physical_state(d, n_factors, rng)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_factors", range(5))
+def test_blocks_and_off_sector_views_cover_the_tensor_once(n_factors):
+    d = 3
+    count = np.zeros((d + 1,) * n_factors, dtype=int)
+    blocks = [multiparticle._occupied_block_index(n, n_factors, d) for n in range(n_factors + 1)]
+    for idx in blocks + multiparticle._off_sector_indices(n_factors, d):
+        count[idx] += 1
+    assert np.all(count == 1)
+
+
+def _out_of_block_pieces(n_factors, n, d):
+    """The other blocks and the off-sector views: everything antisymmetrize(_, n) refuses."""
+    blocks = [multiparticle._occupied_block_index(m, n_factors, d) for m in range(n_factors + 1) if m != n]
+    return blocks + multiparticle._off_sector_indices(n_factors, d)
+
+
+@pytest.mark.parametrize("weight,refused", [(2e-12, True), (5e-13, False)])
+def test_antisymmetrize_weighs_each_out_of_block_piece(weight, refused):
+    d, rng = SPEC.walk_dim, np.random.default_rng(12)
+    pieces = _out_of_block_pieces(3, 2, d)
+    assert len(pieces) == 6
+    for idx in pieces:
+        state = product_state([random_walk_vector(rng, d), random_walk_vector(rng, d), None], d)
+        tensor = state.tensor()
+        shape = np.shape(tensor[idx])
+        piece = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tensor[idx] = weight * piece / np.linalg.norm(piece)
+        if refused:
+            with pytest.raises(ValueError, match="outside the first-2-occupied block"):
+                antisymmetrize(state, 2)
+        else:
+            assert antisymmetrize(state, 2).norm() > 0.1

@@ -53,6 +53,30 @@ def test_step_into_in_slabs_equals_one_slab(monkeypatch, dimension, n, shape, sl
     np.testing.assert_array_equal(slabbed, whole)
 
 
+@pytest.mark.parametrize("dimension,n", [(1, 4), (1, 512), (2, 4), (2, 16)])
+@pytest.mark.parametrize("a,b", [(1, 1), (3, 5), (1, 64)])
+@pytest.mark.parametrize("slab_columns", [None, 2], ids=["one-slab", "split-slabs"])
+def test_step_into_in_place_equals_a_separate_output(monkeypatch, dimension, n, a, b, slab_columns):
+    """out is src gives the bits of a separate out, also where slabs split A and B."""
+    spec = make_lattice(dimension, n, 1.0, 1.0, 0.7)
+    if slab_columns:
+        monkeypatch.setattr(walk, "SLAB_AMPLITUDES", slab_columns * spec.walk_dim)
+    rng = np.random.default_rng(n + a + b)
+    psi = rng.standard_normal((a, spec.walk_dim, b)) + 1j * rng.standard_normal((a, spec.walk_dim, b))
+    separate, in_place = np.empty_like(psi), psi.copy()
+    walk.step_into(spec, psi, separate)
+    walk.step_into(spec, in_place, in_place)
+    np.testing.assert_array_equal(in_place, separate)
+    assert not np.array_equal(separate, psi)
+
+
+def test_step_into_refuses_an_out_that_partly_overlaps_src():
+    spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
+    psi = np.zeros((1, spec.walk_dim, 6), dtype=complex)
+    with pytest.raises(ValueError, match="share no memory"):
+        walk.step_into(spec, psi[:, :, :5], psi[:, :, 1:])
+
+
 def test_step_into_rejects_a_walk_axis_of_the_wrong_length():
     spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
     psi = np.zeros((1, spec.walk_dim + 1, 1), dtype=complex)
