@@ -23,7 +23,7 @@ from walkqca.multiparticle import (
     product_state,
     random_physical_state,
 )
-from walkqca.walk1d import walk_eigenstate_1d
+from walkqca.walk import walk_eigenstate
 
 spec = make_lattice(dimension=1, N=2, dx=1.0, dt=1.0, theta=0.3)
 labels = energy_labels(spec)
@@ -38,7 +38,7 @@ swapped = ordered_product_state(spec, [b, a], n_factors)
 print("swap sign flip:", np.allclose(swapped.amplitudes, -ordered.amplitudes))
 
 # Pauli exclusion: a repeated label antisymmetrizes to zero
-psi = walk_eigenstate_1d(spec, a)
+psi = walk_eigenstate(spec, a)
 doubled = product_state([psi, psi, None], spec.walk_dim)
 print("repeated mode annihilates:", antisymmetrize(doubled, 2).norm() < 1e-12)
 

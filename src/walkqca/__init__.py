@@ -18,7 +18,6 @@ from .dirac import (
     dispersion_table,
     effective_generator,
     generator_comparison,
-    time_derivative_superop,
 )
 from .fock import (
     DegenerateModeError,
@@ -45,7 +44,6 @@ from .lattice import (
     mode_ordering_key,
     momentum_grid,
     momentum_mode,
-    negate_mode,
 )
 from .multiparticle import (
     MultiState,

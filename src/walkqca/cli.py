@@ -123,6 +123,8 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
     # blocks) falls back to the default.
     vconf = config["verify"]
     lattice_doc = config["lattice"]
+    reader = "the walk, not verify's check lattices (verify.n_1d, verify.n_2d)"
+    _keep_unread_defaults(lattice_doc, DEFAULT_CONFIG["lattice"], ("dimension", "N"), "lattice.", reader)
     theta = vconf["theta"]
     if theta is None:
         theta = lattice_doc["theta"] or 0.3
@@ -267,6 +269,8 @@ def cmd_evolve(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
+    keys = ("steps", "n_max", "labels", "dump_state")
+    _keep_unread_defaults(config["evolve"], DEFAULT_CONFIG["evolve"], keys, "evolve.", "evolve, not qca-demo")
     steps = _steps(args.steps if args.steps is not None else 6)
     return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]), steps, None)
 

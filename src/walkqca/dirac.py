@@ -20,7 +20,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, eigenphase_from_r, matrix_from_r
+from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, eigenphase_from_r
 from .lattice import HBAR, LatticeSpec, MomentumMode, momentum_grid
 from .walk import pauli_coefficients
 
@@ -31,13 +31,6 @@ EXACT_LEVEL = 1e-13
 
 class BranchCutError(ValueError):
     """The block sits at (or too close to) the eigenphase pi branch cut."""
-
-
-def time_derivative_superop(u: np.ndarray, op: np.ndarray, dt: float) -> np.ndarray:
-    """(U O U^dag - O) / dt for square operators of matching shape."""
-    if u.shape != op.shape or u.shape[0] != u.shape[1]:
-        raise ValueError(f"incompatible shapes {u.shape} and {op.shape}")
-    return (u @ op @ u.conj().T - op) / dt
 
 
 @dataclass(frozen=True)
@@ -121,21 +114,6 @@ def _generator_at(spec: LatticeSpec, k_dx: tuple[float, ...]) -> tuple:
 
 def generator_comparison(spec: LatticeSpec, mode: MomentumMode) -> GeneratorComparison:
     return GeneratorComparison(mode, *_generator_at(spec, _grid_k_dx(spec, mode)))
-
-
-def first_order_step_deviation(
-    spec: LatticeSpec, k_dx: tuple[float, ...], theta: float
-) -> float:
-    """|| M - (I - i*H_dirac*dt/hbar) || at the given dimensionless parameters.
-
-    The one-step block minus its first-order relativistic prediction;
-    shrinks quadratically under joint scaling of (k*dx, theta).
-    """
-    m = matrix_from_r(pauli_coefficients(k_dx, theta))
-    k = tuple(kd / spec.dx for kd in k_dx)
-    h_dirac = dirac_generator(replace(spec, theta=theta), k)
-    predicted = np.eye(2, dtype=complex) - 1j * h_dirac * spec.dt / HBAR
-    return float(np.linalg.norm(m - predicted, ord=2))
 
 
 @dataclass(frozen=True)

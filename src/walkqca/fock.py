@@ -156,12 +156,3 @@ def fock_to_firstquantized(
         raise ValueError(f"{len(labels)} occupied modes exceed n_max = {n_max}")
     return ordered_product_state(spec, labels, n_max)
 
-
-def save_operator_csv(path, op: FockOperator) -> None:
-    """Nonzero entries as `row,col,real,imag` lines under a header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,real,imag\n")
-        rows, cols = np.nonzero(op.matrix)
-        for r, c in zip(rows, cols):
-            val = op.matrix[r, c]
-            fh.write(f"{r},{c},{float(val.real)!r},{float(val.imag)!r}\n")

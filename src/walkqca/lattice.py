@@ -132,11 +132,6 @@ def momentum_grid(spec: LatticeSpec) -> list[MomentumMode]:
     ]
 
 
-def negate_mode(spec: LatticeSpec, mode: MomentumMode) -> MomentumMode:
-    """Canonical representative of -k (grid is closed under negation)."""
-    return momentum_mode(spec, tuple(-e for e in mode.ell))
-
-
 def require_on_grid(spec: LatticeSpec, mode: MomentumMode) -> None:
     if momentum_mode(spec, mode.ell) != mode:
         raise ValueError(f"mode {mode.ell} with k={mode.k} is not on this lattice's grid")

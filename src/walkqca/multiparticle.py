@@ -371,12 +371,3 @@ def save_state(path, state: MultiState) -> None:
             amp = state.amplitudes[idx]
             fh.write(f"{idx} {float(amp.real)!r} {float(amp.imag)!r}\n")
 
-
-def load_state(path) -> MultiState:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        amps = np.zeros((header["walk_dim"] + 1) ** header["n_factors"], dtype=complex)
-        for line in fh:
-            idx, re, im = line.split()
-            amps[int(idx)] = float(re) + 1j * float(im)
-    return MultiState(amps, header["walk_dim"], header["n_factors"])

@@ -312,7 +312,7 @@ def check_dispersion(options: VerifyOptions) -> list[CheckResult]:
         study = dirac.convergence_study(spec, halvings=3, base_k_dx=base_k_dx)
         orders = [getattr(study, key) for key in held]
         dev = 0.0 if study.exact else max(abs(o - 2.0) for o in orders if o is not None)
-        res.append(CheckResult(name, dev, 0.2, dev <= 0.2))
+        res.append(_result(name, dev, 0.2))
     return res
 
 

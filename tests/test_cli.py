@@ -3,6 +3,7 @@ import dataclasses
 import json
 
 import pytest
+from state_dump import load_state
 
 from walkqca import fock, multiparticle, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
@@ -289,8 +290,6 @@ def test_evolve_single_particle_occupancy_conserved(tmp_path):
 
 
 def test_evolve_can_dump_the_final_state(tmp_path):
-    from walkqca.multiparticle import load_state
-
     cfg = write_config(
         tmp_path,
         {
@@ -444,6 +443,23 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
         # every check that reads verify.n_max caps it, so a larger one would change nothing
         ("verify", {"verify": {"n_max": n_max}}, f"verify.n_max must be at most 3, got {n_max}")
         for n_max in (4, 9)
+    ]
+    + [
+        # verify sizes its check lattices with verify.n_1d and verify.n_2d
+        ("verify", {"lattice": lattice}, f"lattice.{key} applies only to the walk, not verify's check lattices")
+        for lattice, key in [({"N": 64}, "N"), ({"dimension": 2}, "dimension"), ({"N": 64, "dimension": 2}, "dimension")]
+    ]
+    + [
+        # qca-demo steps --steps times (6 by default) from the evolve.qca state
+        ("qca-demo", {"evolve": evolve}, f"evolve.{key} applies only to evolve, not qca-demo")
+        for evolve, key in [
+            ({"steps": 10}, "steps"),
+            ({"n_max": 3}, "n_max"),
+            ({"labels": [{"ell": 1, "branch": 1}]}, "labels"),
+            ({"dump_state": True}, "dump_state"),
+            ({"system": "qca", "dump_state": 0}, "dump_state"),
+            ({"n_max": 3, "steps": 10, "labels": [{"ell": 1, "branch": -1}]}, "steps"),
+        ]
     ],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
@@ -460,6 +476,13 @@ def test_evolve_accepts_the_other_systems_settings_at_their_defaults(tmp_path):
     assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 1]) == 0
     doc = {"evolve": {"qca": {"sites": 8, "types": 1}}}
     assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 1]) == 0
+
+
+def test_verify_and_qca_demo_accept_unread_settings_at_their_defaults(tmp_path):
+    doc = {"lattice": {"dimension": 1, "N": 8, "dx": 2.0}}
+    assert run(["verify", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--only", "car"]) == 0
+    doc = {"evolve": {"system": "qca", "steps": 4, "n_max": 2, "labels": [], "dump_state": False}}
+    assert run(["qca-demo", "--config", write_config(tmp_path, doc), "--steps", 1]) == 0
 
 
 def test_verify_rejects_an_automaton_size_before_any_suite_runs(tmp_path, monkeypatch):

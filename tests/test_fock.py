@@ -28,7 +28,6 @@ from walkqca.lattice import (
     mode_ordering_key,
     momentum_grid,
     momentum_mode,
-    negate_mode,
 )
 from walkqca.multiparticle import total_evolution_apply
 from walkqca.verify import intertwining_residual
@@ -127,7 +126,8 @@ def test_evolution_equals_exponential_of_number_generator():
     for mode in (momentum_mode(spec, 1), momentum_mode(spec, -1)):
         phi = momentum_block_1d(spec, mode).phi
         n_plus = number_op(basis, EnergyModeLabel(mode, 1)).matrix
-        n_minus_neg = number_op(basis, EnergyModeLabel(negate_mode(spec, mode), -1)).matrix
+        negated = momentum_mode(spec, tuple(-e for e in mode.ell))
+        n_minus_neg = number_op(basis, EnergyModeLabel(negated, -1)).matrix
         generator += phi * (n_plus - n_minus_neg)
     oracle = scipy.linalg.expm(1j * generator)
     evo = evolution_diagonal(basis, spec).matrix
@@ -339,22 +339,6 @@ def test_mode_cap():
     labels = energy_labels(make_lattice(1, 32, 1.0, 1.0, 0.3))
     with pytest.raises(ValueError):
         fock_basis(labels)  # 64 modes > cap
-
-
-def test_operator_csv_dump(tmp_path):
-    from walkqca.fock import save_operator_csv
-
-    basis = full_fock_basis(SPEC2)
-    op = creation_op(basis, basis.modes[1])
-    path = tmp_path / "op.csv"
-    save_operator_csv(path, op)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,real,imag"
-    rebuilt = np.zeros_like(op.matrix)
-    for line in lines[1:]:
-        row, col, re, im = line.split(",")
-        rebuilt[int(row), int(col)] = float(re) + 1j * float(im)
-    np.testing.assert_array_equal(rebuilt, op.matrix)
 
 
 # Per-bitstring loops: the plain forms of the Fock builders, kept as oracles.

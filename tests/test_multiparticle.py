@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kron_walk import kron_walk
+from state_dump import load_state
 from walkqca import cli, multiparticle, verify, walk
 from walkqca.lattice import EnergyModeLabel, energy_labels, make_lattice, momentum_mode
 from walkqca.multiparticle import (
@@ -18,7 +19,6 @@ from walkqca.multiparticle import (
     antisymmetrize,
     eigenphase_check,
     extended_unitary,
-    load_state,
     ordered_product_state,
     physical_basis_state,
     physical_subspace_projector_residual,
