@@ -253,13 +253,18 @@ def _steps(steps: int) -> int:
     return steps
 
 
+def _evolve_system(econf: dict) -> str:
+    system = econf["system"]
+    if system not in ("multiparticle", "qca"):
+        raise ValueError(f"unknown evolve system {system!r}")
+    return system
+
+
 def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
     steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", "evolve"))
     econf = config["evolve"]
-    system = econf["system"]
-    if system not in ("multiparticle", "qca"):
-        raise ValueError(f"unknown evolve system {system!r}")
+    system = _evolve_system(econf)
     other = {"multiparticle": "qca", "qca": "multiparticle"}[system]
     keys = {"multiparticle": ("n_max", "labels", "dump_state"), "qca": ("qca",)}[other]
     _keep_unread_defaults(econf, DEFAULT_CONFIG["evolve"], keys, "evolve.", f"the {other} system")
@@ -269,6 +274,7 @@ def cmd_evolve(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
+    _evolve_system(config["evolve"])  # qca-demo always runs the automaton, but refuses an unknown system
     keys = ("steps", "n_max", "labels", "dump_state")
     _keep_unread_defaults(config["evolve"], DEFAULT_CONFIG["evolve"], keys, "evolve.", "evolve, not qca-demo")
     steps = _steps(args.steps if args.steps is not None else 6)

@@ -4,11 +4,13 @@ Basis states are occupation bitstrings: bit i of the basis index is the
 occupation of the i-th mode in the basis order.  Creation operators carry
 the parity sign over the occupied modes that precede them; the one-step
 evolution is diagonal, multiplying each bitstring by the accumulated
-branch-signed eigenphases of its occupied modes.
+branch-signed eigenphases of its occupied modes.  Operators are held as
+signed index maps, and a dense matrix is built only on request.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ from .lattice import (
 )
 from .multiparticle import MultiState, ordered_product_state
 
+# At the cap an index map is 2**20 targets and 2**20 weights, 8 bytes
+# each: 16 MiB, where the dense matrix would be 8 TiB.
 MODE_CAP = 20
 
 
@@ -65,14 +69,78 @@ def full_fock_basis(spec: LatticeSpec) -> FockBasis:
     return fock_basis(energy_labels(spec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense operator on the occupation space."""
+    """Sum of signed index maps on the occupation space.
 
-    matrix: np.ndarray
+    Row k of `target` and `weight` is one map: it sends basis state j to
+    weight[k, j] |target[k, j]>, and a zero weight sends j to nothing.
+    Each map is one-to-one on the states it keeps, so a product of two
+    maps is a gather and the adjoint of a map is its inverse.
+    """
+
+    target: np.ndarray  # (maps, dim) integer
+    weight: np.ndarray  # (maps, dim) float64 or complex
+
+    __array_ufunc__ = None  # a numpy scalar times an operator goes to __rmul__
+
+    def __matmul__(self, other: FockOperator) -> FockOperator:
+        # (A B) sends j to A's image of B's image of j, for every pair of maps
+        dim = other.target.shape[1]
+        target = self.target[:, other.target].reshape(-1, dim)
+        weight = (self.weight[:, other.target] * other.weight).reshape(-1, dim)
+        return FockOperator(target, weight)
+
+    def __add__(self, other: FockOperator) -> FockOperator:
+        return FockOperator(np.concatenate([self.target, other.target]), np.concatenate([self.weight, other.weight]))
+
+    def __rmul__(self, scalar) -> FockOperator:
+        return FockOperator(self.target, scalar * self.weight)
+
+    def __sub__(self, other: FockOperator) -> FockOperator:
+        return self + -1.0 * other
+
+    def adjoint(self) -> FockOperator:
+        """Each map inverted, with conjugated weights."""
+        target, weight = np.zeros_like(self.target), np.zeros_like(self.weight)
+        for k, (tgt, wgt) in enumerate(zip(self.target, self.weight)):
+            kept = np.flatnonzero(wgt)
+            target[k, tgt[kept]] = kept
+            weight[k, tgt[kept]] = wgt[kept].conj()
+        return FockOperator(target, weight)
+
+    def max_abs(self) -> float:
+        """Largest |entry|: the maps that send a state to one target add up there."""
+        same = self.target[:, None] == self.target[None]
+        return float(np.max(np.abs((same * self.weight[None]).sum(axis=1))))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix, built on each call; real where every weight is.
+
+        It is written into fresh zeroed private anonymous pages, so only
+        the pages its nonzeros write become resident: a shared mapping is
+        backed by shared memory, where reading a page makes it resident.
+        """
+        dim = self.target.shape[1]
+        buf = mmap.mmap(-1, dim * dim * self.weight.itemsize, flags=mmap.MAP_PRIVATE)
+        mat = np.frombuffer(buf, dtype=self.weight.dtype).reshape(dim, dim)
+        for k, (target, weight) in enumerate(zip(self.target, self.weight)):
+            kept = np.flatnonzero(weight)
+            if k == 0:  # an add would read each page before writing it: two faults, not one
+                mat[target[kept], kept] = weight[kept]
+            else:
+                mat[target[kept], kept] += weight[kept]
+        return mat
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def diagonal_op(values: np.ndarray) -> FockOperator:
+    """The operator that multiplies basis state j by values[j]."""
+    return FockOperator(np.arange(values.size)[None], values[None])
+
+
+def anticommutator(a, b):
+    """{a, b} of two dense matrices or two FockOperators."""
     return a @ b + b @ a
 
 
@@ -82,31 +150,34 @@ def _occupations(basis: FockBasis) -> np.ndarray:
 
 
 def creation_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
-    """Fermionic creation matrix with the parity-string sign convention."""
+    """Fermionic creation map with the parity-string sign convention."""
     pos = basis.index(label)
-    occ = _occupations(basis)
-    empty = np.flatnonzero(occ[:, pos] == 0)
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    mat[empty | (1 << pos), empty] = 1.0 - 2.0 * (occ[empty, :pos].sum(axis=1) & 1)
-    return FockOperator(mat)
+    bits = np.arange(basis.dim)
+    parity = np.zeros_like(bits)  # of the occupied modes before pos
+    for i in range(pos):
+        parity ^= (bits >> i) & 1
+    weight = np.where((bits >> pos) & 1, 0.0, 1.0 - 2.0 * parity)
+    return FockOperator((bits | (1 << pos))[None], weight[None])
 
 
 def annihilation_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
-    return FockOperator(creation_op(basis, label).matrix.conj().T)
+    return creation_op(basis, label).adjoint()
 
 
 def number_op(basis: FockBasis, label: EnergyModeLabel) -> FockOperator:
-    diag = _occupations(basis)[:, basis.index(label)].astype(float)
-    return FockOperator(np.diag(diag).astype(complex))
+    return diagonal_op(_occupations(basis)[:, basis.index(label)].astype(float))
 
 
 def evolution_diagonal(basis: FockBasis, spec: LatticeSpec) -> FockOperator:
-    """One-step evolution: each bitstring gains exp(i * sum of occupied branch-phases)."""
+    """One-step evolution: each bitstring gains exp(i * sum of occupied branch-phases).
+
+    Its one map is the identity, so its weights are the phases.
+    """
     occ = _occupations(basis)
     total = np.zeros(basis.dim)  # summed in mode order, as a per-bitstring sum would
     for i, label in enumerate(basis.modes):
         total += occ[:, i] * (label.branch * walk.momentum_block(spec, label.mode).phi)
-    return FockOperator(np.diag(np.exp(1j * total)))
+    return diagonal_op(np.exp(1j * total))
 
 
 def momentum_mode_coefficients(spec: LatticeSpec, mode: MomentumMode):
@@ -133,12 +204,9 @@ def momentum_mode_ops(
     equivalently the row vector maps by right-multiplication with M.
     """
     alpha_r, beta_r, alpha_l, beta_l = momentum_mode_coefficients(spec, mode)
-    plus = creation_op(basis, EnergyModeLabel(mode, 1)).matrix
-    minus = creation_op(basis, EnergyModeLabel(mode, -1)).matrix
-    return (
-        FockOperator(alpha_r * plus + beta_r * minus),
-        FockOperator(alpha_l * plus + beta_l * minus),
-    )
+    plus = creation_op(basis, EnergyModeLabel(mode, 1))
+    minus = creation_op(basis, EnergyModeLabel(mode, -1))
+    return alpha_r * plus + beta_r * minus, alpha_l * plus + beta_l * minus
 
 
 def fock_to_firstquantized(

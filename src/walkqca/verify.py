@@ -145,20 +145,21 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
 def check_car(options: VerifyOptions) -> list[CheckResult]:
     labels = energy_labels(options.spec1d)[:6]
     basis = fock.fock_basis(labels)
-    eye = np.eye(basis.dim)
-    create = {lab: fock.creation_op(basis, lab).matrix for lab in basis.modes}
-    annih = {lab: mat.conj().T for lab, mat in create.items()}
+    eye = fock.diagonal_op(np.ones(basis.dim))
+    create = {lab: fock.creation_op(basis, lab) for lab in basis.modes}
+    annih = {lab: op.adjoint() for lab, op in create.items()}
     worst = 0.0
     for la, lb in itertools.product(basis.modes, repeat=2):
-        delta = eye if la == lb else 0.0
+        mixed = fock.anticommutator(annih[la], create[lb])
         worst = max(
             worst,
-            float(np.max(np.abs(fock.anticommutator(create[la], create[lb])))),
-            float(np.max(np.abs(fock.anticommutator(annih[la], annih[lb])))),
-            float(np.max(np.abs(fock.anticommutator(annih[la], create[lb]) - delta))),
+            fock.anticommutator(create[la], create[lb]).max_abs(),
+            fock.anticommutator(annih[la], annih[lb]).max_abs(),
+            (mixed - eye if la == lb else mixed).max_abs(),
         )
-    sq = max(float(np.max(np.abs(create[lab] @ create[lab]))) for lab in basis.modes)
-    vac = max(float(np.linalg.norm(annih[lab][:, 0])) for lab in basis.modes)  # a |vacuum>
+    sq = max((op @ op).max_abs() for op in create.values())
+    # a |vacuum>: each map's weight at the vacuum column
+    vac = max(float(np.linalg.norm(op.weight[:, 0])) for op in annih.values())
     return [
         _result("car-anticommutators", worst, options.tol),
         _result("car-creation-squared", sq, options.tol),
@@ -217,14 +218,15 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
     basis = fock.fock_basis(
         EnergyModeLabel(block.mode, branch) for block in blocks for branch in (-1, 1)
     )
-    evo = fock.evolution_diagonal(basis, spec).matrix
+    evo = fock.evolution_diagonal(basis, spec)
     worst = 0.0
     for block in blocks:
-        pair = [op.matrix for op in fock.momentum_mode_ops(basis, spec, block.mode)]
+        pair = fock.momentum_mode_ops(basis, spec, block.mode)
         for i in range(2):
-            conj = evo @ pair[i] @ evo.conj().T
+            # a product with a diagonal map multiplies each weight by a phase
+            conj = evo @ pair[i] @ evo.adjoint()
             combo = block.matrix[0, i] * pair[0] + block.matrix[1, i] * pair[1]
-            worst = max(worst, float(np.max(np.abs(conj - combo))))
+            worst = max(worst, (conj - combo).max_abs())
     return worst
 
 
@@ -242,7 +244,7 @@ def check_momentum_ops(options: VerifyOptions) -> list[CheckResult]:
 def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
     """Fock evolution vs factor-wise evolution through the bitstring map."""
     basis = fock.full_fock_basis(spec)
-    phases = np.diag(fock.evolution_diagonal(basis, spec).matrix)
+    phases = fock.evolution_diagonal(basis, spec).weight[0]
     occupied = (bits for bits in range(basis.dim) if bin(bits).count("1") <= n_max)
     images = ((fock.fock_to_firstquantized(basis, bits, spec, n_max), phases[bits]) for bits in occupied)
     return multiparticle.eigenstate_residual(spec, n_max, images)

@@ -5,7 +5,7 @@ import json
 import pytest
 from state_dump import load_state
 
-from walkqca import fock, multiparticle, qca, verify, walk
+from walkqca import fock, lattice, multiparticle, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
@@ -127,10 +127,11 @@ def test_verify_car_catches_a_wrong_parity_sign(tmp_path, monkeypatch):
     create = fock.creation_op
 
     def corrupted(basis, label):
-        mat = create(basis, label).matrix.copy()
+        op = create(basis, label)
         if basis.index(label) == 1:
-            mat[0b11, 0b01] *= -1
-        return fock.FockOperator(mat)
+            assert op.target[0, 0b01] == 0b11
+            op.weight[0, 0b01] *= -1
+        return op
 
     monkeypatch.setattr(fock, "creation_op", corrupted)
     options = VerifyOptions(make_lattice(1, 4, 1.0, 1.0, 0.3), make_lattice(2, 2, 1.0, 1.0, 0.3))
@@ -138,6 +139,25 @@ def test_verify_car_catches_a_wrong_parity_sign(tmp_path, monkeypatch):
     assert [row.check for row in rows if not row.passed] == ["car-anticommutators"]
     assert rows[0].max_residual > 1.0
     assert run(["verify", "--out", tmp_path, "--only", "car"]) == 1
+
+
+def test_verify_momentum_ops_catches_a_phase_off_by_1e_9(monkeypatch):
+    # negative control: the first checked 1D mode's eigenphase is off by
+    # 1e-9, so the Fock evolution no longer conjugates its pair by the block
+    spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
+    options = VerifyOptions(spec, make_lattice(2, 4, 1.0, 1.0, 0.3))
+    assert all(row.passed for row in verify.check_momentum_ops(options))
+    block_of = walk.momentum_block
+    mode = next(m for m in lattice.momentum_grid(spec) if not block_of(spec, m).degenerate)
+
+    def corrupted(spec, m):
+        block = block_of(spec, m)
+        return dataclasses.replace(block, phi=block.phi + 1e-9) if m == mode else block
+
+    monkeypatch.setattr(walk, "momentum_block", corrupted)
+    rows = verify.check_momentum_ops(options)
+    assert [row.check for row in rows if not row.passed] == ["momentum-ops-conjugation-1d"]
+    assert rows[0].max_residual > 1e-10
 
 
 @pytest.mark.parametrize("suite,rows", [("eigenphase", 2), ("intertwine", 1)])
@@ -348,8 +368,12 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
     assert not (tmp_path / "occupations.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "command,doc,words",
+# Every case is (command, config document, words of its one-line error).
+# The cases of MALFORMED_NUMBERED keep the ids they were first collected
+# under, which number each document by its place in the list; add new
+# cases to MALFORMED_CASES, whose ids are the command and the expected
+# words, so that a case inserted there renames no other.
+MALFORMED_NUMBERED = (
     [
         ("spectrum", {"lattice": 5}, "config section lattice must be a JSON object"),
         ("verify", {"verify": []}, "config section verify must be a JSON object"),
@@ -460,7 +484,22 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
             ({"system": "qca", "dump_state": 0}, "dump_state"),
             ({"n_max": 3, "steps": 10, "labels": [{"ell": 1, "branch": -1}]}, "steps"),
         ]
-    ],
+    ]
+)
+
+
+MALFORMED_CASES = [
+    # qca-demo always runs the automaton, but refuses an unknown system as evolve does
+    ("qca-demo", {"evolve": {"system": "bogus"}}, "unknown evolve system 'bogus'"),
+    ("evolve", {"evolve": {"system": "bogus"}}, "unknown evolve system 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,doc,words",
+    MALFORMED_NUMBERED + MALFORMED_CASES,
+    ids=[f"{command}-doc{i}-{words}" for i, (command, _, words) in enumerate(MALFORMED_NUMBERED)]
+    + [f"{command}-{words}" for command, _, words in MALFORMED_CASES],
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
     cfg = write_config(tmp_path, doc)

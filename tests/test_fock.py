@@ -357,6 +357,28 @@ def _creation_oracle(basis, label):
     return mat
 
 
+def _annihilation_oracle(basis, label):
+    pos = basis.index(label)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for bits in range(basis.dim):
+        if (bits >> pos) & 1:
+            mat[bits ^ (1 << pos), bits] = -1.0 if _parity_below(bits, pos) else 1.0
+    return mat
+
+
+def _momentum_pair_oracle(basis, spec, mode):
+    alpha_r, beta_r, alpha_l, beta_l = momentum_mode_coefficients(spec, mode)
+    plus, minus = (basis.index(EnergyModeLabel(mode, branch)) for branch in (1, -1))
+    pair = np.zeros((2, basis.dim, basis.dim), dtype=complex)
+    for bits in range(basis.dim):
+        for pos, coefficients in ((plus, (alpha_r, alpha_l)), (minus, (beta_r, beta_l))):
+            if not (bits >> pos) & 1:
+                sign = -1.0 if _parity_below(bits, pos) else 1.0
+                for mat, coefficient in zip(pair, coefficients):
+                    mat[bits | (1 << pos), bits] += coefficient * sign
+    return pair
+
+
 def _number_oracle(basis, label):
     pos = basis.index(label)
     diag = np.array([(bits >> pos) & 1 for bits in range(basis.dim)], dtype=float)
@@ -372,14 +394,35 @@ def _evolution_oracle(basis, spec):
     return np.diag(diag)
 
 
+def _fresh_matrix(op):
+    """op.matrix, checking that each call builds a new writable array."""
+    first, second = op.matrix, op.matrix
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    return first
+
+
+# 1D N=6 has 12 labels; its first 10 are 5 whole modes, an M=10 basis.
 @pytest.mark.parametrize("key", [mode_ordering_key, REVERSED_KEY], ids=["canonical", "reversed"])
-@pytest.mark.parametrize("spec", [SPEC2, SPEC, SPEC2D], ids=["1d-N2", "1d-N4", "2d-N2"])
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC2, SPEC, SPEC2D, make_lattice(1, 6, 1.0, 1.0, 0.3)],
+    ids=["1d-N2", "1d-N4", "2d-N2", "1d-N6-M10"],
+)
 def test_fock_builders_equal_the_per_bitstring_loops(spec, key):
-    basis = sorted_basis(energy_labels(spec), key)
+    basis = sorted_basis(energy_labels(spec)[:10], key)
     for label in basis.modes:
-        assert np.array_equal(creation_op(basis, label).matrix, _creation_oracle(basis, label))
-        assert np.array_equal(number_op(basis, label).matrix, _number_oracle(basis, label))
-    assert np.array_equal(evolution_diagonal(basis, spec).matrix, _evolution_oracle(basis, spec))
+        for build, oracle in (
+            (creation_op, _creation_oracle),
+            (annihilation_op, _annihilation_oracle),
+            (number_op, _number_oracle),
+        ):
+            mat = _fresh_matrix(build(basis, label))
+            assert mat.dtype == np.float64 and np.array_equal(mat, oracle(basis, label))
+    assert np.array_equal(_fresh_matrix(evolution_diagonal(basis, spec)), _evolution_oracle(basis, spec))
+    for mode in sorted({label.mode for label in basis.modes}, key=lambda mode: mode.ell):
+        pair = [_fresh_matrix(op) for op in momentum_mode_ops(basis, spec, mode)]
+        assert np.array_equal(pair, _momentum_pair_oracle(basis, spec, mode))
 
 
 # The per-bitstring loop that intertwining_residual replaced, kept as its oracle.
