@@ -118,19 +118,19 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_verify(config: dict, out_dir: Path, args) -> int:
-    # Verification runs on fixed desk-scale lattices; only the coin angle
-    # and spacings are taken over, and a zero angle (fully degenerate
-    # blocks) falls back to the default.
+    # Verification runs on fixed desk-scale lattices, but checks the whole
+    # lattice section; only the coin angle and spacings are taken over, and
+    # a zero angle (fully degenerate blocks) falls back to the default.
     vconf = config["verify"]
-    lattice_doc = config["lattice"]
     reader = "the walk, not verify's check lattices (verify.n_1d, verify.n_2d)"
-    _keep_unread_defaults(lattice_doc, DEFAULT_CONFIG["lattice"], ("dimension", "N"), "lattice.", reader)
+    _keep_unread_defaults(config["lattice"], DEFAULT_CONFIG["lattice"], ("dimension", "N"), "lattice.", reader)
+    lattice = LatticeSpec.from_dict(config["lattice"])
     theta = vconf["theta"]
     if theta is None:
-        theta = lattice_doc["theta"] or 0.3
+        theta = lattice.theta or 0.3
     count = lambda key: _count(vconf, key, "verify")
     # Everything but N is checked here, so a refused size below is the key's own.
-    base = LatticeSpec(1, 2, lattice_doc["dx"], lattice_doc["dt"], theta)
+    base = replace(lattice, theta=theta)
     specs = []
     for dimension, key in ((1, "n_1d"), (2, "n_2d")):
         n = count(key)

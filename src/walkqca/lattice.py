@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import isfinite, pi
 from numbers import Integral, Real
 
@@ -72,9 +72,6 @@ class LatticeSpec:
     def walk_dim(self) -> int:
         """Dimension of the one-particle walk space (sites times 2 coin states)."""
         return 2 * self.n_sites
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LatticeSpec":

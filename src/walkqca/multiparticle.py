@@ -31,26 +31,13 @@ SUPPORT_TOL = 1e-12
 RUN_STATES = 1024
 
 
-@dataclass(frozen=True)
-class PhysicalBasisLabel:
-    """A strictly increasing (canonical order) tuple of energy labels.
-
-    Construction validates the order, so holding one is proof of a
-    well-formed energy-basis index.
-    """
-
-    modes: tuple[EnergyModeLabel, ...]
-
-    def __post_init__(self):
-        keys = [mode_ordering_key(m) for m in self.modes]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("labels must be strictly increasing in the canonical order")
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
+def _canonical(labels) -> tuple[EnergyModeLabel, ...]:
+    """The labels as a tuple, refused unless strictly increasing in the canonical order."""
+    labels = tuple(labels)
+    keys = [mode_ordering_key(m) for m in labels]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError("labels must be strictly increasing in the canonical order")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -111,15 +98,6 @@ def product_state(factors, walk_dim: int) -> MultiState:
             ext[:walk_dim] = vec
         acc = np.kron(acc, ext)
     return MultiState(acc, walk_dim, len(factors))
-
-
-def extended_unitary(u: np.ndarray) -> np.ndarray:
-    """Walk unitary extended to act as the identity on the factor vacuum."""
-    d = u.shape[0]
-    ext = np.zeros((d + 1, d + 1), dtype=complex)
-    ext[:d, :d] = u
-    ext[d, d] = 1.0
-    return ext
 
 
 def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> MultiState:
@@ -244,10 +222,8 @@ def _antisymmetrized_product(spec: LatticeSpec, vectors, n_max: int) -> MultiSta
 
 
 def physical_basis_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
-    """Energy-basis state for a strictly increasing label list (canonical order)."""
-    if not isinstance(labels, PhysicalBasisLabel):
-        labels = PhysicalBasisLabel(tuple(labels))
-    return ordered_product_state(spec, labels.modes, n_max)
+    """Energy-basis state for any iterable of labels in strictly increasing (canonical) order."""
+    return ordered_product_state(spec, _canonical(labels), n_max)
 
 
 def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
@@ -282,7 +258,7 @@ def eigenphase_check(spec: LatticeSpec, label_sets, n_max: int) -> float:
     phase = cache(lambda label: label.branch * walk.momentum_block(spec, label.mode).phi)
 
     def pair(labels):
-        modes = PhysicalBasisLabel(tuple(labels)).modes
+        modes = _canonical(labels)
         state = _antisymmetrized_product(spec, list(map(eigenstate, modes)), n_max)
         return state, np.exp(1j * sum(map(phase, modes)))
 

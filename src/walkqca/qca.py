@@ -16,7 +16,6 @@ import numpy as np
 
 from . import walk
 from .lattice import is_integer
-from .multiparticle import extended_unitary
 
 QUBIT_CAP = 22
 DENSE_OPERATOR_CAP = 2048
@@ -207,22 +206,23 @@ def one_particle_sector_isomorphism(
     """2-norm of one qca step minus the factor-wise walk step, on a seeded sector state.
 
     Seeded unit-modulus amplitudes on every <=1-particle-per-type basis
-    state go through one :func:`qca_step` and are matched with the
-    vacuum-extended walk applied along each type's axis.  The norm runs
-    over all 2**q amplitudes, so weight leaving the sector counts, and a
-    fault confined to one basis vector reads that column's full norm.
+    state go through one :func:`qca_step` and are matched with the walk
+    applied to each type's occupied rows, not the vacuum row.  The norm
+    runs over all 2**q amplitudes, so weight leaving the sector counts,
+    and a fault confined to one basis vector reads that column's full norm.
     """
     lattice = CellLattice(n_sites=n_sites, n_types=n_types)
     if coin is None:
         coin = build_local_coin(theta)
-    ext = extended_unitary(walk.walk_matrix(n_sites, 1, theta))
-    amps = walk.unit_phases((len(ext),) * n_types)
-    emb = embedding_indices(lattice, len(ext) - 1)
+    u = walk.walk_matrix(n_sites, 1, theta)
+    amps = walk.unit_phases((len(u) + 1,) * n_types)
+    emb = embedding_indices(lattice, len(u))
     state = np.zeros(lattice.dim, dtype=complex)
     state[emb] = amps.ravel()
     stepped = qca_step(lattice, coin, state)
     for axis in range(n_types):
-        amps = np.moveaxis(np.tensordot(ext, amps, axes=(1, axis)), 0, axis)
+        occupied = np.moveaxis(amps, axis, 0)[: len(u)]  # the vacuum row stays as it is
+        occupied[...] = np.tensordot(u, occupied, axes=1)
     stepped[emb] -= amps.ravel()  # the expected state is zero off the sector
     return float(np.linalg.norm(stepped))
 

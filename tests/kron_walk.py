@@ -3,7 +3,9 @@
 It shares no code with :mod:`walkqca.walk`'s step kernel, only the coin
 frame constants, so tests use it as the independent oracle for the
 kernel and for the dense matrix :func:`walkqca.walk.walk_matrix` steps
-out of it.
+out of it.  :func:`extended_unitary` pads a walk matrix with the factor
+vacuum, the one-factor step of the multiparticle space and the automaton
+sector.
 """
 
 from functools import reduce
@@ -35,3 +37,12 @@ def kron_walk(n, dimension, theta):
     for leg in reversed(legs):
         u = u @ leg
     return u
+
+
+def extended_unitary(u):
+    """Walk unitary extended to act as the identity on the factor vacuum, indexed last."""
+    d = u.shape[0]
+    ext = np.zeros((d + 1, d + 1), dtype=complex)
+    ext[:d, :d] = u
+    ext[d, d] = 1.0
+    return ext

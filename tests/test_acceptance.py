@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line
 per criterion.
 """
 
+import inspect
 import itertools
 from math import acos, cos, pi, sqrt
 
 import numpy as np
 import pytest
 
+import walkqca
 from walkqca import dirac, fock, multiparticle, qca
 from walkqca.cli import main as cli_main
 from walkqca.lattice import (
@@ -259,3 +261,17 @@ def test_criterion_11_negative_control(tmp_path):
         f"faulty coin exit {code_bad}, clean run exit {code_good}"
     )
     assert ok
+
+
+def test_package_exports_only_the_demo_facing_names():
+    # everything else is imported from its own module
+    exported = {name for name, value in vars(walkqca).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {
+        "convergence_study", "dispersion_table", "generator_comparison",
+        "annihilation_op", "anticommutator", "creation_op", "evolution_diagonal", "fock_basis", "momentum_mode_ops",
+        "energy_labels", "make_lattice", "momentum_grid", "momentum_mode",
+        "physical_basis_state", "physical_subspace_projector_residual", "total_evolution_apply",
+        "CellLattice", "build_local_coin", "one_particle_sector_isomorphism", "qca_step",
+        "verify_block_consistency", "build_walk_unitary_1d", "momentum_block_1d",
+        "build_walk_unitary_2d", "momentum_block_2d", "verify_block_consistency_2d",
+    }

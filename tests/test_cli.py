@@ -103,6 +103,10 @@ def test_dispersion_2d_has_both_momentum_columns(tmp_path):
     rows = read_csv(tmp_path / "dispersion.csv")
     assert len(rows) == 16
     assert {"k_x", "k_y"} <= set(rows[0])
+    # first order in the dispersion error is the expected result on the generic 2D ray
+    doc = json.loads((tmp_path / "convergence.json").read_text())
+    assert doc["dispersion_order"] == pytest.approx(1.0, abs=0.1)
+    assert doc["within_expected_order"] is True
 
 
 def test_dispersion_massless_reports_exact(tmp_path):
@@ -492,6 +496,11 @@ MALFORMED_CASES = [
     # qca-demo always runs the automaton, but refuses an unknown system as evolve does
     ("qca-demo", {"evolve": {"system": "bogus"}}, "unknown evolve system 'bogus'"),
     ("evolve", {"evolve": {"system": "bogus"}}, "unknown evolve system 'bogus'"),
+    # verify checks the lattice section as spectrum does: no falsy angle becomes the default,
+    # and a set verify.theta does not hide a broken lattice.theta
+    ("verify", {"lattice": {"theta": False}}, "theta must be a finite real number, got False"),
+    ("verify", {"lattice": {"theta": None}}, "theta must be a finite real number, got None"),
+    ("verify", {"lattice": {"theta": "abc"}, "verify": {"theta": 0.3}}, "theta must be a finite real number, got 'abc'"),
 ]
 
 
@@ -637,6 +646,7 @@ def test_golden_spectrum_row(tmp_path):
         (["verify", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
         (["dispersion", "--halvings", "0"], "need at least 2 halvings for a fit, got 0"),
         (["qca-demo", "--steps", "-1"], "steps must be non-negative, got -1"),
+        (["verify", "--seed", "-1"], "seed must be non-negative, got -1"),
     ],
 )
 def test_malformed_flag_values_rejected_with_exit_2(tmp_path, capsys, argv, words):

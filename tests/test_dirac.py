@@ -12,6 +12,7 @@ from walkqca.dirac import (
     dispersion_table,
     effective_generator,
     generator_comparison,
+    held_orders,
 )
 from walkqca.fock import evolution_diagonal, fock_basis, momentum_mode_ops
 from walkqca.lattice import EnergyModeLabel, make_lattice, momentum_grid, momentum_mode
@@ -158,6 +159,29 @@ def test_convergence_study_2d_axis_and_generic():
     assert generic.dispersion_order == pytest.approx(1.0, abs=0.2)
     leading = 0.1 * 0.07 * 0.05 / (0.1**2 + 0.07**2 + 0.05**2)
     assert generic.rows[0].dispersion_rel_err == pytest.approx(leading, rel=0.1)
+
+
+BOTH = ("dispersion_order", "generator_order")
+
+
+@pytest.mark.parametrize(
+    "theta,base_k_dx,held,dispersion_order",
+    [
+        (0.05, (0.1, 0.0), BOTH, 2.0),
+        (0.3, (0.0, 0.1), BOTH, 2.0),
+        (0.0, (0.1, 0.07), BOTH, 2.0),
+        (0.05, (0.1, 0.07), ("generator_order",), 0.98),
+        (0.3, (0.1, 0.07), ("generator_order",), 0.95),
+    ],
+)
+def test_convergence_study_2d_holds_the_dispersion_order_where_kx_ky_theta_vanishes(
+    theta, base_k_dx, held, dispersion_order
+):
+    study = convergence_study(make_lattice(2, 8, 1.0, 1.0, theta), 3, base_k_dx=base_k_dx)
+    assert held_orders(base_k_dx, theta) == held
+    assert study.dispersion_order == pytest.approx(dispersion_order, abs=0.01)
+    assert study.generator_order == pytest.approx(2.0, abs=0.01)
+    assert study.within_expected_order and not study.exact
 
 
 @pytest.mark.parametrize(

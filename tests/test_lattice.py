@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import pi
 
@@ -148,7 +149,7 @@ def test_lattice_spec_takes_numpy_numbers():
 def test_spec_json_round_trip(tmp_path):
     spec = make_lattice(2, 6, 0.25, 0.5, 0.15)
     path = tmp_path / "lattice.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     loaded = LatticeSpec.from_dict(json.loads(path.read_text()))
     assert loaded == spec
     with pytest.raises(ValueError):

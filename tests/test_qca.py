@@ -4,8 +4,8 @@ from math import cos, sin
 import numpy as np
 import pytest
 
+from kron_walk import extended_unitary
 from walkqca import qca
-from walkqca.multiparticle import extended_unitary
 from walkqca.qca import (
     CellLattice,
     apply_coin,
