@@ -27,7 +27,7 @@ from .walk import pauli_coefficients
 
 BRANCH_CUT_TOL = 1e-8
 ORDER_WINDOW = (1.8, 2.2)
-EXACT_LEVEL = 1e-13
+EXACT_LEVEL = 1e-13  # on dimensionless errors: the generator deviation is fit times dt
 
 
 class BranchCutError(ValueError):
@@ -184,7 +184,7 @@ def convergence_study(
         rows.append(ConvergenceRow(scale, k_dx, scaled.theta, rel_err, deviation))
     scales = [row.scale for row in rows]
     disp_order = _fit_order(scales, [row.dispersion_rel_err for row in rows])
-    gen_order = _fit_order(scales, [row.generator_deviation for row in rows])
+    gen_order = _fit_order(scales, [row.generator_deviation * spec.dt for row in rows])
     exact = disp_order is None and gen_order is None
     orders = {"dispersion_order": disp_order, "generator_order": gen_order}
     held = [orders[key] for key in held_orders(base_k_dx, spec.theta) if orders[key] is not None]

@@ -312,6 +312,8 @@ def check_dispersion(options: VerifyOptions) -> list[CheckResult]:
         study = dirac.convergence_study(spec, halvings=3, base_k_dx=base_k_dx)
         first = study.rows[0]
         orders = [getattr(study, key) for key in dirac.held_orders(first.k_dx, first.theta)]
+        if not study.exact and all(o is None for o in orders):
+            raise ValueError(f"{name}: the convergence study fits none of the orders it holds")
         dev = 0.0 if study.exact else max(abs(o - 2.0) for o in orders if o is not None)
         res.append(_result(name, dev, 0.2))
     return res

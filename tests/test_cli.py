@@ -5,7 +5,7 @@ import json
 import pytest
 from state_dump import load_state
 
-from walkqca import fock, lattice, multiparticle, qca, verify, walk
+from walkqca import dirac, fock, lattice, multiparticle, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
@@ -123,6 +123,35 @@ def test_verify_default_passes(tmp_path):
     report = json.loads((tmp_path / "verification.json").read_text())
     assert all(entry["pass"] for entry in report)
     assert {"check", "max_residual", "tolerance", "pass"} == set(report[0])
+
+
+def _dispersion_rows(tmp_path, lattice_doc):
+    cfg = write_config(tmp_path, {"lattice": lattice_doc})
+    assert run(["verify", "--config", cfg, "--only", "dispersion", "--out", tmp_path]) == 0
+    return json.loads((tmp_path / "verification.json").read_text())
+
+
+@pytest.mark.parametrize("dt", [1e12, 1e-9, 2.5])
+def test_verify_dispersion_fits_its_orders_at_any_dt(tmp_path, dt):
+    # the generator deviation is in units of 1/dt; fit dimensionless, it
+    # gives the orders of dt 1, where a large dt used to fit none of them
+    rows = _dispersion_rows(tmp_path, {"dt": dt})
+    reference = _dispersion_rows(tmp_path, {"dt": 1.0})
+    assert [r["check"] for r in rows] == [r["check"] for r in reference]
+    assert len(rows) == 3 and all(r["pass"] for r in rows)
+    for row, ref in zip(rows, reference):
+        assert row["max_residual"] == pytest.approx(ref["max_residual"], rel=1e-3)
+
+
+def test_verify_dispersion_refuses_a_study_that_fits_no_held_order(tmp_path, capsys, monkeypatch):
+    # keep only the first-order fits: the generic 2D ray's dispersion error
+    # fits, and the generator order it holds does not, so it is not exact
+    fit = dirac._fit_order
+    monkeypatch.setattr(dirac, "_fit_order", lambda s, e: None if fit(s, e) > 1.5 else fit(s, e))
+    assert run(["verify", "--only", "dispersion", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.splitlines() == [err]
+    assert "generator-order-2d: the convergence study fits none of the orders it holds" in err
 
 
 def test_verify_car_catches_a_wrong_parity_sign(tmp_path, monkeypatch):

@@ -199,6 +199,17 @@ def test_convergence_study_first_row_is_the_grid_evaluation(spec, ell):
     assert study.rows[0].generator_deviation == generator_comparison(spec, mode).deviation
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_convergence_study_fits_the_generator_order_at_any_dt(dimension):
+    # EXACT_LEVEL is absolute, so the deviation (units of 1/dt) is fit times dt
+    unit = convergence_study(make_lattice(dimension, 8, 1.0, 1.0, 0.05), 3)
+    for dt in (1e12, 1e-9, 2.5):
+        study = convergence_study(make_lattice(dimension, 8, 1.0, dt, 0.05), 3)
+        assert study.generator_order == pytest.approx(unit.generator_order, abs=1e-6)
+        assert study.dispersion_order == pytest.approx(unit.dispersion_order, abs=1e-6)
+        assert study.within_expected_order and not study.exact
+
+
 def test_convergence_study_massless_is_exact():
     spec = make_lattice(1, 8, 1.0, 1.0, 0.0)
     study = convergence_study(spec, 3)

@@ -320,6 +320,33 @@ def test_coin_matches_the_per_cell_oracle(n_sites, n_types, gate_name):
     np.testing.assert_allclose(got, _coin_oracle(lattice, gate, state), atol=TOL)
 
 
+def _sweep_oracle(lattice, coin, state):
+    """The earlier coin kernel: batched matmuls over the (4,)*cells view, from the back."""
+    cells = lattice.n_sites * lattice.n_types
+    g = coin.astype(complex)
+    pair = np.kron(g, g)
+    out = (pair @ state.reshape(-1, 16).T).T
+    for end in range(cells - 2, 0, -2):
+        a = max(end - 2, 0)  # an odd first cell goes alone
+        gate = pair if end - a == 2 else g
+        out = np.matmul(gate, out.reshape(-1, 4 ** (end - a), 4 ** (cells - end)))
+    return out.reshape(state.shape)
+
+
+@pytest.mark.parametrize("gate_name", list(KERNEL_GATES))
+@pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES + [(3, 3), (7, 1), (9, 1)])
+def test_coin_is_bit_identical_to_the_sweep_oracle(n_sites, n_types, gate_name):
+    # odd cell counts (3, 5, 7, 9) end on a one-cell pass; stacks end with their axis at the bottom
+    lattice = CellLattice(n_sites=n_sites, n_types=n_types)
+    gate = KERNEL_GATES[gate_name]
+    rng = np.random.default_rng(n_sites * 10 + n_types)
+    for shape in [(lattice.dim,), (1, lattice.dim), (3, lattice.dim)]:
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = apply_coin(lattice, gate, state)
+        assert got.shape == shape
+        assert np.array_equal(got, _sweep_oracle(lattice, gate, state))
+
+
 @pytest.mark.parametrize("n_sites,n_types", KERNEL_LATTICES)
 def test_coin_oracle_comparison_catches_swapped_r_and_l(n_sites, n_types):
     # negative control: a sweep that read a cell as (empty, L, R, LR)
