@@ -82,27 +82,47 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
+def _write_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """A CSV of equal-length column arrays; .tolist() gives each field the str() of a Python scalar."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(column.tolist() for column in columns.values())))
+
+
+# The most momentum modes spectrum and dispersion compute: at 2D N=512
+# each takes about 2-2.5 s and the process peaks near 145 MB on a 2-vCPU
+# Xeon (BENCH_22.json, the change's rows at N=512).  Both grow with the
+# mode count, so a larger grid is refused rather than left to run out of memory.
+GRID_CAP = 512**2
+
+
+def _grid_lattice(config: dict) -> LatticeSpec:
+    """The lattice of spectrum and dispersion, refused before any work if its grid is over GRID_CAP."""
     spec = LatticeSpec.from_dict(config["lattice"])
-    rows = walk.spectrum_rows(spec)
+    if spec.n_sites > GRID_CAP:
+        raise ValueError(
+            f"lattice.N {spec.N} gives {spec.n_sites} momentum modes in {spec.dimension}D, over the cap of {GRID_CAP}"
+        )
+    return spec
+
+
+def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
+    spec = _grid_lattice(config)
     path = out_dir / "spectrum.csv"
-    _write_csv(path, list(rows[0]), rows)
-    print(f"wrote {len(rows)} modes to {path}")
+    _write_columns(path, walk.block_table(spec))
+    print(f"wrote {spec.n_sites} modes to {path}")
     return 0
 
 
 def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
-    spec = LatticeSpec.from_dict(config["lattice"])
+    spec = _grid_lattice(config)
     halvings = args.halvings
     if halvings is None:
         halvings = _count(config["dispersion"], "halvings", "dispersion")
     # The study checks the halvings, so a bad count writes no file.
     study = dirac.convergence_study(spec, halvings=halvings)
-    records = dirac.dispersion_table(spec)
-    rows = [walk.mode_columns(rec.mode) for rec in records]
-    for row, rec in zip(rows, records):
-        row.update(phi_over_dt=rec.phi_over_dt, e_rel=rec.e_rel, abs_err=rec.abs_err, rel_err=rec.rel_err)
-    _write_csv(out_dir / "dispersion.csv", list(rows[0]), rows)
+    _write_columns(out_dir / "dispersion.csv", dirac.dispersion_columns(spec))
 
     doc = study.to_dict()
     doc["dimension"] = spec.dimension
@@ -110,7 +130,7 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     with open(out_dir / "convergence.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
     print(
-        f"dispersion: {len(rows)} modes; fitted orders "
+        f"dispersion: {spec.n_sites} modes; fitted orders "
         f"dispersion={study.dispersion_order} generator={study.generator_order} "
         f"exact={study.exact}"
     )

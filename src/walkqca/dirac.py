@@ -21,8 +21,9 @@ from math import pi, sqrt
 
 import numpy as np
 
+from . import walk
 from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, eigenphase_from_r
-from .lattice import HBAR, LatticeSpec, MomentumMode, momentum_grid
+from .lattice import HBAR, LatticeSpec, MomentumMode
 from .walk import pauli_coefficients
 
 BRANCH_CUT_TOL = 1e-8
@@ -43,33 +44,38 @@ class DispersionRecord:
     rel_err: float
 
 
-def relativistic_energy(spec: LatticeSpec, k: tuple[float, ...]) -> float:
-    p2 = sum((HBAR * kc) ** 2 for kc in k)
-    return sqrt(p2 * spec.c**2 + spec.mc2**2)
+def _momentum_squares(spec: LatticeSpec, k_dx) -> list[float]:
+    """(hbar*k)**2 at each dimensionless momentum k*dx, one scalar pow per value."""
+    return [(HBAR * (kd / spec.dx)) ** 2 for kd in k_dx]
 
 
-def _dispersion_at(spec: LatticeSpec, k_dx: tuple[float, ...]) -> tuple[float, ...]:
-    """phi/dt, E_rel, abs_err and rel_err at dimensionless momenta k_dx."""
-    phi_over_dt = HBAR * eigenphase_from_r(pauli_coefficients(k_dx, spec.theta)) / spec.dt
-    e_rel = relativistic_energy(spec, tuple(kd / spec.dx for kd in k_dx))
-    abs_err = abs(phi_over_dt - e_rel)
-    if e_rel < 1e-300:
-        rel_err = 0.0 if abs_err < 1e-300 else float("inf")
-    else:
-        rel_err = abs_err / e_rel
+def _dispersion(spec: LatticeSpec, phi, p2) -> tuple[np.ndarray, ...]:
+    """phi/dt, E_rel, abs_err and rel_err, elementwise over eigenphases phi and squared momenta p2."""
+    phi_over_dt = HBAR * phi / spec.dt
+    e_rel = np.sqrt(p2 * spec.c**2 + spec.mc2**2)
+    abs_err = np.abs(phi_over_dt - e_rel)
+    rel_err = np.where(abs_err < 1e-300, 0.0, np.inf)  # kept where E_rel < 1e-300
+    np.divide(abs_err, e_rel, out=rel_err, where=~(e_rel < 1e-300))
     return phi_over_dt, e_rel, abs_err, rel_err
 
 
-def _grid_k_dx(spec: LatticeSpec, mode: MomentumMode) -> tuple[float, ...]:
-    return tuple(kc * spec.dx for kc in mode.k)
-
-
-def dispersion_record(spec: LatticeSpec, mode: MomentumMode) -> DispersionRecord:
-    return DispersionRecord(mode, *_dispersion_at(spec, _grid_k_dx(spec, mode)))
+def dispersion_columns(spec: LatticeSpec) -> dict[str, np.ndarray]:
+    """The dispersion CSV's columns: :func:`walk.block_table`'s momentum columns, then phi/dt and the errors."""
+    table = walk.block_table(spec)
+    ell, k = walk.axis_momenta(spec)
+    squares = np.array(_momentum_squares(spec, (k * spec.dx).tolist()))
+    names = walk.MODE_COLUMNS[spec.dimension]
+    p2 = sum(squares[table[name] - ell[0]] for name in names[: spec.dimension])
+    values = _dispersion(spec, table["phi"], p2)
+    errors = dict(zip(("phi_over_dt", "e_rel", "abs_err", "rel_err"), values))
+    return {**{name: table[name] for name in names}, **errors}
 
 
 def dispersion_table(spec: LatticeSpec) -> list[DispersionRecord]:
-    return [dispersion_record(spec, m) for m in momentum_grid(spec)]
+    """One record per grid mode: :func:`dispersion_columns` by rows."""
+    d = spec.dimension
+    rows = zip(*(column.tolist() for column in dispersion_columns(spec).values()))
+    return [DispersionRecord(MomentumMode(row[:d], row[d : 2 * d]), *row[2 * d :]) for row in rows]
 
 
 def effective_generator(r, dt: float) -> np.ndarray:
@@ -114,7 +120,7 @@ def _generator_at(spec: LatticeSpec, k_dx: tuple[float, ...]) -> tuple:
 
 
 def generator_comparison(spec: LatticeSpec, mode: MomentumMode) -> GeneratorComparison:
-    return GeneratorComparison(mode, *_generator_at(spec, _grid_k_dx(spec, mode)))
+    return GeneratorComparison(mode, *_generator_at(spec, tuple(kc * spec.dx for kc in mode.k)))
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,8 @@ def convergence_study(
         scale = 0.5**level
         k_dx = tuple(scale * kd for kd in base_k_dx)
         scaled = replace(spec, theta=scale * spec.theta)
-        rel_err = _dispersion_at(scaled, k_dx)[3]
+        phi = eigenphase_from_r(pauli_coefficients(k_dx, scaled.theta))
+        rel_err = float(_dispersion(scaled, phi, sum(_momentum_squares(scaled, k_dx)))[3])
         deviation = _generator_at(scaled, k_dx)[2]
         rows.append(ConvergenceRow(scale, k_dx, scaled.theta, rel_err, deviation))
     scales = [row.scale for row in rows]

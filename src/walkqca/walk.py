@@ -13,16 +13,15 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from functools import reduce
-from math import cos, sin, sqrt
+from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .blocks import IDENTITY_2, SIGMA_X, BlockDecomposition, decompose
+from .blocks import DEGENERACY_TOL, IDENTITY_2, SIGMA_X, BlockDecomposition, decompose
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
     MomentumMode,
-    momentum_grid,
     require_on_grid,
 )
 
@@ -195,14 +194,19 @@ def verify_block_consistency(spec: LatticeSpec) -> float:
     Two :func:`unit_phases` columns go through one :func:`step_into` and
     are matched with their FFT, times each mode's block, transformed back.
     <k| is exp(+i*k.x)/sqrt(n_sites): mode ell is index ell mod N of ifftn.
+    The blocks come from :func:`block_table`'s r columns in closed form,
+    M = [[r0 + i r3, r2 + i r1], [-r2 + i r1, r0 - i r3]].
     """
     grid, axes = (spec.N,) * spec.dimension, tuple(range(spec.dimension))
     pair = unit_phases((spec.walk_dim, 2))
     stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
     step_into(spec, pair[None], stepped)
+    table = block_table(spec)
+    r0, r1, r2, r3 = (table[f"r{i}"] for i in range(4))
     blocks = np.empty((*grid, 2, 2), dtype=complex)
-    for mode in momentum_grid(spec):
-        blocks[tuple(e % spec.N for e in mode.ell)] = momentum_block(spec, mode).matrix
+    cells = tuple(table[name] % spec.N for name in MODE_COLUMNS[spec.dimension][: spec.dimension])
+    blocks.real[cells] = np.stack([r0, r2, -r2, r0], axis=-1).reshape(-1, 2, 2)
+    blocks.imag[cells] = np.stack([r3, r1, r1, -r3], axis=-1).reshape(-1, 2, 2)
     modes = np.fft.ifftn(pair.reshape(*grid, 2, 2), axes=axes, norm="ortho")
     expected = np.fft.fftn(blocks @ modes, axes=axes, norm="ortho").reshape(stepped[0].shape)
     return float(np.max(np.abs(stepped[0] - expected)))
@@ -212,26 +216,48 @@ def verify_block_consistency(spec: LatticeSpec) -> float:
 MODE_COLUMNS = {1: ("ell", "k"), 2: ("ell_x", "ell_y", "k_x", "k_y")}
 
 
-def mode_columns(mode: MomentumMode) -> dict:
-    """The momentum columns of a CSV row: ell, k in 1D; ell_x, ell_y, k_x, k_y in 2D."""
-    return dict(zip(MODE_COLUMNS[len(mode.ell)], mode.ell + mode.k))
+def axis_momenta(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's indices -N/2+1 .. N/2 and their k, rounded as :func:`momentum_mode` rounds them."""
+    half = spec.N // 2
+    ell = np.arange(1 - half, half + 1)
+    return ell, 2.0 * pi * ell / (spec.N * spec.dx)
+
+
+def block_table(spec: LatticeSpec) -> dict[str, np.ndarray]:
+    """Every grid mode's block as column arrays, in :func:`momentum_grid` order.
+
+    The keys are the spectrum CSV's: the momentum columns, r0..r3, phi and
+    degenerate (0 or 1).  Each value is bit-identical to
+    :func:`momentum_block`'s: cos and sin are scalar libm calls, once per
+    distinct k*dx; the products are elementwise in
+    :func:`pauli_coefficients`' order, which rounds as scalars do; and phi
+    is a scalar atan2 per mode.
+    """
+    ell, k = axis_momenta(spec)
+    k_dx = (k * spec.dx).tolist()
+    trig = np.array([[cos(v) for v in k_dx], [sin(v) for v in k_dx]])
+    # Per mode, its position on each axis, x first; x runs fastest.  A 1D
+    # grid takes k_y = 0, as pauli_coefficients does.
+    index = np.indices((spec.N,) * spec.dimension).reshape(spec.dimension, -1)[::-1]
+    (ca, sa), (cb, sb) = ([trig[:, i] for i in index] + [(cos(0.0), sin(0.0))])[:2]
+    ct, st = cos(spec.theta), sin(spec.theta)
+    r = (
+        ca * cb * ct - sa * sb * st,
+        ca * cb * st + sa * sb * ct,
+        -ca * sb * ct + sa * cb * st,
+        sa * cb * ct + ca * sb * st,
+    )
+    s = np.sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
+    columns = dict(zip(MODE_COLUMNS[spec.dimension], [ell[i] for i in index] + [k[i] for i in index]))
+    return {
+        **columns,
+        **{f"r{i}": c for i, c in enumerate(r)},
+        "phi": np.array(list(map(atan2, s.tolist(), r[0].tolist()))),
+        "degenerate": (s < DEGENERACY_TOL).astype(int),
+    }
 
 
 def spectrum_rows(spec: LatticeSpec) -> list[dict]:
-    """Per-mode spectrum rows matching the CSV dump schema."""
-    rows = []
-    for mode in momentum_grid(spec):
-        block = momentum_block(spec, mode)
-        r0, r1, r2, r3 = block.r
-        rows.append(
-            {
-                **mode_columns(mode),
-                "r0": r0,
-                "r1": r1,
-                "r2": r2,
-                "r3": r3,
-                "phi": block.phi,
-                "degenerate": int(block.degenerate),
-            }
-        )
-    return rows
+    """Per-mode spectrum rows matching the CSV dump schema: :func:`block_table` by rows."""
+    table = block_table(spec)
+    return [dict(zip(table, row)) for row in zip(*(column.tolist() for column in table.values()))]

@@ -234,7 +234,7 @@ def test_criterion_10_dirac_limit():
     rest = 0.0
     for spec in (make_lattice(1, 8, 1.0, 1.0, 0.3), make_lattice(2, 4, 1.0, 1.0, 0.3)):
         zero = momentum_mode(spec, (0,) * spec.dimension)
-        rec = dirac.dispersion_record(spec, zero)
+        rec = next(rec for rec in dirac.dispersion_table(spec) if rec.mode == zero)
         rest = max(rest, abs(rec.phi_over_dt - spec.mc2))
     ok = worst_order <= 0.2 and rest < TOL
     print(

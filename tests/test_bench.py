@@ -1,17 +1,33 @@
-"""Schema of the BENCH_*.json files that tools/qca_ladder.py writes; nothing is timed."""
+"""Schema of the BENCH_*.json files that the ladder tools write; nothing is timed.
+
+Every BENCH_*.json must come from a tool listed in TOOLS and match that
+tool's schema, so a new kind of ladder file needs its schema here.
+"""
 
 import json
-from math import isfinite
+from math import isfinite, isqrt
 from pathlib import Path
 
 import pytest
 
+from walkqca import cli
+
 ROOT = Path(__file__).resolve().parent.parent
-LADDERS = [
-    path
-    for path in sorted(ROOT.glob("BENCH_*.json"))
-    if json.loads(path.read_text()).get("command", "").startswith("python tools/qca_ladder.py")
-]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+TOOLS = ("python tools/qca_ladder.py", "python tools/cli_ladder.py")
+
+
+def _tool(doc) -> str | None:
+    command = doc.get("command") if isinstance(doc, dict) else None
+    return next((tool for tool in TOOLS if isinstance(command, str) and command.startswith(tool + " ")), None)
+
+
+def _written_by(tool):
+    return [path for path in BENCH_FILES if _tool(json.loads(path.read_text())) == tool]
+
+
+LADDERS = _written_by(TOOLS[0])
+CLI_LADDERS = _written_by(TOOLS[1])
 QUBITS = (16, 18, 20, 22)
 PARTS = ("shift", "coin", "readout", "step")
 MACHINE = ("nproc", "cpus_usable", "cpu", "blas", "blas_threads", "numpy", "python")
@@ -23,13 +39,20 @@ def _positive(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value) and value > 0
 
 
-def test_a_qca_ladder_file_exists():
-    assert LADDERS
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_every_bench_file_comes_from_a_known_tool(path):
+    assert _tool(json.loads(path.read_text())) in TOOLS
 
 
-@pytest.mark.parametrize("path", LADDERS, ids=[p.name for p in LADDERS])
-def test_qca_ladder_file_schema(path):
-    doc = json.loads(path.read_text())
+@pytest.mark.parametrize(
+    "doc", [{}, [], {"command": None}, {"command": "python tools/other_ladder.py --base x"},
+            {"command": "python tools/qca_ladder.pyx --base x"}],
+)
+def test_a_bench_file_from_an_unknown_tool_has_no_schema(doc):
+    assert _tool(doc) is None
+
+
+def _check_machine_and_trees(doc):
     assert set(MACHINE) <= set(doc["machine"])
     assert all(_positive(doc["machine"][key]) for key in ("nproc", "cpus_usable", "blas_threads"))
     assert doc["processes_per_tree"] >= 3
@@ -37,6 +60,23 @@ def test_qca_ladder_file_schema(path):
     for facts in doc["trees"].values():
         assert set(TREE) <= set(facts)
         assert _positive(facts["src_lines"]) and _positive(facts["tests"])
+
+
+def test_a_qca_ladder_file_exists():
+    assert LADDERS
+
+
+def test_a_cli_ladder_file_times_the_grid_cap():
+    cap_n = isqrt(cli.GRID_CAP)
+    assert cap_n * cap_n == cli.GRID_CAP
+    rows = [row for path in CLI_LADDERS for row in json.loads(path.read_text())["rows"]]
+    assert any((row["tree"], row["N"]) == ("change", cap_n) for row in rows)
+
+
+@pytest.mark.parametrize("path", LADDERS, ids=[p.name for p in LADDERS])
+def test_qca_ladder_file_schema(path):
+    doc = json.loads(path.read_text())
+    _check_machine_and_trees(doc)
     rows = {(r["tree"], r["q"], r["part"]): r for r in doc["rows"]}
     assert set(rows) == {(t, q, p) for t in ("base", "change") for q in QUBITS for p in PARTS}
     assert len(rows) == len(doc["rows"])
@@ -51,3 +91,27 @@ def test_qca_ladder_file_schema(path):
     for tree in ("base", "change"):
         assert 0 <= slow[tree]["processes_over"] <= doc["processes_per_tree"]
         assert all(_positive(v) for v in slow[tree]["first_call_s"] + slow[tree]["slowest_call_s"])
+
+
+CLI_SIZES = (32, 64, 128, 256)
+CLI_COMMANDS = ("spectrum", "dispersion")
+
+
+@pytest.mark.parametrize("path", CLI_LADDERS, ids=[p.name for p in CLI_LADDERS])
+def test_cli_ladder_file_schema(path):
+    doc = json.loads(path.read_text())
+    _check_machine_and_trees(doc)
+    processes = doc["processes_per_tree"]
+    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"]}
+    assert len(rows) == len(doc["rows"])
+    caps = {r["N"] for r in doc["rows"] if r["at_cap"]}
+    assert len(caps) == 1 and caps.isdisjoint(CLI_SIZES)
+    sizes = {"base": CLI_SIZES, "change": CLI_SIZES + tuple(caps)}
+    assert set(rows) == {(t, n, c) for t, ns in sizes.items() for n in ns for c in CLI_COMMANDS}
+    for row in rows.values():
+        assert set(ROW) <= set(row) and row["modes"] == row["N"] ** 2
+        for key in ("per_process_s", "first_call_s", "peak_rss_mb"):
+            assert len(row[key]) == processes and all(_positive(v) for v in row[key])
+        assert all(_positive(v) for v in (row["median_s"], row["p25_s"], row["p75_s"]))
+        assert isfinite(row["iqr_s"]) and row["iqr_s"] >= 0
+        assert row["p25_s"] <= row["median_s"] <= row["p75_s"]

@@ -1,0 +1,122 @@
+"""The grid tables against the per-mode loops they replaced, kept here as oracles.
+
+`walkqca spectrum`, `walkqca dispersion` and `walk.verify_block_consistency`
+compute every grid mode at once from `walk.block_table`.  The oracles
+below walk the grid one `momentum_block` at a time, as those commands
+used to, and their CSV bytes and block-consistency readings must be equal.
+"""
+
+import csv
+import dataclasses
+import io
+import json
+from math import pi, sqrt
+
+import numpy as np
+import pytest
+
+from walkqca import cli, walk
+from walkqca.blocks import eigenphase_from_r
+from walkqca.lattice import HBAR, make_lattice, momentum_grid
+
+
+def _mode_columns(mode):
+    return dict(zip(walk.MODE_COLUMNS[len(mode.ell)], mode.ell + mode.k))
+
+
+def _spectrum_rows_oracle(spec):
+    rows = []
+    for mode in momentum_grid(spec):
+        block = walk.momentum_block(spec, mode)
+        r0, r1, r2, r3 = block.r
+        rows.append(
+            {**_mode_columns(mode), "r0": r0, "r1": r1, "r2": r2, "r3": r3,
+             "phi": block.phi, "degenerate": int(block.degenerate)}
+        )
+    return rows
+
+
+def _dispersion_rows_oracle(spec):
+    rows = []
+    for mode in momentum_grid(spec):
+        k_dx = tuple(kc * spec.dx for kc in mode.k)
+        phi_over_dt = HBAR * eigenphase_from_r(walk.pauli_coefficients(k_dx, spec.theta)) / spec.dt
+        p2 = sum((HBAR * kc) ** 2 for kc in (kd / spec.dx for kd in k_dx))
+        e_rel = sqrt(p2 * spec.c**2 + spec.mc2**2)
+        abs_err = abs(phi_over_dt - e_rel)
+        if e_rel < 1e-300:
+            rel_err = 0.0 if abs_err < 1e-300 else float("inf")
+        else:
+            rel_err = abs_err / e_rel
+        rows.append(
+            {**_mode_columns(mode), "phi_over_dt": phi_over_dt, "e_rel": e_rel,
+             "abs_err": abs_err, "rel_err": rel_err}
+        )
+    return rows
+
+
+def _block_fill_oracle(spec):
+    """verify_block_consistency with each mode's block from momentum_block."""
+    grid, axes = (spec.N,) * spec.dimension, tuple(range(spec.dimension))
+    pair = walk.unit_phases((spec.walk_dim, 2))
+    stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
+    walk.step_into(spec, pair[None], stepped)
+    blocks = np.empty((*grid, 2, 2), dtype=complex)
+    for mode in momentum_grid(spec):
+        blocks[tuple(e % spec.N for e in mode.ell)] = walk.momentum_block(spec, mode).matrix
+    modes = np.fft.ifftn(pair.reshape(*grid, 2, 2), axes=axes, norm="ortho")
+    expected = np.fft.fftn(blocks @ modes, axes=axes, norm="ortho").reshape(stepped[0].shape)
+    return float(np.max(np.abs(stepped[0] - expected)))
+
+
+def _csv_bytes(rows):
+    with io.StringIO(newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        return fh.getvalue().encode()
+
+
+def _agreement(spec, tmp_path):
+    """(spectrum.csv, dispersion.csv, block reading) each equal to its oracle's."""
+    doc = {"lattice": {"dimension": spec.dimension, "N": spec.N, "dx": spec.dx, "dt": spec.dt, "theta": spec.theta}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for command in ("spectrum", "dispersion"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    return (
+        (tmp_path / "spectrum.csv").read_bytes() == _csv_bytes(_spectrum_rows_oracle(spec)),
+        (tmp_path / "dispersion.csv").read_bytes() == _csv_bytes(_dispersion_rows_oracle(spec)),
+        walk.verify_block_consistency(spec) == _block_fill_oracle(spec),
+    )
+
+
+@pytest.mark.parametrize("dx,dt", [(1.0, 1.0), (0.5, 0.25)])
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 0.05, 0.3, pi / 2, 3.0])
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 512), (2, 2), (2, 8), (2, 64)])
+def test_grid_tables_equal_the_per_mode_oracles(tmp_path, dimension, n, theta, dx, dt):
+    assert _agreement(make_lattice(dimension, n, dx, dt, theta), tmp_path) == (True, True, True)
+
+
+def _swap_columns(table, a, b):
+    return {**table, a: table[b], b: table[a]}
+
+
+TABLE_FAULTS = {
+    "k-columns-swapped": (lambda table_of, spec: _swap_columns(table_of(spec), "k_x", "k_y"), (False, False, True)),
+    "ell-columns-swapped": (
+        lambda table_of, spec: _swap_columns(table_of(spec), "ell_x", "ell_y"), (False, False, False)
+    ),
+    "theta-off-by-1e-9": (
+        lambda table_of, spec: table_of(dataclasses.replace(spec, theta=spec.theta + 1e-9)), (False, False, False)
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(TABLE_FAULTS))
+def test_the_oracle_comparison_catches_a_faulty_table(tmp_path, monkeypatch, fault):
+    # negative control: each fault changes the table and must show in every output it reaches
+    corrupt, expected = TABLE_FAULTS[fault]
+    table_of = walk.block_table
+    monkeypatch.setattr(walk, "block_table", lambda spec: corrupt(table_of, spec))
+    assert _agreement(make_lattice(2, 8, 1.0, 1.0, 0.3), tmp_path) == expected

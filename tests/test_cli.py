@@ -5,7 +5,7 @@ import json
 import pytest
 from state_dump import load_state
 
-from walkqca import dirac, fock, lattice, multiparticle, qca, verify, walk
+from walkqca import cli, dirac, fock, lattice, multiparticle, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
@@ -75,6 +75,26 @@ def test_malformed_lattice_rejected_with_exit_2(tmp_path, capsys, override, word
     err = capsys.readouterr().err
     assert words in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 262_146), (2, 514)])
+@pytest.mark.parametrize("command", ["spectrum", "dispersion"])
+def test_a_grid_over_the_cap_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, dimension, n):
+    # the first even N whose N**dimension modes exceed GRID_CAP
+    assert n**dimension > cli.GRID_CAP >= (n - 2) ** dimension
+
+    def refuse(*args):
+        raise AssertionError("grid computed")
+
+    monkeypatch.setattr(walk, "block_table", refuse)
+    monkeypatch.setattr(dirac, "convergence_study", refuse)
+    cfg = write_config(tmp_path, {"lattice": {"dimension": dimension, "N": n}})
+    assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: lattice.N {n} gives {n**dimension} momentum modes in {dimension}D, over the cap of {cli.GRID_CAP}\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_invalid_json_exit_2(tmp_path):

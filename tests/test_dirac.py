@@ -8,7 +8,6 @@ from walkqca.dirac import (
     BranchCutError,
     convergence_study,
     dirac_generator,
-    dispersion_record,
     dispersion_table,
     effective_generator,
     generator_comparison,
@@ -20,6 +19,11 @@ from walkqca.walk import pauli_coefficients
 from walkqca.walk1d import momentum_block_1d
 
 TOL = 1e-12
+
+
+def dispersion_record(spec, mode):
+    """The grid mode's row of the dispersion table."""
+    return next(rec for rec in dispersion_table(spec) if rec.mode == mode)
 
 
 def test_dispersion_at_zero_momentum_is_rest_energy():

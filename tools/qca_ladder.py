@@ -8,11 +8,9 @@ change).  Each process is fresh: it imports walkqca from one tree, then
 for q = 16, 18, 20, 22 (a one-type ring of q/2 sites) times
 `qca.apply_shift`, `qca.apply_coin`, `qca.occupation_expectations` and
 the whole `qca.qca_step` on a seeded state, and reports the median of
-its repeats after the first.  Processes alternate between the trees,
-each tree going first in every other round.  Each row of the output is
-the median and interquartile range of those per-process medians.  BLAS
-threads are capped at the CPUs the process may use, as perfbench caps
-them, so the rows compare with its runs.
+its repeats after the first.  Processes alternate between the trees as
+`ladder.run_trees` describes.  Each row of the output is the median and
+interquartile range of those per-process medians.
 
 The first `apply_coin` call of each process, at q=16 right after import,
 is kept apart: such calls have been seen taking 125-155 ms instead of
@@ -25,19 +23,13 @@ four 64 MiB arrays at once.
 
 from __future__ import annotations
 
-import argparse
-import ctypes
-import hashlib
 import json
-import os
 import platform
-import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import ladder
+
 QUBITS = (16, 18, 20, 22)
 REPEATS = {16: 15, 18: 9, 20: 5, 22: 4}
 PARTS = ("coin", "shift", "readout", "step")  # the coin first, so it runs first after import
@@ -79,119 +71,28 @@ def _child(src: str) -> dict:
         "slowest_coin_call_s": max(coin_calls),
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "blas_threads": _blas_threads(np),
-    }
-
-
-def _blas_threads(np) -> int | None:
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return int(fn())
-    return None
-
-
-def _run_child(src: Path) -> dict:
-    env = dict(os.environ)
-    limit = str(len(os.sched_getaffinity(0)))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.setdefault(var, limit)
-    out = subprocess.run(
-        [sys.executable, __file__, "--child", str(src)], env=env, check=True, capture_output=True, text=True
-    )
-    return json.loads(out.stdout)
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
-
-
-def _tree_facts(tree: Path) -> dict:
-    sources = sorted((tree / "src" / "walkqca").glob("*.py"))
-    digest = hashlib.sha256()
-    for path in sources:
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    collected = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
-        cwd=tree, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True,
-    ).stdout.strip().splitlines()[-1]  # "658 tests collected in 1.2s"
-    return {
-        "src_lines": sum(len(p.read_text().splitlines()) for p in sources),
-        "src_sha256": digest.hexdigest(),
-        "tests": int(collected.split()[0]),
-    }
-
-
-def _quartiles(values: list[float]) -> dict:
-    import numpy as np
-
-    p25, p50, p75 = np.percentile(values, [25, 50, 75])
-    return {"median_s": float(p50), "iqr_s": float(p75 - p25), "p25_s": float(p25), "p75_s": float(p75)}
-
-
-def _machine(child: dict) -> dict:
-    import numpy as np
-
-    cpu = next(
-        (line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
-         if line.startswith("model name")),
-        platform.processor() or "unknown",
-    )
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
-        "cpu": cpu,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": child["blas_threads"],
-        "numpy": child["numpy"],
-        "python": child["python"],
+        "blas_threads": ladder.blas_threads(np),
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", help="git revision to compare with the working tree")
-    parser.add_argument("--processes", type=int, default=5, help="fresh processes per tree (at least 3)")
-    parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args = ladder.parse_args(__doc__, argv)
     if args.child:
         print(json.dumps(_child(args.child)))
         return 0
-    if args.base is None or args.processes < 3:
-        parser.error("need --base and at least 3 --processes")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base], check=True, capture_output=True)
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
-        trees = {"base": base, "change": ROOT}
-        runs = {name: [] for name in trees}
-        for round_ in range(args.processes):
-            for name in sorted(trees, reverse=bool(round_ % 2)):
-                runs[name].append(_run_child(trees[name] / "src"))
-        facts = {name: _tree_facts(tree) for name, tree in trees.items()}
-
-    head = _git("rev-parse", "HEAD").strip()
-    facts["base"]["commit"] = _git("rev-parse", args.base).strip()
-    facts["change"]["commit"] = head
-    facts["change"]["src_differs_from_commit"] = bool(_git("status", "--porcelain", "--", "src").strip())
+    runs, facts = ladder.run_trees(__file__, args.base, args.processes)
     rows = []
     for name, procs in runs.items():
         for q in QUBITS:
             for part in PARTS:
                 per_process = [p["rows"][f"q{q}.{part}"] for p in procs]
-                rows.append({"tree": name, "q": q, "part": part, **_quartiles(per_process),
+                rows.append({"tree": name, "q": q, "part": part, **ladder.quartiles(per_process),
                              "per_process_s": per_process})
     doc = {
         "kernel": "walkqca.qca.qca_step on a one-type ring of q/2 sites: shift, coin, readout and the whole step",
         "command": "python tools/qca_ladder.py " + " ".join(argv if argv is not None else sys.argv[1:]),
-        "machine": _machine(runs["change"][0]),
+        "machine": ladder.machine(runs["change"][0]),
         "processes_per_tree": args.processes,
         "repeats_per_process": {f"q{q}": n for q, n in REPEATS.items()},
         "trees": facts,
