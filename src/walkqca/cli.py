@@ -2,18 +2,19 @@
 
 Configuration is a single JSON document; DEFAULT_CONFIG lists every key
 with its default, and any other key is refused.  Command-line flags
-override it.  Exit codes: 0 success, 1
-verification failure, 2 invalid input or configuration.
+override it.  Exit codes: 0 success, 1 verification failure, 2 invalid
+input or configuration, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -75,24 +76,25 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_table(target: Path | TextIO, columns: dict[str, np.ndarray]) -> None:
+    """A CSV of equal-length column arrays to a path or text stream, byte-identical to csv.writer's.
 
-
-def _write_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """A CSV of equal-length column arrays; .tolist() gives each field the str() of a Python scalar."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*(column.tolist() for column in columns.values())))
+    A field is the str() of its .tolist() scalar, made once per distinct bit pattern (-0.0 keeps its sign).
+    """
+    if isinstance(target, Path):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            return _write_table(fh, columns)
+    texts = []
+    for column in columns.values():
+        _, first, inverse = np.unique(column.view(f"u{column.itemsize}"), return_index=True, return_inverse=True)
+        texts.append(np.array(list(map(str, column[first].tolist())), dtype=object)[inverse].tolist())
+    target.write(",".join(columns) + "\r\n")
+    target.writelines(",".join(row) + "\r\n" for row in zip(*texts))
 
 
 # The most momentum modes spectrum and dispersion compute: at 2D N=512
-# each takes about 2-2.5 s and the process peaks near 145 MB on a 2-vCPU
-# Xeon (BENCH_22.json, the change's rows at N=512).  Both grow with the
+# each takes about 1 s and the process peaks near 130 MB on a 2-vCPU
+# Xeon (BENCH_23.json, the change's rows at N=512).  Both grow with the
 # mode count, so a larger grid is refused rather than left to run out of memory.
 GRID_CAP = 512**2
 
@@ -110,7 +112,7 @@ def _grid_lattice(config: dict) -> LatticeSpec:
 def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
     spec = _grid_lattice(config)
     path = out_dir / "spectrum.csv"
-    _write_columns(path, walk.block_table(spec))
+    _write_table(path, walk.block_table(spec))
     print(f"wrote {spec.n_sites} modes to {path}")
     return 0
 
@@ -122,7 +124,7 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
         halvings = _count(config["dispersion"], "halvings", "dispersion")
     # The study checks the halvings, so a bad count writes no file.
     study = dirac.convergence_study(spec, halvings=halvings)
-    _write_columns(out_dir / "dispersion.csv", dirac.dispersion_columns(spec))
+    _write_table(out_dir / "dispersion.csv", dirac.dispersion_columns(spec))
 
     doc = study.to_dict()
     doc["dimension"] = spec.dimension
@@ -200,36 +202,31 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
         EnergyModeLabel(momentum_mode(spec, item["ell"]), item["branch"]) for item in label_doc
     ]
     state = multiparticle.physical_basis_state(spec, labels, n_max)
-    rows = []
+    occupancy = np.empty((steps + 1, state.n_factors))
     for step in range(steps + 1):
         probs = np.abs(state.tensor()) ** 2
-        d = state.walk_dim
         for factor in range(state.n_factors):
             axes = tuple(a for a in range(state.n_factors) if a != factor)
-            weights = np.sum(probs, axis=axes)
-            rows.append({"step": step, "factor": factor, "occupancy": float(np.sum(weights[:d]))})
+            occupancy[step, factor] = np.sum(np.sum(probs, axis=axes)[: state.walk_dim])
         if step < steps:
             state = multiparticle.total_evolution_apply(spec, state.n_factors, state)
-    _write_csv(out_dir / "evolution.csv", ["step", "factor", "occupancy"], rows)
-    print(f"wrote {len(rows)} occupation rows to {out_dir / 'evolution.csv'}")
+    step, factor = np.indices(occupancy.shape).reshape(2, -1)
+    _write_table(out_dir / "evolution.csv", {"step": step, "factor": factor, "occupancy": occupancy.ravel()})
+    print(f"wrote {occupancy.size} occupation rows to {out_dir / 'evolution.csv'}")
     if econf["dump_state"]:
         multiparticle.save_state(out_dir / "final_state.txt", state)
         print(f"wrote final state to {out_dir / 'final_state.txt'}")
     return 0
 
 
-def _qca_occupation_rows(lattice: qca.CellLattice, coin, state, steps: int) -> list[dict]:
-    rows = []
+def _qca_occupation_columns(lattice: qca.CellLattice, coin, state, steps: int) -> dict[str, np.ndarray]:
+    occ = np.empty((steps + 1, lattice.n_types, lattice.n_sites, 2))
     for step in range(steps + 1):
-        occ = qca.occupation_expectations(lattice, state)
-        rows += [
-            {"step": step, "site": site, "type": t, "n_r": occ[t, site, 0], "n_l": occ[t, site, 1]}
-            for t in range(lattice.n_types)
-            for site in range(lattice.n_sites)
-        ]
+        occ[step] = qca.occupation_expectations(lattice, state)
         if step < steps:
             state = qca.qca_step(lattice, coin, state)
-    return rows
+    step, t, site = np.indices(occ.shape[:3]).reshape(3, -1)
+    return {"step": step, "site": site, "type": t, "n_r": occ[..., 0].ravel(), "n_l": occ[..., 1].ravel()}
 
 
 def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | None) -> int:
@@ -255,15 +252,10 @@ def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | Non
         state = qca.localized_particle_state(lattice, site, "RL".index(direction))
     else:
         raise ValueError(f"unknown qca initial state {initial!r}; use localized or vacuum")
-    rows = _qca_occupation_rows(lattice, coin, state, steps)
-    fields = ["step", "site", "type", "n_r", "n_l"]
-    if out_dir is None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        _write_csv(out_dir / "occupations.csv", fields, rows)
-        print(f"wrote {len(rows)} occupation rows to {out_dir / 'occupations.csv'}")
+    columns = _qca_occupation_columns(lattice, coin, state, steps)
+    _write_table(sys.stdout if out_dir is None else out_dir / "occupations.csv", columns)
+    if out_dir is not None:
+        print(f"wrote {len(columns['step'])} occupation rows to {out_dir / 'occupations.csv'}")
     return 0
 
 
@@ -348,7 +340,14 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, out_dir, args)
+        code = COMMANDS[args.command](config, out_dir, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader left early (`walkqca qca-demo | head`): end quietly with 128 + SIGPIPE,
+        # stdout pointed at devnull so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

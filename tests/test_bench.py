@@ -95,6 +95,7 @@ def test_qca_ladder_file_schema(path):
 
 CLI_SIZES = (32, 64, 128, 256)
 CLI_COMMANDS = ("spectrum", "dispersion")
+CLI_DEFAULT_COMMANDS = ("evolve", "qca-demo")
 
 
 @pytest.mark.parametrize("path", CLI_LADDERS, ids=[p.name for p in CLI_LADDERS])
@@ -106,10 +107,18 @@ def test_cli_ladder_file_schema(path):
     assert len(rows) == len(doc["rows"])
     caps = {r["N"] for r in doc["rows"] if r["at_cap"]}
     assert len(caps) == 1 and caps.isdisjoint(CLI_SIZES)
-    sizes = {"base": CLI_SIZES, "change": CLI_SIZES + tuple(caps)}
-    assert set(rows) == {(t, n, c) for t, ns in sizes.items() for n in ns for c in CLI_COMMANDS}
+    # a base tree from before the cap has no cap rows, and older files no default-config rows
+    base_caps = {r["N"] for r in doc["rows"] if r["at_cap"] and r["tree"] == "base"}
+    sizes = {"base": CLI_SIZES + tuple(base_caps), "change": CLI_SIZES + tuple(caps)}
+    grid = {(t, n, c) for t, ns in sizes.items() for n in ns for c in CLI_COMMANDS}
+    defaults = {(t, None, c) for t in sizes for c in CLI_DEFAULT_COMMANDS}
+    assert set(rows) in (grid, grid | defaults)
     for row in rows.values():
-        assert set(ROW) <= set(row) and row["modes"] == row["N"] ** 2
+        assert set(ROW) <= set(row)
+        if row["N"] is None:
+            assert row["modes"] is None and row["config"] == "default" and not row["at_cap"]
+        else:
+            assert row["modes"] == row["N"] ** 2
         for key in ("per_process_s", "first_call_s", "peak_rss_mb"):
             assert len(row[key]) == processes and all(_positive(v) for v in row[key])
         assert all(_positive(v) for v in (row["median_s"], row["p25_s"], row["p75_s"]))

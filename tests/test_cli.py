@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from state_dump import load_state
@@ -663,6 +667,21 @@ def test_qca_demo_prints_csv(capsys):
     assert lines[0].strip() == "step,site,type,n_r,n_l"
     # 8 sites x 3 snapshots
     assert len(lines) == 1 + 8 * 3
+
+
+def test_qca_demo_ends_quietly_when_its_reader_closes_stdout(tmp_path):
+    # about 0.7 MB of rows, so the demo is still writing when the reader leaves after two lines
+    cfg = write_config(tmp_path, {"evolve": {"qca": {"sites": 2}}})
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "walkqca.cli", "qca-demo", "--config", str(cfg), "--steps", "10000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert lines == [b"step,site,type,n_r,n_l\r\n", b"0,0,0,1.0,0.0\r\n"]
+    assert (code, err) == (141, b"")
 
 
 def test_qca_demo_rejects_a_nan_coin_angle_with_exit_2(tmp_path, capsys):

@@ -1,21 +1,23 @@
-"""Time `walkqca spectrum` and `walkqca dispersion` over 2D grid sizes.
+"""Time the walkqca CLI commands that write CSV tables, in fresh processes.
 
     python tools/cli_ladder.py --base REV --processes 5 --out BENCH_<n>.json
 
-Each fresh process imports walkqca from one tree and runs `cli.main` for
-both commands on the 2D lattice at N = 32, 64, 128, 256 (theta 0.3, the
-other settings at their defaults), writing into a temporary directory.
-The first call of each command and size is kept apart as
-`first_call_s`; the row takes the median of the repeats after it.  On
-the change, the processes also run both commands at the grid cap,
-`cli.GRID_CAP` modes; the base has no cap, and its per-mode loop would
-take several times as long and as much memory there.  After each size
-the process records its peak RSS so far.
+Each fresh process imports walkqca from one tree and runs `cli.main`,
+writing into a temporary directory: first `evolve` and `qca-demo` at the
+default config, then `spectrum` and `dispersion` on the 2D lattice at
+N = 32, 64, 128, 256 (theta 0.3, the other settings at their defaults)
+and at the grid cap, `cli.GRID_CAP` modes, where the tree has one (a
+tree from before the cap skips it: its per-mode loop would take several
+times as long and as much memory there).  The first call of each command
+and size is kept apart as `first_call_s`; the row takes the median of
+the repeats after it.  After each command at the default config and
+after each size the process records its peak RSS so far.
 Trees, processes and rows are as in `qca_ladder.py`: the two trees
 alternate as `ladder.run_trees` describes, and each row is the median
 and interquartile range of the per-process medians.
 
-Needs numpy and git.  A process at the cap peaks near 145 MB.
+Needs numpy and git.  A process at the cap peaks near 130 MB (`BENCH_23.json`,
+the change's rows at N=512; 145 MB on its base).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import io
 import json
 import platform
 import resource
+import statistics
 import sys
 import tempfile
 import time
@@ -37,10 +40,29 @@ SIZES = (32, 64, 128, 256)
 REPEATS = {32: 9, 64: 7, 128: 5, 256: 3}
 CAP_REPEATS = 3
 COMMANDS = ("spectrum", "dispersion")
+DEFAULT_COMMANDS = ("evolve", "qca-demo")
+DEFAULT_REPEATS = 9
+
+
+def _timed(cli, argv: list[str], repeats: int) -> dict:
+    """Run `cli.main(argv)` `repeats` times: the first call's time and the median of the rest."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        times.append(time.perf_counter() - start)
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return {"median_s": statistics.median(times[1:]), "first_call_s": times[0]}
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _child(src: str) -> dict:
-    """Time both commands at every size in this process, with walkqca from `src`."""
+    """Time every command at its configs in this process, with walkqca from `src`."""
     sys.path.insert(0, src)
     import numpy as np
 
@@ -50,26 +72,32 @@ def _child(src: str) -> dict:
     sizes = {**REPEATS, **({isqrt(cap): CAP_REPEATS} if cap else {})}
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
+        for command in DEFAULT_COMMANDS:
+            rows[f"default.{command}"] = _timed(cli, [command, "--out", tmp], DEFAULT_REPEATS)
+            rows[f"default.{command}.peak_rss_mb"] = _peak_rss_mb()
         config = Path(tmp) / "config.json"
         for n, repeats in sizes.items():
             config.write_text(json.dumps({"lattice": {"dimension": 2, "N": n, "theta": 0.3}}))
             for command in COMMANDS:
-                times = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = cli.main([command, "--config", str(config), "--out", tmp])
-                    times.append(time.perf_counter() - start)
-                    if code != 0:
-                        raise RuntimeError(f"{command} at N={n} exited {code}")
-                rows[f"N{n}.{command}"] = {"median_s": float(np.median(times[1:])), "first_call_s": times[0]}
-            rows[f"N{n}.peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                rows[f"N{n}.{command}"] = _timed(cli, [command, "--config", str(config), "--out", tmp], repeats)
+            rows[f"N{n}.peak_rss_mb"] = _peak_rss_mb()
     return {
         "rows": rows,
         "cap_n": isqrt(cap) if cap else None,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "blas_threads": ladder.blas_threads(np),
+    }
+
+
+def _row(procs: list[dict], key: str, rss_key: str, where: dict) -> dict:
+    """One command's row over a tree's processes: `where` it ran, then the quartiles of their medians."""
+    cells = [p["rows"][key] for p in procs]
+    per_process = [cell["median_s"] for cell in cells]
+    return {
+        **where, **ladder.quartiles(per_process), "per_process_s": per_process,
+        "first_call_s": [cell["first_call_s"] for cell in cells],
+        "peak_rss_mb": [p["rows"][rss_key] for p in procs],
     }
 
 
@@ -82,23 +110,24 @@ def main(argv=None) -> int:
     runs, facts = ladder.run_trees(__file__, args.base, args.processes)
     rows = []
     for name, procs in runs.items():
+        for command in DEFAULT_COMMANDS:
+            key = f"default.{command}"
+            where = {"tree": name, "N": None, "modes": None, "command": command, "at_cap": False, "config": "default"}
+            rows.append(_row(procs, key, f"{key}.peak_rss_mb", where))
         cap_n = procs[0]["cap_n"]
         for n in SIZES + ((cap_n,) if cap_n else ()):
             for command in COMMANDS:
-                cells = [p["rows"][f"N{n}.{command}"] for p in procs]
-                per_process = [cell["median_s"] for cell in cells]
-                rows.append({
-                    "tree": name, "N": n, "modes": n * n, "command": command, "at_cap": n == cap_n,
-                    **ladder.quartiles(per_process), "per_process_s": per_process,
-                    "first_call_s": [cell["first_call_s"] for cell in cells],
-                    "peak_rss_mb": [p["rows"][f"N{n}.peak_rss_mb"] for p in procs],
-                })
+                where = {"tree": name, "N": n, "modes": n * n, "command": command, "at_cap": n == cap_n}
+                rows.append(_row(procs, f"N{n}.{command}", f"N{n}.peak_rss_mb", where))
     doc = {
-        "kernel": "walkqca spectrum and dispersion through cli.main on the 2D lattice at theta 0.3, outputs written",
+        "kernel": (
+            "walkqca evolve and qca-demo through cli.main at the default config, and spectrum and dispersion"
+            " on the 2D lattice at theta 0.3, outputs written"
+        ),
         "command": "python tools/cli_ladder.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "machine": ladder.machine(runs["change"][0]),
         "processes_per_tree": args.processes,
-        "repeats_per_process": {**{f"N{n}": r for n, r in REPEATS.items()}, "cap": CAP_REPEATS},
+        "repeats_per_process": {"default": DEFAULT_REPEATS, **{f"N{n}": r for n, r in REPEATS.items()}, "cap": CAP_REPEATS},
         "trees": facts,
         "rows": rows,
     }
