@@ -59,11 +59,46 @@ def _count(section: dict, key: str, where: str) -> int:
     return value
 
 
-def _keep_unread_defaults(section: dict, defaults: dict, keys, where: str, reader: str) -> None:
-    """A setting the run does not read must keep its default; repr tells 0 from false."""
-    for key in keys:
-        if repr(section[key]) != repr(defaults[key]):
-            raise ValueError(f"{where}{key} applies only to {reader}")
+def _unread(command: str, config: dict) -> list[tuple[str, str]]:
+    """Each setting the run leaves unread, with who reads it, in the order a refusal names them.
+
+    The lattice section, evolve.system and the automaton's dimension are checked first, each by its own message.
+    """
+    LatticeSpec.from_dict(config["lattice"])
+    system, initial = config["evolve"]["system"], config["evolve"]["qca"]["initial"]
+    evolves = command in ("evolve", "qca-demo")
+    if evolves and system not in ("multiparticle", "qca"):
+        raise ValueError(f"unknown evolve system {system!r}")
+    automaton = command == "qca-demo" or (command == "evolve" and system == "qca")
+    if automaton and config["lattice"]["dimension"] != 1:
+        raise ValueError("the qca system is one-dimensional; lattice.dimension must be 1")
+    multiparticle = "evolve.n_max evolve.labels evolve.dump_state"
+    table = [  # (the runs that leave them unread, the settings, who reads them)
+        (command == "verify", "lattice.dimension lattice.N", "the walk, not verify's check lattices (verify.n_1d, verify.n_2d)"),
+        (command == "verify" and config["verify"]["theta"] is not None, "lattice.theta", "the walk when verify.theta is set"),
+        # the automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it
+        (automaton, "lattice.N lattice.dx lattice.dt", "the walk, not the qca system"),
+        (command != "dispersion", "dispersion.halvings", "dispersion"),
+        (command != "verify", " ".join(f"verify.{key}" for key in DEFAULT_CONFIG["verify"]), "verify"),
+        (not evolves, "evolve.system", "evolve and qca-demo"),
+        (not evolves, f"evolve.steps {multiparticle}", "evolve"),
+        (not evolves, " ".join(f"evolve.qca.{key}" for key in DEFAULT_CONFIG["evolve"]["qca"]), "evolve and qca-demo"),
+        (command == "qca-demo", f"evolve.steps {multiparticle}", "evolve, not qca-demo"),  # it steps --steps times
+        (command == "evolve" and automaton, multiparticle, "the multiparticle system"),
+        (command == "evolve" and not automaton, "evolve.qca", "the qca system"),
+        (automaton and initial == "vacuum", "evolve.qca.site evolve.qca.direction", "the localized initial state"),
+    ]
+    return [(path, reader) for runs, paths, reader in table if runs for path in paths.split()]
+
+
+def _at_default(config: dict, path: str) -> bool:
+    """repr tells 0 from false and 0.0 from 0; a float default also takes an equal int that is not a bool."""
+    value, default = config, DEFAULT_CONFIG
+    for key in path.split("."):
+        value, default = value[key], default[key]
+    if isinstance(default, float) and is_integer(value):
+        return value == default
+    return repr(value) == repr(default)
 
 
 def load_config(path: str | None) -> dict:
@@ -140,12 +175,9 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_verify(config: dict, out_dir: Path, args) -> int:
-    # Verification runs on fixed desk-scale lattices, but checks the whole
-    # lattice section; only the coin angle and spacings are taken over, and
-    # a zero angle (fully degenerate blocks) falls back to the default.
+    # Verification runs on fixed desk-scale lattices: only the coin angle and spacings
+    # are taken over, and a zero angle (fully degenerate blocks) falls back to the default.
     vconf = config["verify"]
-    reader = "the walk, not verify's check lattices (verify.n_1d, verify.n_2d)"
-    _keep_unread_defaults(config["lattice"], DEFAULT_CONFIG["lattice"], ("dimension", "N"), "lattice.", reader)
     lattice = LatticeSpec.from_dict(config["lattice"])
     theta = vconf["theta"]
     if theta is None:
@@ -230,18 +262,11 @@ def _qca_occupation_columns(lattice: qca.CellLattice, coin, state, steps: int) -
 
 
 def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | None) -> int:
-    if spec.dimension != 1:
-        raise ValueError("the qca system is one-dimensional; lattice.dimension must be 1")
-    # The automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it.
-    reader = "the walk, not the qca system"
-    _keep_unread_defaults(config["lattice"], DEFAULT_CONFIG["lattice"], ("N", "dx", "dt"), "lattice.", reader)
     qconf = config["evolve"]["qca"]
     lattice = qca.CellLattice(n_sites=qconf["sites"], n_types=qconf["types"])
     coin = qca.build_local_coin(spec.theta)
     initial = qconf["initial"]
     if initial == "vacuum":
-        keys, reader = ("site", "direction"), "the localized initial state"
-        _keep_unread_defaults(qconf, DEFAULT_CONFIG["evolve"]["qca"], keys, "evolve.qca.", reader)
         state = np.zeros(lattice.dim, dtype=complex)
         state[0] = 1.0
     elif initial == "localized":
@@ -265,30 +290,15 @@ def _steps(steps: int) -> int:
     return steps
 
 
-def _evolve_system(econf: dict) -> str:
-    system = econf["system"]
-    if system not in ("multiparticle", "qca"):
-        raise ValueError(f"unknown evolve system {system!r}")
-    return system
-
-
 def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
     steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", "evolve"))
-    econf = config["evolve"]
-    system = _evolve_system(econf)
-    other = {"multiparticle": "qca", "qca": "multiparticle"}[system]
-    keys = {"multiparticle": ("n_max", "labels", "dump_state"), "qca": ("qca",)}[other]
-    _keep_unread_defaults(econf, DEFAULT_CONFIG["evolve"], keys, "evolve.", f"the {other} system")
-    if system == "qca":
+    if config["evolve"]["system"] == "qca":
         return _evolve_qca(config, spec, steps, out_dir)
     return _evolve_multiparticle(config, spec, steps, out_dir)
 
 
 def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
-    _evolve_system(config["evolve"])  # qca-demo always runs the automaton, but refuses an unknown system
-    keys = ("steps", "n_max", "labels", "dump_state")
-    _keep_unread_defaults(config["evolve"], DEFAULT_CONFIG["evolve"], keys, "evolve.", "evolve, not qca-demo")
     steps = _steps(args.steps if args.steps is not None else 6)
     return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]), steps, None)
 
@@ -338,6 +348,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        for path, reader in _unread(args.command, config):  # a setting the run does not read keeps its default
+            if not _at_default(config, path):
+                raise ValueError(f"{path} applies only to {reader}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code = COMMANDS[args.command](config, out_dir, args)

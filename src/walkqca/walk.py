@@ -160,9 +160,11 @@ def pauli_coefficients(k_dx: Sequence[float], theta: float) -> tuple[float, floa
     values identical however the caller batches them.
     """
     kx_dx, ky_dx = (*k_dx, 0.0)[:2]
-    ca, sa = cos(kx_dx), sin(kx_dx)
-    cb, sb = cos(ky_dx), sin(ky_dx)
-    ct, st = cos(theta), sin(theta)
+    return _pauli_r(cos(kx_dx), sin(kx_dx), cos(ky_dx), sin(ky_dx), cos(theta), sin(theta))
+
+
+def _pauli_r(ca, sa, cb, sb, ct, st):
+    """(r0, r1, r2, r3) from cos and sin of k_x dx, k_y dx and theta: scalars or arrays, rounded alike."""
     return (
         ca * cb * ct - sa * sb * st,
         ca * cb * st + sa * sb * ct,
@@ -229,8 +231,8 @@ def block_table(spec: LatticeSpec) -> dict[str, np.ndarray]:
     The keys are the spectrum CSV's: the momentum columns, r0..r3, phi and
     degenerate (0 or 1).  Each value is bit-identical to
     :func:`momentum_block`'s: cos and sin are scalar libm calls, once per
-    distinct k*dx; the products are elementwise in
-    :func:`pauli_coefficients`' order, which rounds as scalars do; and phi
+    distinct k*dx; the products are :func:`_pauli_r`'s, elementwise,
+    which round as scalars do; and phi
     is a scalar atan2 per mode.
     """
     ell, k = axis_momenta(spec)
@@ -240,13 +242,7 @@ def block_table(spec: LatticeSpec) -> dict[str, np.ndarray]:
     # grid takes k_y = 0, as pauli_coefficients does.
     index = np.indices((spec.N,) * spec.dimension).reshape(spec.dimension, -1)[::-1]
     (ca, sa), (cb, sb) = ([trig[:, i] for i in index] + [(cos(0.0), sin(0.0))])[:2]
-    ct, st = cos(spec.theta), sin(spec.theta)
-    r = (
-        ca * cb * ct - sa * sb * st,
-        ca * cb * st + sa * sb * ct,
-        -ca * sb * ct + sa * cb * st,
-        sa * cb * ct + ca * sb * st,
-    )
+    r = _pauli_r(ca, sa, cb, sb, cos(spec.theta), sin(spec.theta))
     s = np.sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
     columns = dict(zip(MODE_COLUMNS[spec.dimension], [ell[i] for i in index] + [k[i] for i in index]))
     return {

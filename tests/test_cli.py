@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import functools
+import itertools
 import json
 import os
 import subprocess
@@ -554,6 +556,23 @@ MALFORMED_CASES = [
     ("verify", {"lattice": {"theta": False}}, "theta must be a finite real number, got False"),
     ("verify", {"lattice": {"theta": None}}, "theta must be a finite real number, got None"),
     ("verify", {"lattice": {"theta": "abc"}, "verify": {"theta": 0.3}}, "theta must be a finite real number, got 'abc'"),
+    # a set verify.theta is the check angle, so lattice.theta is then unread
+    (
+        "verify",
+        {"lattice": {"theta": 0.7}, "verify": {"theta": 0.3}},
+        "lattice.theta applies only to the walk when verify.theta is set",
+    ),
+    # a float default takes an equal int, but not a bool
+    ("evolve", {"lattice": {"dx": True}, "evolve": {"system": "qca"}}, "dx must be a finite real number, got True"),
+    ("qca-demo", {"lattice": {"dt": False}}, "dt must be a finite real number, got False"),
+    # a setting of another command's section is unread
+    ("spectrum", {"verify": {"n_1d": 6}}, "verify.n_1d applies only to verify"),
+    ("verify", {"dispersion": {"halvings": 5}}, "dispersion.halvings applies only to dispersion"),
+    ("dispersion", {"evolve": {"steps": 5}}, "evolve.steps applies only to evolve"),
+    ("evolve", {"verify": {"n_1d": 6}}, "verify.n_1d applies only to verify"),
+    ("qca-demo", {"dispersion": {"halvings": 5}}, "dispersion.halvings applies only to dispersion"),
+    ("spectrum", {"evolve": {"system": "qca"}}, "evolve.system applies only to evolve and qca-demo"),
+    ("dispersion", {"evolve": {"qca": {"sites": 4}}}, "evolve.qca.sites applies only to evolve and qca-demo"),
 ]
 
 
@@ -584,6 +603,14 @@ def test_verify_and_qca_demo_accept_unread_settings_at_their_defaults(tmp_path):
     assert run(["verify", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--only", "car"]) == 0
     doc = {"evolve": {"system": "qca", "steps": 4, "n_max": 2, "labels": [], "dump_state": False}}
     assert run(["qca-demo", "--config", write_config(tmp_path, doc), "--steps", 1]) == 0
+
+
+def test_a_float_default_takes_an_equal_int_and_verify_reads_lattice_theta_without_verify_theta(tmp_path):
+    doc = {"lattice": {"dx": 1, "dt": 1}, "evolve": {"system": "qca"}}
+    for command in ("evolve", "qca-demo"):
+        assert run([command, "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 1]) == 0
+    doc = {"lattice": {"theta": 0.7}, "verify": {"theta": None}}
+    assert run(["verify", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--only", "car"]) == 0
 
 
 def test_verify_rejects_an_automaton_size_before_any_suite_runs(tmp_path, monkeypatch):
@@ -731,3 +758,125 @@ def test_only_verify_takes_seed_and_tol(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         run([command, flag, "1", "--out", tmp_path])
     assert exc.value.code == 2
+
+
+
+# The settings each run reads, written apart from cli's table of the ones it leaves unread.  A run
+# is its command, evolve.system, evolve.qca.initial and whether verify.theta is set; every other
+# setting of DEFAULT_CONFIG must keep its default.
+def settings_read(command, system, initial, theta_set):
+    walk = {"lattice.dimension", "lattice.N", "lattice.dx", "lattice.dt", "lattice.theta"}
+    automaton = {"lattice.theta", "evolve.system", "evolve.qca.sites", "evolve.qca.types", "evolve.qca.initial"}
+    if initial == "localized":
+        automaton |= {"evolve.qca.site", "evolve.qca.direction"}
+    multiparticle = {"evolve.system", "evolve.steps", "evolve.n_max", "evolve.labels", "evolve.dump_state"}
+    verify = {f"verify.{key}" for key in DEFAULT_CONFIG["verify"]} | {"lattice.dx", "lattice.dt"}
+    return {
+        "spectrum": walk,
+        "dispersion": walk | {"dispersion.halvings"},
+        "verify": verify if theta_set else verify | {"lattice.theta"},
+        "evolve": automaton | {"evolve.steps"} if system == "qca" else walk | multiparticle,
+        "qca-demo": automaton,
+    }[command]
+
+
+def leaves(section, where=""):
+    for key, value in section.items():
+        yield from leaves(value, f"{where}{key}.") if isinstance(value, dict) else [f"{where}{key}"]
+
+
+def setting(config, path):
+    return functools.reduce(dict.__getitem__, path.split("."), config)
+
+
+def with_setting(config, path, value):
+    config = json.loads(json.dumps(config))
+    *sections, key = path.split(".")
+    setting(config, ".".join(sections))[key] = value
+    return config
+
+
+# The two values of each setting a run branches on, and a valid value off the default for every other one.
+BRANCHES = {
+    "evolve.system": ("multiparticle", "qca"),
+    "evolve.qca.initial": ("localized", "vacuum"),
+    "verify.theta": (None, 0.2),
+}
+CHANGED = {
+    "lattice.dimension": 2, "lattice.N": 4, "lattice.dx": 0.5, "lattice.dt": 0.5, "lattice.theta": 0.3,
+    "dispersion.halvings": 4,
+    "verify.n_1d": 6, "verify.n_2d": 2, "verify.n_max": 2, "verify.n_random": 5, "verify.qca_sites": 2,
+    "verify.qca_types": 1,
+    "evolve.steps": 3, "evolve.n_max": 1, "evolve.labels": [{"ell": 1, "branch": 1}], "evolve.dump_state": True,
+    "evolve.qca.sites": 4, "evolve.qca.types": 2, "evolve.qca.site": 1, "evolve.qca.direction": "L",
+}  # fmt: skip
+RUNS = list(itertools.product(cli.COMMANDS, *BRANCHES.values()))
+
+
+def run_config(system, initial, theta):
+    config = with_setting(DEFAULT_CONFIG, "evolve.system", system)
+    return with_setting(with_setting(config, "evolve.qca.initial", initial), "verify.theta", theta)
+
+
+def changed_configs(config):
+    """(setting, config with that one setting changed) for every setting of DEFAULT_CONFIG."""
+    for path in leaves(DEFAULT_CONFIG):
+        pair = BRANCHES.get(path)
+        value = (pair[1] if setting(config, path) == pair[0] else pair[0]) if pair else CHANGED[path]
+        yield path, with_setting(config, path, value)
+
+
+def refusals(command, config):
+    """How each error line that may refuse the config begins; none if the run must go ahead."""
+    run_of = (command, setting(config, "evolve.system"), setting(config, "evolve.qca.initial"))
+    read = settings_read(*run_of, setting(config, "verify.theta") is not None)
+    changed = [path for path in leaves(DEFAULT_CONFIG) if setting(config, path) != setting(DEFAULT_CONFIG, path)]
+    unread = [path for path in changed if path not in read]
+    if "lattice.dimension" in unread and command != "verify":  # the automaton is one-dimensional
+        return {"error: the qca system is one-dimensional; lattice.dimension must be 1\n"}
+    section = run_of[:2] == ("evolve", "multiparticle")  # it names the automaton's section whole
+    return {f"error: {'evolve.qca' if section and 'evolve.qca.' in path else path} applies only to " for path in unread}
+
+
+def refused_wrongly(tmp_path, capsys, command, config):
+    """Whether main, with every command stubbed, refuses the config other than `refusals` says."""
+    code = run([command, "--config", write_config(tmp_path, config), "--out", tmp_path])
+    err = capsys.readouterr().err
+    words = refusals(command, config)
+    return not (code == 2 and err.count("\n") == 1 and any(map(err.startswith, words)) if words else code == 0)
+
+
+@pytest.fixture
+def stubbed_commands(monkeypatch):
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name, lambda config, out_dir, args: 0)
+
+
+@pytest.mark.parametrize("command,system,initial,theta", RUNS, ids=["-".join(map(str, run_of)) for run_of in RUNS])
+def test_every_unread_setting_is_refused_and_every_read_one_goes_ahead(
+    tmp_path, capsys, stubbed_commands, command, system, initial, theta
+):
+    config = run_config(system, initial, theta)
+    if refusals(command, config):  # the command does not read these branches: nothing past them to change
+        assert not refused_wrongly(tmp_path, capsys, command, config)
+        return
+    wrong = [path for path, changed in changed_configs(config) if refused_wrongly(tmp_path, capsys, command, changed)]
+    assert wrong == []
+
+
+def test_dropping_any_entry_of_the_table_fails_the_generated_test(tmp_path, capsys, stubbed_commands, monkeypatch):
+    table = cli._unread
+    dropped = []
+    for command, system, initial, theta in RUNS:
+        config = run_config(system, initial, theta)
+        if refusals(command, config):
+            continue
+        for entry in table(command, config):
+            monkeypatch.setattr(cli, "_unread", lambda *args, entry=entry: [e for e in table(*args) if e != entry])
+            under = [changed for path, changed in changed_configs(config) if f"{path}.".startswith(f"{entry[0]}.")]
+            assert any(refused_wrongly(tmp_path, capsys, command, changed) for changed in under), (command, entry)
+            dropped.append(entry)
+    # every setting is some run's entry, so each was dropped at least once
+    assert {leaf for leaf in leaves(DEFAULT_CONFIG) for path, _ in dropped if f"{leaf}.".startswith(f"{path}.")} == set(
+        leaves(DEFAULT_CONFIG)
+    )
