@@ -1,8 +1,8 @@
 """Experiment runner: spectra, dispersion, verification, and evolution traces.
 
 Configuration is a single JSON document; DEFAULT_CONFIG lists every key
-with its default, and any other key is refused.  Command-line flags
-override it.  Exit codes: 0 success, 1 verification failure, 2 invalid
+with its default, and any other key is refused.  No setting is both a
+key and a flag.  Exit codes: 0 success, 1 verification failure, 2 invalid
 input or configuration, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
@@ -23,12 +23,9 @@ from .lattice import EnergyModeLabel, LatticeSpec, is_integer, momentum_mode
 
 DEFAULT_CONFIG = {
     "lattice": {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.05},
-    "dispersion": {"halvings": 3},
-    # A null verify.theta takes the lattice angle, or 0.3 where that is 0.
-    "verify": {"n_1d": 4, "n_2d": 4, "theta": None, "n_max": 3, "n_random": 30, "qca_sites": 3, "qca_types": 2},
+    "verify": {"n_1d": 4, "n_2d": 4, "n_max": 3, "n_random": 30, "qca_sites": 3, "qca_types": 2},
     "evolve": {
         "system": "multiparticle",
-        "steps": 4,
         "n_max": 2,
         "labels": [],
         "dump_state": False,
@@ -75,15 +72,15 @@ def _unread(command: str, config: dict) -> list[tuple[str, str]]:
     multiparticle = "evolve.n_max evolve.labels evolve.dump_state"
     table = [  # (the runs that leave them unread, the settings, who reads them)
         (command == "verify", "lattice.dimension lattice.N", "the walk, not verify's check lattices (verify.n_1d, verify.n_2d)"),
-        (command == "verify" and config["verify"]["theta"] is not None, "lattice.theta", "the walk when verify.theta is set"),
         # the automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it
         (automaton, "lattice.N lattice.dx lattice.dt", "the walk, not the qca system"),
-        (command != "dispersion", "dispersion.halvings", "dispersion"),
+        # a walk step and its blocks depend on N, dimension and theta alone; dt reaches only phi/dt
+        (command == "spectrum" or (command == "evolve" and not automaton), "lattice.dt", "dispersion and verify"),
         (command != "verify", " ".join(f"verify.{key}" for key in DEFAULT_CONFIG["verify"]), "verify"),
         (not evolves, "evolve.system", "evolve and qca-demo"),
-        (not evolves, f"evolve.steps {multiparticle}", "evolve"),
+        (not evolves, multiparticle, "evolve"),
         (not evolves, " ".join(f"evolve.qca.{key}" for key in DEFAULT_CONFIG["evolve"]["qca"]), "evolve and qca-demo"),
-        (command == "qca-demo", f"evolve.steps {multiparticle}", "evolve, not qca-demo"),  # it steps --steps times
+        (command == "qca-demo", multiparticle, "evolve, not qca-demo"),
         (command == "evolve" and automaton, multiparticle, "the multiparticle system"),
         (command == "evolve" and not automaton, "evolve.qca", "the qca system"),
         (automaton and initial == "vacuum", "evolve.qca.site evolve.qca.direction", "the localized initial state"),
@@ -131,6 +128,7 @@ def _write_table(target: Path | TextIO, columns: dict[str, np.ndarray]) -> None:
 # each takes about 1 s and the process peaks near 130 MB on a 2-vCPU
 # Xeon (BENCH_23.json, the change's rows at N=512).  Both grow with the
 # mode count, so a larger grid is refused rather than left to run out of memory.
+# verify's check lattices take the same cap where the unitarity suite does not run.
 GRID_CAP = 512**2
 
 
@@ -154,11 +152,8 @@ def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
 
 def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     spec = _grid_lattice(config)
-    halvings = args.halvings
-    if halvings is None:
-        halvings = _count(config["dispersion"], "halvings", "dispersion")
     # The study checks the halvings, so a bad count writes no file.
-    study = dirac.convergence_study(spec, halvings=halvings)
+    study = dirac.convergence_study(spec, halvings=args.halvings)
     _write_table(out_dir / "dispersion.csv", dirac.dispersion_columns(spec))
 
     doc = study.to_dict()
@@ -175,23 +170,23 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_verify(config: dict, out_dir: Path, args) -> int:
-    # Verification runs on fixed desk-scale lattices: only the coin angle and spacings
-    # are taken over, and a zero angle (fully degenerate blocks) falls back to the default.
+    # Verification runs on fixed desk-scale lattices: only the coin angle and spacings are taken over.
     vconf = config["verify"]
-    lattice = LatticeSpec.from_dict(config["lattice"])
-    theta = vconf["theta"]
-    if theta is None:
-        theta = lattice.theta or 0.3
-    count = lambda key: _count(vconf, key, "verify")
     # Everything but N is checked here, so a refused size below is the key's own.
-    base = replace(lattice, theta=theta)
+    lattice = LatticeSpec.from_dict(config["lattice"])
+    count = lambda key: _count(vconf, key, "verify")
+    dense = not args.only or "unitarity" in args.only  # that suite builds each check lattice's dense walk
     specs = []
     for dimension, key in ((1, "n_1d"), (2, "n_2d")):
         n = count(key)
         try:
-            specs.append(replace(base, dimension=dimension, N=n))
+            specs.append(replace(lattice, dimension=dimension, N=n))
         except ValueError as exc:
             raise ValueError(f"verify.{key}: {exc}") from None
+        size, cap = (specs[-1].walk_dim, qca.DENSE_OPERATOR_CAP) if dense else (specs[-1].n_sites, GRID_CAP)
+        if size > cap:
+            what = "dense walk dimension (unitarity suite)" if dense else "momentum mode count"
+            raise ValueError(f"verify.{key} {n}: the {dimension}D {what} is {size}, over the cap of {cap}")
     options = verify.VerifyOptions(
         *specs,
         n_max=count("n_max"),
@@ -292,15 +287,14 @@ def _steps(steps: int) -> int:
 
 def cmd_evolve(config: dict, out_dir: Path, args) -> int:
     spec = LatticeSpec.from_dict(config["lattice"])
-    steps = _steps(args.steps if args.steps is not None else _count(config["evolve"], "steps", "evolve"))
+    steps = _steps(args.steps)
     if config["evolve"]["system"] == "qca":
         return _evolve_qca(config, spec, steps, out_dir)
     return _evolve_multiparticle(config, spec, steps, out_dir)
 
 
-def cmd_qca_demo(config: dict, out_dir: Path, args) -> int:
-    steps = _steps(args.steps if args.steps is not None else 6)
-    return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]), steps, None)
+def cmd_qca_demo(config: dict, out_dir: None, args) -> int:
+    return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]), _steps(args.steps), out_dir)
 
 
 COMMANDS = {
@@ -321,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", default=".", help="output directory")
+        if name != "qca-demo":  # it prints to standard output
+            p.add_argument("--out", default=".", help="output directory")
         if name == "verify":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
@@ -337,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="negative control: corrupt the automaton coin",
             )
         if name == "dispersion":
-            p.add_argument("--halvings", type=int, default=None)
+            p.add_argument("--halvings", type=int, default=3)
         if name in ("evolve", "qca-demo"):
-            p.add_argument("--steps", type=int, default=None)
+            p.add_argument("--steps", type=int, default=4 if name == "evolve" else 6)
     return parser
 
 
@@ -351,8 +346,10 @@ def main(argv=None) -> int:
         for path, reader in _unread(args.command, config):  # a setting the run does not read keeps its default
             if not _at_default(config, path):
                 raise ValueError(f"{path} applies only to {reader}")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = None
+        if "out" in args:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
         code = COMMANDS[args.command](config, out_dir, args)
         sys.stdout.flush()
         return code

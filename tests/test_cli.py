@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import functools
@@ -31,6 +32,11 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def out_flag(command, tmp_path):
+    """--out for the commands that write files; qca-demo prints to standard output and takes none."""
+    return [] if command == "qca-demo" else ["--out", tmp_path]
 
 
 def test_spectrum_1d_schema_and_rows(tmp_path):
@@ -256,7 +262,7 @@ def test_verify_rejects_an_n_max_below_one_with_exit_2(tmp_path, capsys, n_max):
 
 def test_verify_rejects_a_momentum_ops_check_with_no_mode_to_test(tmp_path, capsys):
     # at theta = 0 every block of the 2D N = 2 lattice is +-identity
-    cfg = write_config(tmp_path, {"verify": {"theta": 0.0, "n_2d": 2}})
+    cfg = write_config(tmp_path, {"lattice": {"theta": 0.0}, "verify": {"n_2d": 2}})
     assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "momentum-ops"]) == 2
     err = capsys.readouterr().err
     assert "degenerate" in err and len(err.strip().splitlines()) == 1
@@ -302,7 +308,7 @@ def test_block_checks_catch_a_corrupted_block(monkeypatch, fault, failing):
 def test_eigenphase_law_holds_at_a_block_of_minus_identity(tmp_path):
     # theta = pi/2 makes the 2D N=4 block at ell = (1, 1) -1 times the
     # identity: both eigenphases are pi, which equals -pi.
-    cfg = write_config(tmp_path, {"verify": {"theta": 1.5707963267948966, "n_2d": 4}})
+    cfg = write_config(tmp_path, {"lattice": {"theta": 1.5707963267948966}, "verify": {"n_2d": 4}})
     assert run(["verify", "--config", cfg, "--out", tmp_path, "--only", "blocks"]) == 0
 
 
@@ -437,9 +443,10 @@ MALFORMED_NUMBERED = (
         ("spectrum", {"lattice": 5}, "config section lattice must be a JSON object"),
         ("verify", {"verify": []}, "config section verify must be a JSON object"),
         ("evolve", {"evolve": {"qca": None}}, "config section evolve.qca must be a JSON object"),
-        ("evolve", {"evolve": {"steps": "3"}}, "evolve.steps must be an integer, got '3'"),
-        ("evolve", {"evolve": {"steps": 2.5}}, "evolve.steps must be an integer, got 2.5"),
-        ("evolve", {"evolve": {"steps": True}}, "evolve.steps must be an integer, got True"),
+        # the steps are the --steps flag's alone, so the config has no such key, whatever its value
+        ("evolve", {"evolve": {"steps": "3"}}, "unknown config key evolve.steps"),
+        ("evolve", {"evolve": {"steps": 2.5}}, "unknown config key evolve.steps"),
+        ("evolve", {"evolve": {"steps": True}}, "unknown config key evolve.steps"),
         ("evolve", {"evolve": {"n_max": "2"}}, "evolve.n_max must be an integer, got '2'"),
         ("verify", {"verify": {"n_max": "3"}}, "verify.n_max must be an integer, got '3'"),
         ("verify", {"verify": {"n_random": 2.5}}, "verify.n_random must be an integer, got 2.5"),
@@ -447,7 +454,7 @@ MALFORMED_NUMBERED = (
         ("verify", {"verify": {"n_2d": True}}, "verify.n_2d must be an integer, got True"),
         ("verify", {"verify": {"qca_sites": "3"}}, "verify.qca_sites must be an integer, got '3'"),
         ("verify", {"verify": {"qca_types": 2.0}}, "verify.qca_types must be an integer, got 2.0"),
-        ("dispersion", {"dispersion": {"halvings": "3"}}, "dispersion.halvings must be an integer"),
+        ("dispersion", {"dispersion": {"halvings": "3"}}, "unknown config key dispersion"),  # --halvings alone
         ("evolve", {"evolve": {"labels": [{"ell": [1.7], "branch": 1}]}}, "momentum indices must be integers"),
         ("evolve", {"evolve": {"labels": [{"ell": [1], "branch": 1.0}]}}, "branch must be +1 or -1, got 1.0"),
         ("evolve", {"evolve": {"labels": [5]}}, "evolve.labels must be a list of objects"),
@@ -487,7 +494,7 @@ MALFORMED_NUMBERED = (
         ),
         (
             "verify",
-            {"verify": {"theta": 0, "n_1d": 2, "n_2d": 2}},
+            {"lattice": {"theta": 0}, "verify": {"n_1d": 2, "n_2d": 2}},
             "every momentum block of the 1D N=2 and 2D N=2 lattices at theta=0 is degenerate; "
             "the eigenvector-residual check has no vector to test",
         ),
@@ -536,12 +543,12 @@ MALFORMED_NUMBERED = (
         # qca-demo steps --steps times (6 by default) from the evolve.qca state
         ("qca-demo", {"evolve": evolve}, f"evolve.{key} applies only to evolve, not qca-demo")
         for evolve, key in [
-            ({"steps": 10}, "steps"),
+            ({"n_max": 1}, "n_max"),
             ({"n_max": 3}, "n_max"),
             ({"labels": [{"ell": 1, "branch": 1}]}, "labels"),
             ({"dump_state": True}, "dump_state"),
             ({"system": "qca", "dump_state": 0}, "dump_state"),
-            ({"n_max": 3, "steps": 10, "labels": [{"ell": 1, "branch": -1}]}, "steps"),
+            ({"n_max": 3, "labels": [{"ell": 1, "branch": -1}], "dump_state": True}, "n_max"),
         ]
     ]
 )
@@ -551,28 +558,33 @@ MALFORMED_CASES = [
     # qca-demo always runs the automaton, but refuses an unknown system as evolve does
     ("qca-demo", {"evolve": {"system": "bogus"}}, "unknown evolve system 'bogus'"),
     ("evolve", {"evolve": {"system": "bogus"}}, "unknown evolve system 'bogus'"),
-    # verify checks the lattice section as spectrum does: no falsy angle becomes the default,
-    # and a set verify.theta does not hide a broken lattice.theta
+    # verify checks the lattice section as spectrum does, and no falsy angle becomes the default
     ("verify", {"lattice": {"theta": False}}, "theta must be a finite real number, got False"),
     ("verify", {"lattice": {"theta": None}}, "theta must be a finite real number, got None"),
-    ("verify", {"lattice": {"theta": "abc"}, "verify": {"theta": 0.3}}, "theta must be a finite real number, got 'abc'"),
-    # a set verify.theta is the check angle, so lattice.theta is then unread
-    (
-        "verify",
-        {"lattice": {"theta": 0.7}, "verify": {"theta": 0.3}},
-        "lattice.theta applies only to the walk when verify.theta is set",
-    ),
+    ("verify", {"lattice": {"theta": "abc"}}, "theta must be a finite real number, got 'abc'"),
+    # verify checks at lattice.theta: there is no second angle to set beside it
+    ("verify", {"lattice": {"theta": 0.7}, "verify": {"theta": 0.3}}, "unknown config key verify.theta"),
+    ("spectrum", {"verify": {"theta": 0.3}}, "unknown config key verify.theta"),
     # a float default takes an equal int, but not a bool
     ("evolve", {"lattice": {"dx": True}, "evolve": {"system": "qca"}}, "dx must be a finite real number, got True"),
     ("qca-demo", {"lattice": {"dt": False}}, "dt must be a finite real number, got False"),
     # a setting of another command's section is unread
     ("spectrum", {"verify": {"n_1d": 6}}, "verify.n_1d applies only to verify"),
-    ("verify", {"dispersion": {"halvings": 5}}, "dispersion.halvings applies only to dispersion"),
-    ("dispersion", {"evolve": {"steps": 5}}, "evolve.steps applies only to evolve"),
+    ("dispersion", {"evolve": {"n_max": 3}}, "evolve.n_max applies only to evolve"),
     ("evolve", {"verify": {"n_1d": 6}}, "verify.n_1d applies only to verify"),
-    ("qca-demo", {"dispersion": {"halvings": 5}}, "dispersion.halvings applies only to dispersion"),
+    ("qca-demo", {"verify": {"n_random": 5}}, "verify.n_random applies only to verify"),
     ("spectrum", {"evolve": {"system": "qca"}}, "evolve.system applies only to evolve and qca-demo"),
     ("dispersion", {"evolve": {"qca": {"sites": 4}}}, "evolve.qca.sites applies only to evolve and qca-demo"),
+    # the step counts and the halvings are flags only
+    ("evolve", {"evolve": {"steps": 5}}, "unknown config key evolve.steps"),
+    ("qca-demo", {"evolve": {"steps": 10}}, "unknown config key evolve.steps"),
+    ("dispersion", {"dispersion": {"halvings": 5}}, "unknown config key dispersion"),
+    ("verify", {"dispersion": {"halvings": 5}}, "unknown config key dispersion"),
+    # a walk step and its spectrum depend on N, dimension and theta alone, so dt is unread there
+    ("spectrum", {"lattice": {"dt": 5.0}}, "lattice.dt applies only to dispersion and verify"),
+    ("evolve", {"lattice": {"dt": 5.0}}, "lattice.dt applies only to dispersion and verify"),
+    # the unitarity suite builds each check lattice's dense walk; this one would take terabytes
+    ("verify", {"verify": {"n_1d": 200000}}, "verify.n_1d 200000: the 1D dense walk dimension (unitarity suite) is 400000"),
 ]
 
 
@@ -584,7 +596,7 @@ MALFORMED_CASES = [
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
     cfg = write_config(tmp_path, doc)
-    assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+    assert run([command, "--config", cfg, *out_flag(command, tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert words in err and len(err.strip().splitlines()) == 1
@@ -601,15 +613,15 @@ def test_evolve_accepts_the_other_systems_settings_at_their_defaults(tmp_path):
 def test_verify_and_qca_demo_accept_unread_settings_at_their_defaults(tmp_path):
     doc = {"lattice": {"dimension": 1, "N": 8, "dx": 2.0}}
     assert run(["verify", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--only", "car"]) == 0
-    doc = {"evolve": {"system": "qca", "steps": 4, "n_max": 2, "labels": [], "dump_state": False}}
+    doc = {"evolve": {"system": "qca", "n_max": 2, "labels": [], "dump_state": False}}
     assert run(["qca-demo", "--config", write_config(tmp_path, doc), "--steps", 1]) == 0
 
 
 def test_a_float_default_takes_an_equal_int_and_verify_reads_lattice_theta_without_verify_theta(tmp_path):
     doc = {"lattice": {"dx": 1, "dt": 1}, "evolve": {"system": "qca"}}
     for command in ("evolve", "qca-demo"):
-        assert run([command, "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 1]) == 0
-    doc = {"lattice": {"theta": 0.7}, "verify": {"theta": None}}
+        assert run([command, "--config", write_config(tmp_path, doc), *out_flag(command, tmp_path), "--steps", 1]) == 0
+    doc = {"lattice": {"theta": 0.7}}
     assert run(["verify", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--only", "car"]) == 0
 
 
@@ -745,7 +757,7 @@ def test_golden_spectrum_row(tmp_path):
     ],
 )
 def test_malformed_flag_values_rejected_with_exit_2(tmp_path, capsys, argv, words):
-    assert run([*argv, "--out", tmp_path]) == 2
+    assert run([*argv, *out_flag(argv[0], tmp_path)]) == 2
     captured = capsys.readouterr()
     assert words in captured.err and len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
@@ -756,26 +768,26 @@ def test_malformed_flag_values_rejected_with_exit_2(tmp_path, capsys, argv, word
 @pytest.mark.parametrize("command", ["spectrum", "dispersion", "evolve", "qca-demo"])
 def test_only_verify_takes_seed_and_tol(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
-        run([command, flag, "1", "--out", tmp_path])
+        run([command, flag, "1", *out_flag(command, tmp_path)])
     assert exc.value.code == 2
 
 
 
 # The settings each run reads, written apart from cli's table of the ones it leaves unread.  A run
-# is its command, evolve.system, evolve.qca.initial and whether verify.theta is set; every other
-# setting of DEFAULT_CONFIG must keep its default.
-def settings_read(command, system, initial, theta_set):
-    walk = {"lattice.dimension", "lattice.N", "lattice.dx", "lattice.dt", "lattice.theta"}
+# is its command, evolve.system and evolve.qca.initial; every other setting of DEFAULT_CONFIG must
+# keep its default.
+def settings_read(command, system, initial):
+    walk = {"lattice.dimension", "lattice.N", "lattice.dx", "lattice.theta"}  # dt reaches only phi/dt
     automaton = {"lattice.theta", "evolve.system", "evolve.qca.sites", "evolve.qca.types", "evolve.qca.initial"}
     if initial == "localized":
         automaton |= {"evolve.qca.site", "evolve.qca.direction"}
-    multiparticle = {"evolve.system", "evolve.steps", "evolve.n_max", "evolve.labels", "evolve.dump_state"}
-    verify = {f"verify.{key}" for key in DEFAULT_CONFIG["verify"]} | {"lattice.dx", "lattice.dt"}
+    multiparticle = {"evolve.system", "evolve.n_max", "evolve.labels", "evolve.dump_state"}
+    verify = {f"verify.{key}" for key in DEFAULT_CONFIG["verify"]} | {"lattice.dx", "lattice.dt", "lattice.theta"}
     return {
         "spectrum": walk,
-        "dispersion": walk | {"dispersion.halvings"},
-        "verify": verify if theta_set else verify | {"lattice.theta"},
-        "evolve": automaton | {"evolve.steps"} if system == "qca" else walk | multiparticle,
+        "dispersion": walk | {"lattice.dt"},
+        "verify": verify,
+        "evolve": automaton if system == "qca" else walk | multiparticle,
         "qca-demo": automaton,
     }[command]
 
@@ -800,22 +812,19 @@ def with_setting(config, path, value):
 BRANCHES = {
     "evolve.system": ("multiparticle", "qca"),
     "evolve.qca.initial": ("localized", "vacuum"),
-    "verify.theta": (None, 0.2),
 }
 CHANGED = {
     "lattice.dimension": 2, "lattice.N": 4, "lattice.dx": 0.5, "lattice.dt": 0.5, "lattice.theta": 0.3,
-    "dispersion.halvings": 4,
     "verify.n_1d": 6, "verify.n_2d": 2, "verify.n_max": 2, "verify.n_random": 5, "verify.qca_sites": 2,
     "verify.qca_types": 1,
-    "evolve.steps": 3, "evolve.n_max": 1, "evolve.labels": [{"ell": 1, "branch": 1}], "evolve.dump_state": True,
+    "evolve.n_max": 1, "evolve.labels": [{"ell": 1, "branch": 1}], "evolve.dump_state": True,
     "evolve.qca.sites": 4, "evolve.qca.types": 2, "evolve.qca.site": 1, "evolve.qca.direction": "L",
 }  # fmt: skip
 RUNS = list(itertools.product(cli.COMMANDS, *BRANCHES.values()))
 
 
-def run_config(system, initial, theta):
-    config = with_setting(DEFAULT_CONFIG, "evolve.system", system)
-    return with_setting(with_setting(config, "evolve.qca.initial", initial), "verify.theta", theta)
+def run_config(system, initial):
+    return with_setting(with_setting(DEFAULT_CONFIG, "evolve.system", system), "evolve.qca.initial", initial)
 
 
 def changed_configs(config):
@@ -829,7 +838,7 @@ def changed_configs(config):
 def refusals(command, config):
     """How each error line that may refuse the config begins; none if the run must go ahead."""
     run_of = (command, setting(config, "evolve.system"), setting(config, "evolve.qca.initial"))
-    read = settings_read(*run_of, setting(config, "verify.theta") is not None)
+    read = settings_read(*run_of)
     changed = [path for path in leaves(DEFAULT_CONFIG) if setting(config, path) != setting(DEFAULT_CONFIG, path)]
     unread = [path for path in changed if path not in read]
     if "lattice.dimension" in unread and command != "verify":  # the automaton is one-dimensional
@@ -840,7 +849,7 @@ def refusals(command, config):
 
 def refused_wrongly(tmp_path, capsys, command, config):
     """Whether main, with every command stubbed, refuses the config other than `refusals` says."""
-    code = run([command, "--config", write_config(tmp_path, config), "--out", tmp_path])
+    code = run([command, "--config", write_config(tmp_path, config), *out_flag(command, tmp_path)])
     err = capsys.readouterr().err
     words = refusals(command, config)
     return not (code == 2 and err.count("\n") == 1 and any(map(err.startswith, words)) if words else code == 0)
@@ -852,11 +861,11 @@ def stubbed_commands(monkeypatch):
         monkeypatch.setitem(cli.COMMANDS, name, lambda config, out_dir, args: 0)
 
 
-@pytest.mark.parametrize("command,system,initial,theta", RUNS, ids=["-".join(map(str, run_of)) for run_of in RUNS])
+@pytest.mark.parametrize("command,system,initial", RUNS, ids=["-".join(run_of) for run_of in RUNS])
 def test_every_unread_setting_is_refused_and_every_read_one_goes_ahead(
-    tmp_path, capsys, stubbed_commands, command, system, initial, theta
+    tmp_path, capsys, stubbed_commands, command, system, initial
 ):
-    config = run_config(system, initial, theta)
+    config = run_config(system, initial)
     if refusals(command, config):  # the command does not read these branches: nothing past them to change
         assert not refused_wrongly(tmp_path, capsys, command, config)
         return
@@ -867,8 +876,8 @@ def test_every_unread_setting_is_refused_and_every_read_one_goes_ahead(
 def test_dropping_any_entry_of_the_table_fails_the_generated_test(tmp_path, capsys, stubbed_commands, monkeypatch):
     table = cli._unread
     dropped = []
-    for command, system, initial, theta in RUNS:
-        config = run_config(system, initial, theta)
+    for command, system, initial in RUNS:
+        config = run_config(system, initial)
         if refusals(command, config):
             continue
         for entry in table(command, config):
@@ -876,7 +885,61 @@ def test_dropping_any_entry_of_the_table_fails_the_generated_test(tmp_path, caps
             under = [changed for path, changed in changed_configs(config) if f"{path}.".startswith(f"{entry[0]}.")]
             assert any(refused_wrongly(tmp_path, capsys, command, changed) for changed in under), (command, entry)
             dropped.append(entry)
-    # every setting is some run's entry, so each was dropped at least once
-    assert {leaf for leaf in leaves(DEFAULT_CONFIG) for path, _ in dropped if f"{leaf}.".startswith(f"{path}.")} == set(
-        leaves(DEFAULT_CONFIG)
-    )
+    # every setting that some run leaves unread is that run's entry, so each was dropped at least once;
+    # only lattice.theta, the coin angle, is read by every run
+    read_by_all = set.intersection(*(settings_read(*run_of) for run_of in RUNS))
+    assert read_by_all == {"lattice.theta"}
+    covered = {leaf for leaf in leaves(DEFAULT_CONFIG) for path, _ in dropped if f"{leaf}.".startswith(f"{path}.")}
+    assert covered == set(leaves(DEFAULT_CONFIG)) - read_by_all
+
+
+def flags_named_as_settings(config):
+    """The settings of `config` that share their name with a flag of some command."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {action.dest for sub in commands.values() for action in sub._actions if action.option_strings}
+    return {path for path in leaves(config) if path.rsplit(".", 1)[-1] in flags}
+
+
+def test_no_setting_is_both_a_config_key_and_a_flag():
+    assert flags_named_as_settings(DEFAULT_CONFIG) == set()
+    # negative control: the config key that --steps used to override
+    assert flags_named_as_settings(with_setting(DEFAULT_CONFIG, "evolve.steps", 4)) == {"evolve.steps"}
+
+
+def test_verify_refuses_an_oversize_check_lattice_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    for name in verify.SUITES:
+        passed = lambda options, name=name: ran.append(name) or [verify.CheckResult(name, 0.0, 1.0, True)]
+        monkeypatch.setitem(verify.SUITES, name, passed)
+    # the unitarity suite builds each dense walk, of dimension 2 N (1D) or 2 N^2 (2D), up to qca.DENSE_OPERATOR_CAP;
+    # without it the check lattices are capped as spectrum's grid is, at cli.GRID_CAP modes
+    assert (qca.DENSE_OPERATOR_CAP, cli.GRID_CAP) == (2048, 512**2)
+    cases = [
+        ([], {"n_1d": 1024, "n_2d": 32}, None),
+        ([], {"n_1d": 1026}, "verify.n_1d 1026: the 1D dense walk dimension (unitarity suite) is 2052, over the cap of 2048"),
+        (["--only", "unitarity"], {"n_2d": 34}, "verify.n_2d 34: the 2D dense walk dimension (unitarity suite) is 2312"),
+        (["--only", "blocks"], {"n_1d": 512 * 512, "n_2d": 512}, None),
+        (["--only", "blocks"], {"n_1d": 512 * 512 + 2}, "verify.n_1d 262146: the 1D momentum mode count is 262146"),
+        (["--only", "car", "--only", "blocks"], {"n_2d": 514}, "verify.n_2d 514: the 2D momentum mode count is 264196"),
+    ]
+    for i, (only, vconf, words) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        code = run(["verify", "--config", write_config(tmp_path, {"verify": vconf}), "--out", out, *only])
+        err = capsys.readouterr().err
+        if words is None:
+            assert (code, err) == (0, "") and ran == [name for name in verify.SUITES if not only or name in only]
+        else:
+            assert code == 2 and err.startswith(f"error: {words}") and err.count("\n") == 1
+            assert ran == [] and not (out / "verification.json").exists()
+        ran.clear()
+
+
+def test_qca_demo_takes_no_out_and_makes_no_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["qca-demo", "--out", "made"])
+    assert exc.value.code == 2
+    assert run(["qca-demo", "--steps", 1]) == 0
+    assert capsys.readouterr().out.startswith("step,site,type,n_r,n_l")
+    assert list(tmp_path.iterdir()) == []

@@ -109,9 +109,9 @@ EVOLUTIONS = {
 @pytest.mark.parametrize("name", list(EVOLUTIONS))
 def test_evolution_csv_equals_the_per_row_oracle(tmp_path, name):
     lattice, labels, n_max, steps = EVOLUTIONS[name]
-    evolve = {"n_max": n_max, "steps": steps, "labels": [{"ell": ell, "branch": b} for ell, b in labels]}
+    evolve = {"n_max": n_max, "labels": [{"ell": ell, "branch": b} for ell, b in labels]}
     cfg = write_config(tmp_path, {"lattice": lattice, "evolve": evolve})
-    assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+    assert run(["evolve", "--config", cfg, "--out", tmp_path, "--steps", steps]) == 0
     expected = _evolution_oracle(lattice, labels, n_max, steps)
     assert (tmp_path / "evolution.csv").read_bytes() == expected.encode()
 
@@ -153,15 +153,15 @@ def _automaton(name):
 @pytest.mark.parametrize("name", list(AUTOMATA))
 def test_occupations_csv_equals_the_per_row_oracle(tmp_path, name):
     doc, theta, qconf = _automaton(name)
-    doc = {**doc, "evolve": {**doc.get("evolve", {}), "system": "qca", "steps": 5}}
-    assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path]) == 0
+    doc = {**doc, "evolve": {**doc.get("evolve", {}), "system": "qca"}}
+    assert run(["evolve", "--config", write_config(tmp_path, doc), "--out", tmp_path, "--steps", 5]) == 0
     assert (tmp_path / "occupations.csv").read_bytes() == _occupations_oracle(theta, qconf, 5).encode()
 
 
 @pytest.mark.parametrize("name", list(AUTOMATA))
 def test_qca_demo_stdout_equals_the_per_row_oracle(tmp_path, capsys, name):
     doc, theta, qconf = _automaton(name)
-    argv = ["qca-demo", "--out", tmp_path]
+    argv = ["qca-demo"]
     if doc:
         argv += ["--config", write_config(tmp_path, doc), "--steps", 3]
     assert run(argv) == 0

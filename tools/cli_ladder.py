@@ -3,7 +3,8 @@
     python tools/cli_ladder.py --base REV --processes 5 --out BENCH_<n>.json
 
 Each fresh process imports walkqca from one tree and runs `cli.main`,
-writing into a temporary directory: first `evolve` and `qca-demo` at the
+writing into a temporary directory (`qca-demo` into a discarded
+standard output): first `evolve` and `qca-demo` at the
 default config, then `spectrum` and `dispersion` on the 2D lattice at
 N = 32, 64, 128, 256 (theta 0.3, the other settings at their defaults)
 and at the grid cap, `cli.GRID_CAP` modes, where the tree has one (a
@@ -73,7 +74,9 @@ def _child(src: str) -> dict:
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command in DEFAULT_COMMANDS:
-            rows[f"default.{command}"] = _timed(cli, [command, "--out", tmp], DEFAULT_REPEATS)
+            # qca-demo prints to standard output and takes no --out
+            argv = [command] if command == "qca-demo" else [command, "--out", tmp]
+            rows[f"default.{command}"] = _timed(cli, argv, DEFAULT_REPEATS)
             rows[f"default.{command}.peak_rss_mb"] = _peak_rss_mb()
         config = Path(tmp) / "config.json"
         for n, repeats in sizes.items():
