@@ -775,7 +775,7 @@ def test_only_verify_takes_seed_and_tol(tmp_path, command, flag):
 
 # The settings each run reads, written apart from cli's table of the ones it leaves unread.  A run
 # is its command, evolve.system and evolve.qca.initial; every other setting of DEFAULT_CONFIG must
-# keep its default.
+# keep its default.  The lattice's dimension changes none of these sets: the automaton refuses 2D whole.
 def settings_read(command, system, initial):
     walk = {"lattice.dimension", "lattice.N", "lattice.dx", "lattice.theta"}  # dt reaches only phi/dt
     automaton = {"lattice.theta", "evolve.system", "evolve.qca.sites", "evolve.qca.types", "evolve.qca.initial"}
@@ -812,9 +812,10 @@ def with_setting(config, path, value):
 BRANCHES = {
     "evolve.system": ("multiparticle", "qca"),
     "evolve.qca.initial": ("localized", "vacuum"),
+    "lattice.dimension": (1, 2),
 }
 CHANGED = {
-    "lattice.dimension": 2, "lattice.N": 4, "lattice.dx": 0.5, "lattice.dt": 0.5, "lattice.theta": 0.3,
+    "lattice.N": 4, "lattice.dx": 0.5, "lattice.dt": 0.5, "lattice.theta": 0.3,
     "verify.n_1d": 6, "verify.n_2d": 2, "verify.n_max": 2, "verify.n_random": 5, "verify.qca_sites": 2,
     "verify.qca_types": 1,
     "evolve.n_max": 1, "evolve.labels": [{"ell": 1, "branch": 1}], "evolve.dump_state": True,
@@ -823,8 +824,9 @@ CHANGED = {
 RUNS = list(itertools.product(cli.COMMANDS, *BRANCHES.values()))
 
 
-def run_config(system, initial):
-    return with_setting(with_setting(DEFAULT_CONFIG, "evolve.system", system), "evolve.qca.initial", initial)
+def run_config(system, initial, dimension):
+    config = with_setting(DEFAULT_CONFIG, "evolve.system", system)
+    return with_setting(with_setting(config, "evolve.qca.initial", initial), "lattice.dimension", dimension)
 
 
 def changed_configs(config):
@@ -861,11 +863,11 @@ def stubbed_commands(monkeypatch):
         monkeypatch.setitem(cli.COMMANDS, name, lambda config, out_dir, args: 0)
 
 
-@pytest.mark.parametrize("command,system,initial", RUNS, ids=["-".join(run_of) for run_of in RUNS])
+@pytest.mark.parametrize("command,system,initial,dimension", RUNS, ids=["-".join(map(str, run_of)) for run_of in RUNS])
 def test_every_unread_setting_is_refused_and_every_read_one_goes_ahead(
-    tmp_path, capsys, stubbed_commands, command, system, initial
+    tmp_path, capsys, stubbed_commands, command, system, initial, dimension
 ):
-    config = run_config(system, initial)
+    config = run_config(system, initial, dimension)
     if refusals(command, config):  # the command does not read these branches: nothing past them to change
         assert not refused_wrongly(tmp_path, capsys, command, config)
         return
@@ -876,8 +878,8 @@ def test_every_unread_setting_is_refused_and_every_read_one_goes_ahead(
 def test_dropping_any_entry_of_the_table_fails_the_generated_test(tmp_path, capsys, stubbed_commands, monkeypatch):
     table = cli._unread
     dropped = []
-    for command, system, initial in RUNS:
-        config = run_config(system, initial)
+    for command, system, initial, dimension in RUNS:
+        config = run_config(system, initial, dimension)
         if refusals(command, config):
             continue
         for entry in table(command, config):
@@ -887,7 +889,7 @@ def test_dropping_any_entry_of_the_table_fails_the_generated_test(tmp_path, caps
             dropped.append(entry)
     # every setting that some run leaves unread is that run's entry, so each was dropped at least once;
     # only lattice.theta, the coin angle, is read by every run
-    read_by_all = set.intersection(*(settings_read(*run_of) for run_of in RUNS))
+    read_by_all = set.intersection(*(settings_read(*run_of[:3]) for run_of in RUNS))
     assert read_by_all == {"lattice.theta"}
     covered = {leaf for leaf in leaves(DEFAULT_CONFIG) for path, _ in dropped if f"{leaf}.".startswith(f"{path}.")}
     assert covered == set(leaves(DEFAULT_CONFIG)) - read_by_all
