@@ -54,8 +54,9 @@ class BlockDecomposition:
     degenerate: bool
 
 
-def matrix_from_r(r: tuple[float, float, float, float]) -> np.ndarray:
-    r0, r1, r2, r3 = r
+def matrix_from_r(r) -> np.ndarray:
+    """M of r = (r0, r1, r2, r3): (2, 2) from scalars, (..., 2, 2) from equal-shape arrays, rounded alike."""
+    r0, r1, r2, r3 = (np.asarray(c)[..., None, None] for c in r)
     return r0 * IDENTITY_2 + 1j * (r1 * SIGMA_X + r2 * SIGMA_Y + r3 * SIGMA_Z)
 
 

@@ -72,10 +72,10 @@ def _unread(command: str, config: dict) -> list[tuple[str, str]]:
     multiparticle = "evolve.n_max evolve.labels evolve.dump_state"
     table = [  # (the runs that leave them unread, the settings, who reads them)
         (command == "verify", "lattice.dimension lattice.N", "the walk, not verify's check lattices (verify.n_1d, verify.n_2d)"),
-        # the automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it
-        (automaton, "lattice.N lattice.dx lattice.dt", "the walk, not the qca system"),
-        # a walk step and its blocks depend on N, dimension and theta alone; dt reaches only phi/dt
-        (command == "spectrum" or (command == "evolve" and not automaton), "lattice.dt", "dispersion and verify"),
+        # the automaton's ring is evolve.qca.sites; the walk's size and spacing do not reach it
+        (automaton, "lattice.N lattice.dx", "the walk, not the qca system"),
+        # dt reaches only phi/dt: no walk step, block or automaton step reads it
+        (command not in ("dispersion", "verify"), "lattice.dt", "dispersion and verify"),
         (command != "verify", " ".join(f"verify.{key}" for key in DEFAULT_CONFIG["verify"]), "verify"),
         (not evolves, "evolve.system", "evolve and qca-demo"),
         (not evolves, multiparticle, "evolve"),
@@ -114,6 +114,7 @@ def _write_table(target: Path | TextIO, columns: dict[str, np.ndarray]) -> None:
     A field is the str() of its .tolist() scalar, made once per distinct bit pattern (-0.0 keeps its sign).
     """
     if isinstance(target, Path):
+        target.parent.mkdir(parents=True, exist_ok=True)  # --out is made at the first write: a refused run makes none
         with open(target, "w", encoding="utf-8", newline="") as fh:
             return _write_table(fh, columns)
     texts = []
@@ -199,6 +200,7 @@ def cmd_verify(config: dict, out_dir: Path, args) -> int:
     )
     results = verify.run_verification(options, only=args.only or None)
     report = [r.to_dict() for r in results]
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "verification.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     width = max(len(r.check) for r in results)
@@ -346,10 +348,7 @@ def main(argv=None) -> int:
         for path, reader in _unread(args.command, config):  # a setting the run does not read keeps its default
             if not _at_default(config, path):
                 raise ValueError(f"{path} applies only to {reader}")
-        out_dir = None
-        if "out" in args:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(args.out) if "out" in args else None
         code = COMMANDS[args.command](config, out_dir, args)
         sys.stdout.flush()
         return code

@@ -13,8 +13,8 @@ from math import isfinite
 
 import numpy as np
 
-from . import dirac, fock, multiparticle, qca, walk
-from .lattice import EnergyModeLabel, LatticeSpec, energy_labels, momentum_grid
+from . import blocks, dirac, fock, multiparticle, qca, walk
+from .lattice import EnergyModeLabel, LatticeSpec, energy_labels, momentum_mode
 
 DEFAULT_TOL = 1e-12
 
@@ -117,23 +117,23 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
         )
         for spec in specs
     ]
-    blocks = [walk.momentum_block(spec, mode) for spec in specs for mode in momentum_grid(spec)]
-    live = np.array([not block.degenerate for block in blocks])
+    tables = [walk.block_table(spec) for spec in specs]
+    column = lambda name: np.concatenate([table[name] for table in tables])
+    r = np.stack([column(f"r{i}") for i in range(4)])
+    phi, live = column("phi"), column("degenerate") == 0
     if not live.any():
         lattices = " and ".join(f"{spec.dimension}D N={spec.N}" for spec in specs)
         raise ValueError(
             f"every momentum block of the {lattices} lattices at theta={specs[0].theta} "
             "is degenerate; the eigenvector-residual check has no vector to test"
         )
-    r = np.array([block.r for block in blocks])
-    phi = np.array([block.phi for block in blocks])
-    mats = np.array([block.matrix for block in blocks])
+    mats = blocks.matrix_from_r(r)
     eig = np.sort(np.angle(np.linalg.eigvals(mats)))
     # M v - lam v for v_plus with exp(i*phi) and v_minus with exp(-i*phi), where defined
-    vecs = np.array([(block.v_plus, block.v_minus) for block in blocks])[live, :, :, None]
+    vecs = np.array([blocks.eigenvector_pair(*r_vec) for r_vec in r[1:, live].T.tolist()])[..., None]
     lam = np.exp(1j * phi[live])
     dev = mats[live, None] @ vecs - np.stack([lam, lam.conj()], axis=-1)[..., None, None] * vecs
-    norm_dev = np.max(np.abs(sum(c * c for c in r.T) - 1.0))
+    norm_dev = np.max(np.abs(sum(c * c for c in r) - 1.0))
     gap = np.abs(eig - np.stack([-phi, phi], axis=-1))
     phase_dev = np.max(np.minimum(gap, 2 * np.pi - gap))  # phases agree modulo 2*pi
     # One norm per vector: a norm along an axis rounds differently.
@@ -205,24 +205,24 @@ def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
 def momentum_ops_residual(spec: LatticeSpec) -> float:
     """Max entrywise deviation of the conjugated pair from the block action.
 
-    Checks the first two non-degenerate modes of the grid over the Fock
-    basis of their four branches.  The column (a_R+, a_L+) conjugates by
-    the transpose of the block, so each conjugated operator is matched
-    against the corresponding column combination.
+    Checks the first two non-degenerate modes of :func:`walk.block_table`
+    over the Fock basis of their four branches.  The column (a_R+, a_L+)
+    conjugates by the transpose of the block, so each conjugated operator
+    is matched against the corresponding column combination.
     """
-    blocks = [walk.momentum_block(spec, mode) for mode in momentum_grid(spec)]
-    blocks = [block for block in blocks if not block.degenerate][:2]
-    if not blocks:
+    table = walk.block_table(spec)
+    ells = np.stack([table[name] for name in walk.MODE_COLUMNS[spec.dimension][: spec.dimension]], axis=-1)
+    live = ells[table["degenerate"] == 0][:2].tolist()
+    checked = [walk.momentum_block(spec, momentum_mode(spec, ell)) for ell in live]
+    if not checked:
         raise ValueError(
             f"every momentum block of the {spec.dimension}D N={spec.N} lattice at "
             f"theta={spec.theta} is degenerate; the momentum-ops check has no mode to test"
         )
-    basis = fock.fock_basis(
-        EnergyModeLabel(block.mode, branch) for block in blocks for branch in (-1, 1)
-    )
+    basis = fock.fock_basis(EnergyModeLabel(block.mode, branch) for block in checked for branch in (-1, 1))
     evo = fock.evolution_diagonal(basis, spec)
     worst = 0.0
-    for block in blocks:
+    for block in checked:
         pair = fock.momentum_mode_ops(basis, spec, block.mode)
         for i in range(2):
             # a product with a diagonal map multiplies each weight by a phase

@@ -17,7 +17,7 @@ from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .blocks import DEGENERACY_TOL, IDENTITY_2, SIGMA_X, BlockDecomposition, decompose
+from .blocks import DEGENERACY_TOL, IDENTITY_2, SIGMA_X, BlockDecomposition, decompose, matrix_from_r
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -196,19 +196,17 @@ def verify_block_consistency(spec: LatticeSpec) -> float:
     Two :func:`unit_phases` columns go through one :func:`step_into` and
     are matched with their FFT, times each mode's block, transformed back.
     <k| is exp(+i*k.x)/sqrt(n_sites): mode ell is index ell mod N of ifftn.
-    The blocks come from :func:`block_table`'s r columns in closed form,
-    M = [[r0 + i r3, r2 + i r1], [-r2 + i r1, r0 - i r3]].
+    The blocks come from :func:`block_table`'s r columns through
+    :func:`~walkqca.blocks.matrix_from_r`, the closed form of every block.
     """
     grid, axes = (spec.N,) * spec.dimension, tuple(range(spec.dimension))
     pair = unit_phases((spec.walk_dim, 2))
     stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
     step_into(spec, pair[None], stepped)
     table = block_table(spec)
-    r0, r1, r2, r3 = (table[f"r{i}"] for i in range(4))
     blocks = np.empty((*grid, 2, 2), dtype=complex)
     cells = tuple(table[name] % spec.N for name in MODE_COLUMNS[spec.dimension][: spec.dimension])
-    blocks.real[cells] = np.stack([r0, r2, -r2, r0], axis=-1).reshape(-1, 2, 2)
-    blocks.imag[cells] = np.stack([r3, r1, r1, -r3], axis=-1).reshape(-1, 2, 2)
+    blocks[cells] = matrix_from_r([table[f"r{i}"] for i in range(4)])
     modes = np.fft.ifftn(pair.reshape(*grid, 2, 2), axes=axes, norm="ortho")
     expected = np.fft.fftn(blocks @ modes, axes=axes, norm="ortho").reshape(stepped[0].shape)
     return float(np.max(np.abs(stepped[0] - expected)))

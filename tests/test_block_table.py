@@ -1,9 +1,10 @@
 """The grid tables against the per-mode loops they replaced, kept here as oracles.
 
-`walkqca spectrum`, `walkqca dispersion` and `walk.verify_block_consistency`
-compute every grid mode at once from `walk.block_table`.  The oracles
-below walk the grid one `momentum_block` at a time, as those commands
-used to, and their CSV bytes and block-consistency readings must be equal.
+`walkqca spectrum`, `walkqca dispersion`, `walk.verify_block_consistency`
+and `verify`'s `blocks` and `momentum-ops` suites compute every grid mode
+at once from `walk.block_table`.  The oracles below walk the grid one
+`momentum_block` at a time, as those commands used to, and their CSV bytes
+and block-consistency readings must be equal.
 """
 
 import csv
@@ -15,8 +16,8 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from walkqca import cli, walk
-from walkqca.blocks import eigenphase_from_r
+from walkqca import cli, verify, walk
+from walkqca.blocks import eigenphase_from_r, matrix_from_r
 from walkqca.lattice import HBAR, make_lattice, momentum_grid
 
 
@@ -122,3 +123,28 @@ def test_the_oracle_comparison_catches_a_faulty_table(tmp_path, monkeypatch, fau
     table_of = walk.block_table
     monkeypatch.setattr(walk, "block_table", lambda spec: corrupt(table_of, spec))
     assert _agreement(make_lattice(2, 8, 1.0, 1.0, 0.3), tmp_path) == expected
+
+
+def test_the_verify_block_suites_build_no_block_per_grid_mode(monkeypatch):
+    calls = []
+    block_of = walk.momentum_block
+    monkeypatch.setattr(walk, "momentum_block", lambda *args: calls.append(args) or block_of(*args))
+    options = verify.VerifyOptions(make_lattice(1, 64, 1.0, 1.0, 0.3), make_lattice(2, 16, 1.0, 1.0, 0.3))
+    assert all(row.passed for row in verify.check_blocks(options))
+    assert calls == []
+    counts = []
+    for n in (4, 64):  # the two checked modes and their Fock basis, whatever the grid
+        spec = make_lattice(1, n, 1.0, 1.0, 0.3)
+        assert verify.momentum_ops_residual(spec) < 1e-12
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, pi / 2])
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def test_matrix_from_r_on_arrays_equals_the_stacked_scalar_calls(dimension, n, theta):
+    table = walk.block_table(make_lattice(dimension, n, 1.0, 1.0, theta))
+    r = [table[f"r{i}"] for i in range(4)]
+    stacked = np.array([matrix_from_r(r_mode) for r_mode in zip(*(c.tolist() for c in r))])
+    assert matrix_from_r(r).tobytes() == stacked.tobytes()

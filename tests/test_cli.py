@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from state_dump import load_state
 
-from walkqca import cli, dirac, fock, lattice, multiparticle, qca, verify, walk
+from walkqca import blocks, cli, dirac, fock, lattice, multiparticle, qca, verify, walk
 from walkqca.cli import DEFAULT_CONFIG, main
 from walkqca.fock import momentum_mode_ops
 from walkqca.lattice import make_lattice
@@ -283,23 +283,34 @@ def test_verify_momentum_ops_1d_tests_the_pole_modes_at_zero_theta(monkeypatch):
     assert checked == [(-1,), (1,)]
 
 
+def scaled_columns(names, factor):
+    """walk.block_table with the named columns times `factor`."""
+    table_of = walk.block_table
+    return lambda spec: {name: factor * c if name in names else c for name, c in table_of(spec).items()}
+
+
+def repeated_v_plus():
+    """blocks.eigenvector_pair returning (v_plus, v_plus)."""
+    pair_of = blocks.eigenvector_pair
+    return lambda *r_vec: (pair_of(*r_vec)[0],) * 2
+
+
+# The suite reads the grid's r columns and phi from walk.block_table and its eigenvectors from
+# blocks.eigenvector_pair; a corrupted r column reaches the blocks of the consistency rows too.
 @pytest.mark.parametrize(
     "fault,failing",
     [
-        (lambda b: {"phi": 1.01 * b.phi}, {"eigenphase-law", "eigenvector-residual"}),
-        (lambda b: {"v_minus": b.v_plus}, {"eigenvector-residual"}),
-        (lambda b: {"r": tuple(1.001 * c for c in b.r)}, {"pauli-normalization"}),
+        ((walk, "block_table", scaled_columns({"phi"}, 1.01)), {"eigenphase-law", "eigenvector-residual"}),
+        ((blocks, "eigenvector_pair", repeated_v_plus()), {"eigenvector-residual"}),
+        (
+            (walk, "block_table", scaled_columns({"r0", "r1", "r2", "r3"}, 1.001)),
+            {"pauli-normalization", "eigenvector-residual", "block-consistency-1d", "block-consistency-2d"},
+        ),
     ],
     ids=["phase", "eigenvector", "normalization"],
 )
 def test_block_checks_catch_a_corrupted_block(monkeypatch, fault, failing):
-    block_of = walk.momentum_block
-
-    def corrupted(spec, mode):
-        block = block_of(spec, mode)
-        return dataclasses.replace(block, **fault(block))
-
-    monkeypatch.setattr(walk, "momentum_block", corrupted)
+    monkeypatch.setattr(*fault)
     spec1d, spec2d = make_lattice(1, 4, 1.0, 1.0, 0.3), make_lattice(2, 4, 1.0, 1.0, 0.3)
     rows = verify.check_blocks(VerifyOptions(spec1d, spec2d))
     assert {row.check for row in rows if not row.passed} == failing
@@ -520,14 +531,14 @@ MALFORMED_NUMBERED = (
         ]
     ]
     + [
-        # the automaton's ring is evolve.qca.sites; the walk's size and spacings do not reach it
-        (
-            command,
-            {"lattice": lattice, "evolve": {"system": "qca"}},
-            f"lattice.{key} applies only to the walk, not the qca system",
-        )
+        # the automaton's ring is evolve.qca.sites; the walk's size and spacing do not reach it, nor dt any step
+        (command, {"lattice": lattice, "evolve": {"system": "qca"}}, f"lattice.{key} applies only to {reader}")
         for command in ("evolve", "qca-demo")
-        for lattice, key in [({"N": 4}, "N"), ({"N": 8, "dx": 0.5}, "dx"), ({"dt": 2.0}, "dt")]
+        for lattice, key, reader in [
+            ({"N": 4}, "N", "the walk, not the qca system"),
+            ({"N": 8, "dx": 0.5}, "dx", "the walk, not the qca system"),
+            ({"dt": 2.0}, "dt", "dispersion and verify"),
+        ]
     ]
     + [
         # every check that reads verify.n_max caps it, so a larger one would change nothing
@@ -596,11 +607,11 @@ MALFORMED_CASES = [
 )
 def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, words):
     cfg = write_config(tmp_path, doc)
-    assert run([command, "--config", cfg, *out_flag(command, tmp_path)]) == 2
+    assert run([command, "--config", cfg, *out_flag(command, tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert words in err and len(err.strip().splitlines()) == 1
-    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written, not even --out
 
 
 def test_evolve_accepts_the_other_systems_settings_at_their_defaults(tmp_path):
@@ -933,7 +944,7 @@ def test_verify_refuses_an_oversize_check_lattice_before_any_suite_runs(tmp_path
             assert (code, err) == (0, "") and ran == [name for name in verify.SUITES if not only or name in only]
         else:
             assert code == 2 and err.startswith(f"error: {words}") and err.count("\n") == 1
-            assert ran == [] and not (out / "verification.json").exists()
+            assert ran == [] and not out.exists()
         ran.clear()
 
 
