@@ -8,13 +8,15 @@ unitary of the form
 with r0**2 + r1**2 + r2**2 + r3**2 = 1.  This module turns the real
 four-vector (r0, r1, r2, r3) into the matrix, the eigenphase and the
 eigenvector pair, handling the degenerate corners where the closed-form
-eigenvectors are undefined.
+eigenvectors are undefined.  Every function but :func:`decompose` takes one
+block's scalars or a grid's equal-shape arrays and rounds both alike, so
+the grid tables and the per-mode blocks agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, sqrt
+from math import atan2
 
 import numpy as np
 
@@ -60,54 +62,57 @@ def matrix_from_r(r) -> np.ndarray:
     return r0 * IDENTITY_2 + 1j * (r1 * SIGMA_X + r2 * SIGMA_Y + r3 * SIGMA_Z)
 
 
-def eigenphase_from_r(r) -> float:
-    """Principal eigenphase arccos(r0), evaluated as atan2(|r_vec|, r0).
+def splitting(r):
+    """|r_vec| = sqrt(r1**2 + r2**2 + r3**2) = |sin phi|: scalars or equal-shape arrays, rounded alike."""
+    return np.sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
+
+
+def is_degenerate(r):
+    """Whether |sin phi| is below DEGENERACY_TOL: a bool, or a bool array from equal-shape arrays."""
+    return splitting(r) < DEGENERACY_TOL
+
+
+def eigenphase_from_r(r):
+    """Principal eigenphase arccos(r0), evaluated as atan2(|r_vec|, r0): a float, or a float array.
 
     The atan2 form keeps full precision at every phase: arccos of an r0
     that rounds to 1 returns 0 below sqrt(eps), and arcsin of an |r_vec|
-    that rounds to 1 loses half the digits near pi/2.
+    that rounds to 1 loses half the digits near pi/2.  It is libm's atan2
+    once per block, so that a phase keeps its bits however blocks are batched.
     """
-    return atan2(sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3]), r[0])
+    s = splitting(r)
+    if s.ndim:
+        return np.reshape(list(map(atan2, s.ravel().tolist(), np.ravel(r[0]).tolist())), s.shape)
+    return atan2(s, r[0])
 
 
-def eigenvector_pair(r1: float, r2: float, r3: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvectors of r1*sx + r2*sy + r3*sz for eigenvalues +s and -s.
+def _where(condition, a, b):
+    """np.where on a grid; on one block, Python's choice, which costs a tenth of np.where on 0-d values."""
+    return np.where(condition, a, b) if isinstance(condition, np.ndarray) else a if condition else b
 
-    Requires s = |(r1, r2, r3)| > 0.  Uses the algebraically equivalent
-    companion form near the poles where the primary form degenerates to
-    0/0.
+
+def eigenvector_pair(r) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors of M for exp(+i*phi) and exp(-i*phi): (2,) each from scalars, (..., 2) from arrays.
+
+    Requires s = |r_vec| > 0.  With w = r1 + i*r2, v_plus = (s + r3, w) and v_minus
+    = (r3 - s, w), each over the root of 2*s times its pivot s +- r3.  Where the pivot
+    falls to FORM_SWITCH_TOL*s a vector takes its companion form, (conj(w), s - r3) or
+    (-conj(w), s + r3) over the other pivot's root, equal but for the cancellation.
     """
-    s = sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    w = r1 + 1j * r2
-    if s + r3 > FORM_SWITCH_TOL * s:
-        v_plus = np.array([s + r3, w]) / sqrt(2.0 * s * (s + r3))
-    else:
-        v_plus = np.array([np.conj(w), s - r3]) / sqrt(2.0 * s * (s - r3))
-    if s - r3 > FORM_SWITCH_TOL * s:
-        v_minus = np.array([r3 - s, w]) / sqrt(2.0 * s * (s - r3))
-    else:
-        v_minus = np.array([-np.conj(w), s + r3]) / sqrt(2.0 * s * (s + r3))
-    return v_plus, v_minus
+    s, r3 = splitting(r), r[3]
+    w = r[1] + 1j * r[2]
+    w_bar = np.conj(w)
+    entries, roots = [], []
+    for pivot, other, top, companion_top in ((s + r3, s - r3, s + r3, w_bar), (s - r3, s + r3, r3 - s, -w_bar)):
+        primary = pivot > FORM_SWITCH_TOL * s
+        entries.append([_where(primary, top, companion_top), _where(primary, w, other)])
+        roots.append(np.sqrt(2.0 * s * _where(primary, pivot, other)))
+    pair = np.array(entries) / np.array(roots)[:, None]  # vector, entry, grid axes
+    return tuple(pair.transpose(0, *range(2, pair.ndim), 1))
 
 
 def decompose(mode: MomentumMode, r: tuple[float, float, float, float]) -> BlockDecomposition:
-    """Full decomposition of the block with coefficient vector `r`."""
-    r0, r1, r2, r3 = r
-    phi = eigenphase_from_r(r)
-    s = sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    if s < DEGENERACY_TOL:
-        v_plus = np.array([1.0, 0.0], dtype=complex)
-        v_minus = np.array([0.0, 1.0], dtype=complex)
-        degenerate = True
-    else:
-        v_plus, v_minus = eigenvector_pair(r1, r2, r3)
-        degenerate = False
-    return BlockDecomposition(
-        mode=mode,
-        r=r,
-        matrix=matrix_from_r(r),
-        phi=phi,
-        v_plus=v_plus,
-        v_minus=v_minus,
-        degenerate=degenerate,
-    )
+    """Full decomposition of the block with coefficient vector `r`: the one-block case of the functions above."""
+    degenerate = bool(is_degenerate(r))
+    v_plus, v_minus = np.eye(2, dtype=complex) if degenerate else eigenvector_pair(r)
+    return BlockDecomposition(mode, r, matrix_from_r(r), eigenphase_from_r(r), v_plus, v_minus, degenerate)

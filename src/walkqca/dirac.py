@@ -17,12 +17,12 @@ so does the relative dispersion error where k_x*k_y*theta = 0 (always in
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from math import pi, sqrt
+from math import pi
 
 import numpy as np
 
 from . import walk
-from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, eigenphase_from_r
+from .blocks import SIGMA_X, SIGMA_Y, SIGMA_Z, eigenphase_from_r, splitting
 from .lattice import HBAR, LatticeSpec, MomentumMode
 from .walk import pauli_coefficients
 
@@ -85,9 +85,8 @@ def effective_generator(r, dt: float) -> np.ndarray:
     s = sin(phi); rejects blocks within BRANCH_CUT_TOL of phi = pi where
     the principal branch is ill-defined.
     """
-    r0, r1, r2, r3 = r
-    s = sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    phi = eigenphase_from_r(r)
+    _, r1, r2, r3 = r
+    s, phi = splitting(r), eigenphase_from_r(r)
     if phi > pi - BRANCH_CUT_TOL:
         raise BranchCutError(f"eigenphase {phi:.6f} is too close to the branch cut at pi")
     factor = phi / s if s > 0.0 else 1.0

@@ -53,11 +53,7 @@ class MultiState:
     n_factors: int
 
     def __post_init__(self):
-        dim = self.factor_dim ** self.n_factors
-        if dim > AMPLITUDE_CAP:
-            raise ValueError(
-                f"state with {dim} amplitudes exceeds the dense cap {AMPLITUDE_CAP}"
-            )
+        dim = dense_size(self.walk_dim, self.n_factors)
         if self.amplitudes.shape != (dim,):
             raise ValueError(
                 f"amplitude vector has shape {self.amplitudes.shape}, expected ({dim},)"
@@ -78,8 +74,16 @@ class MultiState:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def dense_size(walk_dim: int, n_factors: int) -> int:
+    """(walk_dim + 1)**n_factors, refused over AMPLITUDE_CAP: every dense state is sized here before it is allocated."""
+    dim = (walk_dim + 1) ** n_factors
+    if dim > AMPLITUDE_CAP:
+        raise ValueError(f"state with {dim} amplitudes exceeds the dense cap {AMPLITUDE_CAP}")
+    return dim
+
+
 def vacuum_state(walk_dim: int, n_factors: int) -> MultiState:
-    amps = np.zeros((walk_dim + 1) ** n_factors, dtype=complex)
+    amps = np.zeros(dense_size(walk_dim, n_factors), dtype=complex)
     amps[-1] = 1.0  # all factors at the vacuum index
     return MultiState(amps, walk_dim, n_factors)
 
@@ -87,6 +91,7 @@ def vacuum_state(walk_dim: int, n_factors: int) -> MultiState:
 def product_state(factors, walk_dim: int) -> MultiState:
     """Tensor product of per-factor walk vectors; None means the factor vacuum."""
     factors = list(factors)
+    dense_size(walk_dim, len(factors))
     acc = np.array([1.0], dtype=complex)
     for vec in factors:
         ext = np.zeros(walk_dim + 1, dtype=complex)
@@ -213,12 +218,13 @@ def _antisymmetrized_product(spec: LatticeSpec, vectors, n_max: int) -> MultiSta
         raise ValueError(f"{n} labels exceed n_max = {n_max}")
     if n == 0:
         return vacuum_state(d, n_max)
+    out = np.zeros(dense_size(d, n_max), dtype=complex)
     product = vectors[0]
     for vec in vectors[1:]:
         product = np.multiply.outer(product, vec)
-    out = np.zeros((d + 1,) * n_max, dtype=complex)
-    out[_occupied_block_index(n, n_max, d)] = sqrt(factorial(n)) * _antisymmetrize_tensor(product, n)
-    return MultiState(out.reshape(-1), d, n_max)
+    block = sqrt(factorial(n)) * _antisymmetrize_tensor(product, n)
+    out.reshape((d + 1,) * n_max)[_occupied_block_index(n, n_max, d)] = block
+    return MultiState(out, d, n_max)
 
 
 def physical_basis_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
@@ -233,7 +239,7 @@ def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
     with :func:`walk.unit_phases` a, and is stepped once; no pairs read 0.
     """
     pairs, amps = iter(pairs), walk.unit_phases(RUN_STATES)
-    runs = np.empty((2, (spec.walk_dim + 1) ** n_max), dtype=complex)
+    runs = np.empty((2, dense_size(spec.walk_dim, n_max)), dtype=complex)
     superposed, expected = runs
     worst = 0.0
     while True:
@@ -318,7 +324,7 @@ def random_physical_state(walk_dim: int, n_factors: int, rng: np.random.Generato
     """
     f = walk_dim + 1
     strides = f ** np.arange(n_factors - 1, -1, -1)
-    state = MultiState(np.zeros(f**n_factors, dtype=complex), walk_dim, n_factors)  # refuses sizes over the cap
+    state = MultiState(np.zeros(dense_size(walk_dim, n_factors), dtype=complex), walk_dim, n_factors)
     amps = state.amplitudes
     for n in range(n_factors + 1):
         tuples = _increasing_tuples(walk_dim, n)

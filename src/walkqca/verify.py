@@ -109,15 +109,11 @@ def check_unitarity(options: VerifyOptions) -> list[CheckResult]:
 
 def check_blocks(options: VerifyOptions) -> list[CheckResult]:
     specs = (options.spec1d, options.spec2d)
-    res = [
-        _result(
-            f"block-consistency-{spec.dimension}d",
-            walk.verify_block_consistency(spec),
-            options.tol,
-        )
-        for spec in specs
-    ]
     tables = [walk.block_table(spec) for spec in specs]
+    res = [
+        _result(f"block-consistency-{spec.dimension}d", walk.verify_block_consistency(spec, table), options.tol)
+        for spec, table in zip(specs, tables)
+    ]
     column = lambda name: np.concatenate([table[name] for table in tables])
     r = np.stack([column(f"r{i}") for i in range(4)])
     phi, live = column("phi"), column("degenerate") == 0
@@ -130,7 +126,7 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
     mats = blocks.matrix_from_r(r)
     eig = np.sort(np.angle(np.linalg.eigvals(mats)))
     # M v - lam v for v_plus with exp(i*phi) and v_minus with exp(-i*phi), where defined
-    vecs = np.array([blocks.eigenvector_pair(*r_vec) for r_vec in r[1:, live].T.tolist()])[..., None]
+    vecs = np.stack(blocks.eigenvector_pair(r[:, live]), axis=1)[..., None]
     lam = np.exp(1j * phi[live])
     dev = mats[live, None] @ vecs - np.stack([lam, lam.conj()], axis=-1)[..., None, None] * vecs
     norm_dev = np.max(np.abs(sum(c * c for c in r) - 1.0))
@@ -169,19 +165,23 @@ def check_car(options: VerifyOptions) -> list[CheckResult]:
     ]
 
 
+# The (lattice, particle count) of each dense multiparticle state, by the suite that builds it.
+DENSE_STATES = {
+    "preservation": lambda o: ((o.spec1d, o.n_max), (o.spec2d, min(o.n_max, 2))),
+    "eigenphase": lambda o: ((replace(o.spec1d, N=2), 3), (o.spec2d, 2)),
+}
+
+
 def check_preservation(options: VerifyOptions) -> list[CheckResult]:
     rng = np.random.default_rng(options.seed)
     out = []
-    for name, spec, n_max in (
-        ("physical-preservation-1d", options.spec1d, options.n_max),
-        ("physical-preservation-2d", options.spec2d, min(options.n_max, 2)),
-    ):
+    for spec, n_max in DENSE_STATES["preservation"](options):
         residuals = []
         for _ in range(options.n_random):
             state = multiparticle.random_physical_state(spec.walk_dim, n_max, rng)
             evolved = multiparticle.total_evolution_apply(spec, n_max, state)
             residuals.append(multiparticle.physical_subspace_projector_residual(evolved))
-        out.append(_result(name, max(residuals), options.tol))
+        out.append(_result(f"physical-preservation-{spec.dimension}d", max(residuals), options.tol))
     return out
 
 
@@ -198,7 +198,7 @@ def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
             multiparticle.eigenphase_check(spec, _labels_up_to(spec, n), n),
             options.tol,
         )
-        for spec, n in ((replace(options.spec1d, N=2), 3), (options.spec2d, 2))
+        for spec, n in DENSE_STATES["eigenphase"](options)
     ]
 
 
@@ -335,12 +335,20 @@ SUITES = {
 
 
 def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
+    """The named suites' results, in SUITES order; sizes are refused before the first suite runs."""
     names = list(SUITES)
     if only:
         unknown = [n for n in only if n not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; available: {names}")
         names = [n for n in names if n in set(only)]
+    for name in [name for name in DENSE_STATES if name in names]:
+        for spec, n in DENSE_STATES[name](options):
+            try:
+                multiparticle.dense_size(spec.walk_dim, n)
+            except ValueError as exc:
+                # only a check lattice can be that large: 1D N=2 with 3 particles is 125 amplitudes
+                raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: {n} particles in the {name} suite: {exc}") from None
     results = []
     for name in names:
         results.extend(SUITES[name](options))

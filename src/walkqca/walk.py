@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from functools import reduce
-from math import atan2, cos, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .blocks import DEGENERACY_TOL, IDENTITY_2, SIGMA_X, BlockDecomposition, decompose, matrix_from_r
+from .blocks import IDENTITY_2, SIGMA_X, BlockDecomposition, decompose, eigenphase_from_r, is_degenerate, matrix_from_r
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -190,20 +190,21 @@ def unit_phases(shape) -> np.ndarray:
     return np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, shape))
 
 
-def verify_block_consistency(spec: LatticeSpec) -> float:
+def verify_block_consistency(spec: LatticeSpec, table: dict[str, np.ndarray] | None = None) -> float:
     """Max entrywise deviation of one walk step from F^dag (+)_k M_k F, every mode at once.
 
     Two :func:`unit_phases` columns go through one :func:`step_into` and
     are matched with their FFT, times each mode's block, transformed back.
     <k| is exp(+i*k.x)/sqrt(n_sites): mode ell is index ell mod N of ifftn.
-    The blocks come from :func:`block_table`'s r columns through
-    :func:`~walkqca.blocks.matrix_from_r`, the closed form of every block.
+    The blocks come from the r columns of `table`, :func:`block_table`'s
+    (built here when not given), through :func:`~walkqca.blocks.matrix_from_r`,
+    the closed form of every block.
     """
     grid, axes = (spec.N,) * spec.dimension, tuple(range(spec.dimension))
     pair = unit_phases((spec.walk_dim, 2))
     stepped = np.empty((1, spec.walk_dim, 2), dtype=complex)
     step_into(spec, pair[None], stepped)
-    table = block_table(spec)
+    table = block_table(spec) if table is None else table
     blocks = np.empty((*grid, 2, 2), dtype=complex)
     cells = tuple(table[name] % spec.N for name in MODE_COLUMNS[spec.dimension][: spec.dimension])
     blocks[cells] = matrix_from_r([table[f"r{i}"] for i in range(4)])
@@ -230,8 +231,9 @@ def block_table(spec: LatticeSpec) -> dict[str, np.ndarray]:
     degenerate (0 or 1).  Each value is bit-identical to
     :func:`momentum_block`'s: cos and sin are scalar libm calls, once per
     distinct k*dx; the products are :func:`_pauli_r`'s, elementwise,
-    which round as scalars do; and phi
-    is a scalar atan2 per mode.
+    which round as scalars do; and phi and the degeneracy flag come from
+    :mod:`~walkqca.blocks`, the one place that computes them for one block
+    or a grid.
     """
     ell, k = axis_momenta(spec)
     k_dx = (k * spec.dx).tolist()
@@ -241,13 +243,12 @@ def block_table(spec: LatticeSpec) -> dict[str, np.ndarray]:
     index = np.indices((spec.N,) * spec.dimension).reshape(spec.dimension, -1)[::-1]
     (ca, sa), (cb, sb) = ([trig[:, i] for i in index] + [(cos(0.0), sin(0.0))])[:2]
     r = _pauli_r(ca, sa, cb, sb, cos(spec.theta), sin(spec.theta))
-    s = np.sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
     columns = dict(zip(MODE_COLUMNS[spec.dimension], [ell[i] for i in index] + [k[i] for i in index]))
     return {
         **columns,
         **{f"r{i}": c for i, c in enumerate(r)},
-        "phi": np.array(list(map(atan2, s.tolist(), r[0].tolist()))),
-        "degenerate": (s < DEGENERACY_TOL).astype(int),
+        "phi": eigenphase_from_r(r),
+        "degenerate": is_degenerate(r).astype(int),
     }
 
 

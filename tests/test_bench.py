@@ -96,6 +96,8 @@ def test_qca_ladder_file_schema(path):
 CLI_SIZES = (32, 64, 128, 256)
 CLI_COMMANDS = ("spectrum", "dispersion")
 CLI_DEFAULT_COMMANDS = ("evolve", "qca-demo")
+# Later files also time verify: at the default config, and its blocks suite on a 1D check lattice at the grid cap.
+CLI_VERIFY_ROWS = {"verify": "default", "verify --only blocks": {"verify": {"n_1d": cli.GRID_CAP}}}
 
 
 @pytest.mark.parametrize("path", CLI_LADDERS, ids=[p.name for p in CLI_LADDERS])
@@ -103,19 +105,25 @@ def test_cli_ladder_file_schema(path):
     doc = json.loads(path.read_text())
     _check_machine_and_trees(doc)
     processes = doc["processes_per_tree"]
-    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"]}
-    assert len(rows) == len(doc["rows"])
-    caps = {r["N"] for r in doc["rows"] if r["at_cap"]}
+    verify = {(r["tree"], r["command"]): r for r in doc["rows"] if r["command"] in CLI_VERIFY_ROWS}
+    assert set(verify) in (set(), {(t, c) for t in ("base", "change") for c in CLI_VERIFY_ROWS})
+    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"] if r["command"] not in CLI_VERIFY_ROWS}
+    assert len(rows) + len(verify) == len(doc["rows"])
+    caps = {r["N"] for r in rows.values() if r["at_cap"]}
     assert len(caps) == 1 and caps.isdisjoint(CLI_SIZES)
     # a base tree from before the cap has no cap rows, and older files no default-config rows
-    base_caps = {r["N"] for r in doc["rows"] if r["at_cap"] and r["tree"] == "base"}
+    base_caps = {r["N"] for r in rows.values() if r["at_cap"] and r["tree"] == "base"}
     sizes = {"base": CLI_SIZES + tuple(base_caps), "change": CLI_SIZES + tuple(caps)}
     grid = {(t, n, c) for t, ns in sizes.items() for n in ns for c in CLI_COMMANDS}
     defaults = {(t, None, c) for t in sizes for c in CLI_DEFAULT_COMMANDS}
     assert set(rows) in (grid, grid | defaults)
-    for row in rows.values():
+    for row in [*rows.values(), *verify.values()]:
         assert set(ROW) <= set(row)
-        if row["N"] is None:
+        if row["command"] in CLI_VERIFY_ROWS:
+            assert row["N"] is None and row["config"] == CLI_VERIFY_ROWS[row["command"]]
+            at_cap = row["command"] != "verify"
+            assert (row["modes"], row["at_cap"]) == ((cli.GRID_CAP, True) if at_cap else (None, False))
+        elif row["N"] is None:
             assert row["modes"] is None and row["config"] == "default" and not row["at_cap"]
         else:
             assert row["modes"] == row["N"] ** 2

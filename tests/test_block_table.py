@@ -4,20 +4,29 @@
 and `verify`'s `blocks` and `momentum-ops` suites compute every grid mode
 at once from `walk.block_table`.  The oracles below walk the grid one
 `momentum_block` at a time, as those commands used to, and their CSV bytes
-and block-consistency readings must be equal.
+and block-consistency readings must be equal.  The scalar eigenphase and
+eigenvector formulas that `blocks` replaced with one function for a block
+or a grid are kept as oracles too, and must equal both calls byte for byte.
 """
 
 import csv
 import dataclasses
 import io
 import json
-from math import pi, sqrt
+from math import atan2, pi, sqrt
 
 import numpy as np
 import pytest
 
-from walkqca import cli, verify, walk
-from walkqca.blocks import eigenphase_from_r, matrix_from_r
+from walkqca import blocks, cli, verify, walk
+from walkqca.blocks import (
+    DEGENERACY_TOL,
+    FORM_SWITCH_TOL,
+    eigenphase_from_r,
+    eigenvector_pair,
+    is_degenerate,
+    matrix_from_r,
+)
 from walkqca.lattice import HBAR, make_lattice, momentum_grid
 
 
@@ -126,12 +135,17 @@ def test_the_oracle_comparison_catches_a_faulty_table(tmp_path, monkeypatch, fau
 
 
 def test_the_verify_block_suites_build_no_block_per_grid_mode(monkeypatch):
-    calls = []
-    block_of = walk.momentum_block
+    calls, tables, pairs = [], [], []
+    block_of, table_of, pair_of = walk.momentum_block, walk.block_table, blocks.eigenvector_pair
     monkeypatch.setattr(walk, "momentum_block", lambda *args: calls.append(args) or block_of(*args))
+    monkeypatch.setattr(walk, "block_table", lambda spec: tables.append(spec) or table_of(spec))
+    monkeypatch.setattr(blocks, "eigenvector_pair", lambda *args: pairs.append(args) or pair_of(*args))
     options = verify.VerifyOptions(make_lattice(1, 64, 1.0, 1.0, 0.3), make_lattice(2, 16, 1.0, 1.0, 0.3))
     assert all(row.passed for row in verify.check_blocks(options))
     assert calls == []
+    # one table per check lattice, read by every row, and one eigenvector call for every live block
+    assert tables == [options.spec1d, options.spec2d] and len(pairs) == 1
+    tables.clear()
     counts = []
     for n in (4, 64):  # the two checked modes and their Fock basis, whatever the grid
         spec = make_lattice(1, n, 1.0, 1.0, 0.3)
@@ -141,10 +155,59 @@ def test_the_verify_block_suites_build_no_block_per_grid_mode(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.3, pi / 2])
-@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def _eigenvector_pair_oracle(r1, r2, r3):
+    """The scalar eigenvector pair that blocks.eigenvector_pair replaced: one block, Python branches."""
+    s = sqrt(r1 * r1 + r2 * r2 + r3 * r3)
+    w = r1 + 1j * r2
+    if s + r3 > FORM_SWITCH_TOL * s:
+        v_plus = np.array([s + r3, w]) / sqrt(2.0 * s * (s + r3))
+    else:
+        v_plus = np.array([np.conj(w), s - r3]) / sqrt(2.0 * s * (s - r3))
+    if s - r3 > FORM_SWITCH_TOL * s:
+        v_minus = np.array([r3 - s, w]) / sqrt(2.0 * s * (s - r3))
+    else:
+        v_minus = np.array([-np.conj(w), s + r3]) / sqrt(2.0 * s * (s + r3))
+    return v_plus, v_minus
+
+
+def _eigensystem_oracle(r_modes):
+    """Per block: atan2(|r_vec|, r0), the degeneracy flag, and the forms each live block's vectors take."""
+    s = [sqrt(r1 * r1 + r2 * r2 + r3 * r3) for _, r1, r2, r3 in r_modes]
+    live = [(r_mode, s_mode) for r_mode, s_mode in zip(r_modes, s) if s_mode >= DEGENERACY_TOL]
+    # (whether the vector of sign +1, v_plus, or -1, v_minus, takes its companion form, sign)
+    companion = {(s_mode + sign * r_mode[3] <= FORM_SWITCH_TOL * s_mode, sign) for r_mode, s_mode in live for sign in (1, -1)}
+    phi = [atan2(s_mode, r_mode[0]) for r_mode, s_mode in zip(r_modes, s)]
+    return np.array(phi), [s_mode < DEGENERACY_TOL for s_mode in s], [r_mode for r_mode, _ in live], companion
+
+
+# Grids with degenerate blocks and blocks at both poles, where v_plus and then v_minus take the companion form.
+EIGENSYSTEM_GRIDS = [(1, 8, 0.0), (2, 4, pi / 2), (2, 4, 1e-12), (1, 512, 0.3)]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, pi / 2, 1e-12])
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4), (1, 512)])
 def test_matrix_from_r_on_arrays_equals_the_stacked_scalar_calls(dimension, n, theta):
     table = walk.block_table(make_lattice(dimension, n, 1.0, 1.0, theta))
     r = [table[f"r{i}"] for i in range(4)]
-    stacked = np.array([matrix_from_r(r_mode) for r_mode in zip(*(c.tolist() for c in r))])
+    r_modes = list(zip(*(c.tolist() for c in r)))
+    stacked = np.array([matrix_from_r(r_mode) for r_mode in r_modes])
     assert matrix_from_r(r).tobytes() == stacked.tobytes()
+    # the grid call and each block's call equal the scalar oracles, byte for byte
+    phi, degenerate, live, _ = _eigensystem_oracle(r_modes)
+    assert eigenphase_from_r(r).tobytes() == phi.tobytes()
+    assert [eigenphase_from_r(r_mode) for r_mode in r_modes] == phi.tolist()
+    assert all(type(eigenphase_from_r(r_mode)) is float for r_mode in r_modes)
+    assert is_degenerate(r).tolist() == degenerate == [bool(is_degenerate(r_mode)) for r_mode in r_modes]
+    oracle = np.array([_eigenvector_pair_oracle(*r_mode[1:]) for r_mode in live])
+    grid = np.stack(eigenvector_pair([c[~is_degenerate(r)] for c in r]), axis=1)
+    assert grid.tobytes() == oracle.tobytes()
+    assert np.array([eigenvector_pair(r_mode) for r_mode in live]).tobytes() == oracle.tobytes()
+
+
+def test_the_eigensystem_grids_reach_degenerate_blocks_and_both_companion_forms():
+    reached = set()
+    for dimension, n, theta in EIGENSYSTEM_GRIDS:
+        table = walk.block_table(make_lattice(dimension, n, 1.0, 1.0, theta))
+        _, degenerate, _, companion = _eigensystem_oracle(list(zip(*(table[f"r{i}"].tolist() for i in range(4)))))
+        reached |= companion | {("degenerate", any(degenerate))}
+    assert reached >= {(True, 1), (True, -1), (False, 1), (False, -1), ("degenerate", True)}

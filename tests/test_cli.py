@@ -290,13 +290,13 @@ def scaled_columns(names, factor):
 
 
 def repeated_v_plus():
-    """blocks.eigenvector_pair returning (v_plus, v_plus)."""
+    """blocks.eigenvector_pair returning (v_plus, v_plus) for every block of its call."""
     pair_of = blocks.eigenvector_pair
-    return lambda *r_vec: (pair_of(*r_vec)[0],) * 2
+    return lambda r: (pair_of(r)[0],) * 2
 
 
-# The suite reads the grid's r columns and phi from walk.block_table and its eigenvectors from
-# blocks.eigenvector_pair; a corrupted r column reaches the blocks of the consistency rows too.
+# The suite reads the grid's r columns and phi from walk.block_table and its eigenvectors from one
+# blocks.eigenvector_pair call on every live row; a corrupted r column reaches the consistency rows too.
 @pytest.mark.parametrize(
     "fault,failing",
     [
@@ -596,6 +596,8 @@ MALFORMED_CASES = [
     ("evolve", {"lattice": {"dt": 5.0}}, "lattice.dt applies only to dispersion and verify"),
     # the unitarity suite builds each check lattice's dense walk; this one would take terabytes
     ("verify", {"verify": {"n_1d": 200000}}, "verify.n_1d 200000: the 1D dense walk dimension (unitarity suite) is 400000"),
+    # ten factors of 1D N=8 would take 29 TiB: the size is refused before anything is allocated
+    ("evolve", {"evolve": {"n_max": 10}}, "state with 2015993900449 amplitudes exceeds the dense cap 2000000"),
 ]
 
 
@@ -928,8 +930,16 @@ def test_verify_refuses_an_oversize_check_lattice_before_any_suite_runs(tmp_path
     # the unitarity suite builds each dense walk, of dimension 2 N (1D) or 2 N^2 (2D), up to qca.DENSE_OPERATOR_CAP;
     # without it the check lattices are capped as spectrum's grid is, at cli.GRID_CAP modes
     assert (qca.DENSE_OPERATOR_CAP, cli.GRID_CAP) == (2048, 512**2)
+    # the preservation suite steps n_max particles on the 1D check lattice and up to 2 on the 2D one, the eigenphase
+    # suite 2 on the 2D one: a state of (2 N + 1)^n (1D) or (2 N^2 + 1)^n (2D) amplitudes, up to the dense cap
+    assert multiparticle.AMPLITUDE_CAP == 2_000_000
     cases = [
-        ([], {"n_1d": 1024, "n_2d": 32}, None),
+        (["--only", "unitarity"], {"n_1d": 1024, "n_2d": 32}, None),
+        ([], {"n_1d": 62, "n_2d": 26}, None),
+        ([], {"n_1d": 64}, "verify.n_1d 64: 3 particles in the preservation suite: state with 2146689 amplitudes"),
+        ([], {"n_2d": 32}, "verify.n_2d 32: 2 particles in the preservation suite: state with 4198401 amplitudes"),
+        (["--only", "preservation"], {"n_1d": 64, "n_max": 2}, None),
+        (["--only", "eigenphase"], {"n_2d": 28}, "verify.n_2d 28: 2 particles in the eigenphase suite: state with 2461761"),
         ([], {"n_1d": 1026}, "verify.n_1d 1026: the 1D dense walk dimension (unitarity suite) is 2052, over the cap of 2048"),
         (["--only", "unitarity"], {"n_2d": 34}, "verify.n_2d 34: the 2D dense walk dimension (unitarity suite) is 2312"),
         (["--only", "blocks"], {"n_1d": 512 * 512, "n_2d": 512}, None),

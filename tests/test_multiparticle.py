@@ -262,6 +262,23 @@ def test_amplitude_cap_enforced():
         random_physical_state(128, 4, np.random.default_rng(0))
 
 
+def test_the_amplitude_cap_is_checked_before_the_state_is_allocated():
+    # 17**10 amplitudes would take 29 TiB: each constructor refuses the size, the allocator is never asked
+    spec = make_lattice(1, 8, 1.0, 1.0, 0.3)
+    label = energy_labels(spec)[0]
+    rng = np.random.default_rng(0)
+    for build in (
+        lambda: vacuum_state(16, 10),
+        lambda: product_state([None] * 10, 16),
+        lambda: random_physical_state(16, 10, rng),
+        lambda: physical_basis_state(spec, [], 10),
+        lambda: physical_basis_state(spec, [label], 10),
+        lambda: multiparticle.eigenstate_residual(spec, 10, []),
+    ):
+        with pytest.raises(ValueError, match="state with 2015993900449 amplitudes exceeds the dense cap 2000000"):
+            build()
+
+
 def test_state_dump_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     state = random_physical_state(SPEC.walk_dim, 2, rng)

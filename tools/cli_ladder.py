@@ -4,11 +4,12 @@
 
 Each fresh process imports walkqca from one tree and runs `cli.main`,
 writing into a temporary directory (`qca-demo` into a discarded
-standard output): first `evolve` and `qca-demo` at the
+standard output): first `evolve`, `qca-demo` and `verify` at the
 default config, then `spectrum` and `dispersion` on the 2D lattice at
 N = 32, 64, 128, 256 (theta 0.3, the other settings at their defaults)
-and at the grid cap, `cli.GRID_CAP` modes, where the tree has one (a
-tree from before the cap skips it: its per-mode loop would take several
+and at the grid cap, `cli.GRID_CAP` modes, and last `verify --only blocks`
+on a 1D check lattice of `cli.GRID_CAP` modes, where the tree has a cap (a
+tree from before the cap skips both: its per-mode loop would take several
 times as long and as much memory there).  The first call of each command
 and size is kept apart as `first_call_s`; the row takes the median of
 the repeats after it.  After each command at the default config and
@@ -17,8 +18,9 @@ Trees, processes and rows are as in `qca_ladder.py`: the two trees
 alternate as `ladder.run_trees` describes, and each row is the median
 and interquartile range of the per-process medians.
 
-Needs numpy and git.  A process at the cap peaks near 130 MB (`BENCH_23.json`,
-the change's rows at N=512; 145 MB on its base).
+Needs numpy and git.  A process peaks near 130 MB at the grid cap (`BENCH_23.json`,
+the change's rows at N=512; 145 MB on its base) and near 190 MB in the `verify` cap run
+(`BENCH_30.json`; 250 MB on its base).
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ SIZES = (32, 64, 128, 256)
 REPEATS = {32: 9, 64: 7, 128: 5, 256: 3}
 CAP_REPEATS = 3
 COMMANDS = ("spectrum", "dispersion")
-DEFAULT_COMMANDS = ("evolve", "qca-demo")
+DEFAULT_COMMANDS = ("evolve", "qca-demo", "verify")
+# The verify run at the cap: its blocks suite on a 1D check lattice of cli.GRID_CAP modes.
+VERIFY_CAP_COMMAND = "verify --only blocks"
 DEFAULT_REPEATS = 9
 
 
@@ -84,6 +88,11 @@ def _child(src: str) -> dict:
             for command in COMMANDS:
                 rows[f"N{n}.{command}"] = _timed(cli, [command, "--config", str(config), "--out", tmp], repeats)
             rows[f"N{n}.peak_rss_mb"] = _peak_rss_mb()
+        if cap:  # last, as it peaks highest
+            config.write_text(json.dumps({"verify": {"n_1d": cap}}))
+            argv = [*VERIFY_CAP_COMMAND.split(), "--config", str(config), "--out", tmp]
+            rows["cap.verify"] = _timed(cli, argv, CAP_REPEATS)
+            rows["cap.verify.peak_rss_mb"] = _peak_rss_mb()
     return {
         "rows": rows,
         "cap_n": isqrt(cap) if cap else None,
@@ -122,10 +131,16 @@ def main(argv=None) -> int:
             for command in COMMANDS:
                 where = {"tree": name, "N": n, "modes": n * n, "command": command, "at_cap": n == cap_n}
                 rows.append(_row(procs, f"N{n}.{command}", f"N{n}.peak_rss_mb", where))
+        if cap_n:
+            modes = cap_n * cap_n
+            where = {"tree": name, "N": None, "modes": modes, "command": VERIFY_CAP_COMMAND, "at_cap": True}
+            where["config"] = {"verify": {"n_1d": modes}}
+            rows.append(_row(procs, "cap.verify", "cap.verify.peak_rss_mb", where))
     doc = {
         "kernel": (
-            "walkqca evolve and qca-demo through cli.main at the default config, and spectrum and dispersion"
-            " on the 2D lattice at theta 0.3, outputs written"
+            "walkqca evolve, qca-demo and verify through cli.main at the default config, spectrum and dispersion"
+            " on the 2D lattice at theta 0.3, and verify --only blocks on the 1D check lattice at the grid cap,"
+            " outputs written"
         ),
         "command": "python tools/cli_ladder.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "machine": ladder.machine(runs["change"][0]),
