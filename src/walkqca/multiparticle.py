@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import combinations, permutations
 from math import factorial, sqrt
 
@@ -21,7 +21,11 @@ from . import walk
 from .lattice import EnergyModeLabel, LatticeSpec, mode_ordering_key
 
 # Hard cap on dense amplitude counts; larger configurations belong in the
-# occupation-number (fock) representation.
+# occupation-number (fock) representation.  Just under it, 3 particles on
+# 1D N=62 (125**3 amplitudes, 31 MB a state), `verify --only preservation`
+# with 3 random states takes about 1 s and peaks at 125 MB, and
+# `evolve --steps 4` about 0.7 s and 121 MB, each in a fresh process on a
+# 2-vCPU Xeon (`tools/cli_ladder.py`, BENCH_31.json).
 AMPLITUDE_CAP = 2_000_000
 
 SUPPORT_TOL = 1e-12
@@ -132,25 +136,38 @@ def total_evolution_apply(spec: LatticeSpec, n_max: int, state: MultiState) -> M
     return MultiState(out, d, n_max)
 
 
-def _antisymmetrize_tensor(block: np.ndarray, n: int) -> np.ndarray:
-    """Project a (d,)*n tensor onto its totally antisymmetric part.
+def _antisymmetrize_tensor(block: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Write the totally antisymmetric part of a (d,)*n tensor into `out`, a new array by default.
 
     Factor k is antisymmetrized against the k before it by the
     transpositions (i k): A_{k+1} = (1 - sum_{i<k} (i k)) A_k / (k+1).
-    Only two block-sized arrays are alive at a time.
+    Stage 1 reads `block` directly, and the stages alternate between `out`
+    and one spare array, so that besides the input at most two
+    block-sized arrays are alive.  The last stage lands in `out` unless
+    `block` is `out` itself and n is even; then the spare is copied in.
+    `block` is written only when it is `out`.
     """
-    out = block.copy()
+    if out is None:
+        out = np.empty(block.shape, dtype=block.dtype)
+    if n < 2:
+        out[...] = block
+        return out
+    spare = np.empty(block.shape, dtype=out.dtype) if n > 2 or block is out else None
+    dest = out if n % 2 == 0 and block is not out else spare
     for k in range(1, n):
-        prev = out
-        out = prev.copy()
+        np.copyto(dest, block)
         for i in range(k):
-            out -= prev.swapaxes(i, k)
-        out /= k + 1
+            dest -= block.swapaxes(i, k)
+        dest /= k + 1
+        block, dest = dest, (spare if dest is out else out)
+    if block is not out:
+        out[...] = block
     return out
 
 
 def _occupied_block_index(n: int, n_factors: int, walk_dim: int):
-    return (slice(0, walk_dim),) * n + (walk_dim,) * (n_factors - n)
+    # the trailing Ellipsis makes even the vacuum's block, every factor indexed, a 0-d view
+    return (slice(0, walk_dim),) * n + (walk_dim,) * (n_factors - n) + (Ellipsis,)
 
 
 def _off_sector_indices(n_factors: int, walk_dim: int):
@@ -195,7 +212,7 @@ def antisymmetrize(state: MultiState, n: int) -> MultiState:
             f"state has weight {outside:.3e} outside the first-{n}-occupied block"
         )
     out = np.zeros_like(arr)
-    out[idx] = _antisymmetrize_tensor(np.asarray(arr[idx]), n)
+    _antisymmetrize_tensor(arr[idx], n, out[idx])
     return MultiState(out.reshape(-1), state.walk_dim, state.n_factors)
 
 
@@ -212,18 +229,27 @@ def ordered_product_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
 
 
 def _antisymmetrized_product(spec: LatticeSpec, vectors, n_max: int) -> MultiState:
-    """sqrt(n!) times the antisymmetric part of the product of n walk vectors, over the first n factors."""
+    """sqrt(n!) times the antisymmetric part of the product of n walk vectors, over the first n factors.
+
+    The product is formed in the output's block and antisymmetrized and
+    scaled there, so the output and one spare block are all that is alive.
+    The output comes first: allocated after the spare, it sat at the top
+    of the heap, and the step that freed it handed those pages back to the
+    system for the next step to fault in again.
+    """
     n, d = len(vectors), spec.walk_dim
     if n > n_max:
         raise ValueError(f"{n} labels exceed n_max = {n_max}")
     if n == 0:
         return vacuum_state(d, n_max)
     out = np.zeros(dense_size(d, n_max), dtype=complex)
-    product = vectors[0]
-    for vec in vectors[1:]:
-        product = np.multiply.outer(product, vec)
-    block = sqrt(factorial(n)) * _antisymmetrize_tensor(product, n)
-    out.reshape((d + 1,) * n_max)[_occupied_block_index(n, n_max, d)] = block
+    block = out.reshape((d + 1,) * n_max)[_occupied_block_index(n, n_max, d)]
+    if n == 1:
+        block[...] = vectors[0]
+    else:
+        np.multiply.outer(reduce(np.multiply.outer, vectors[:-1]), vectors[-1], out=block)
+    _antisymmetrize_tensor(block, n, block)
+    block *= sqrt(factorial(n))
     return MultiState(out, d, n_max)
 
 
@@ -241,13 +267,14 @@ def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
     pairs, amps = iter(pairs), walk.unit_phases(RUN_STATES)
     runs = np.empty((2, dense_size(spec.walk_dim, n_max)), dtype=complex)
     superposed, expected = runs
+    weighted = np.empty_like(superposed)  # each weighted state, in one reused array
     worst = 0.0
     while True:
         runs.fill(0.0)
         count = 0
         for count, (amp, (state, eigenvalue)) in enumerate(zip(amps, pairs), 1):
-            superposed += amp * state.amplitudes
-            expected += amp * eigenvalue * state.amplitudes
+            superposed += np.multiply(amp, state.amplitudes, out=weighted)
+            expected += np.multiply(amp * eigenvalue, state.amplitudes, out=weighted)
         if not count:
             return worst
         stepped = total_evolution_apply(spec, n_max, MultiState(superposed, spec.walk_dim, n_max)).amplitudes
@@ -277,7 +304,7 @@ def project_physical(state: MultiState) -> MultiState:
     out = np.zeros_like(arr)
     for n in range(state.n_factors + 1):
         idx = _occupied_block_index(n, state.n_factors, state.walk_dim)
-        out[idx] = _antisymmetrize_tensor(np.asarray(arr[idx]), n)
+        _antisymmetrize_tensor(arr[idx], n, out[idx])
     return MultiState(out.reshape(-1), state.walk_dim, state.n_factors)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from walkqca import cli
+from walkqca import cli, multiparticle
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
@@ -98,6 +98,17 @@ CLI_COMMANDS = ("spectrum", "dispersion")
 CLI_DEFAULT_COMMANDS = ("evolve", "qca-demo")
 # Later files also time verify: at the default config, and its blocks suite on a 1D check lattice at the grid cap.
 CLI_VERIFY_ROWS = {"verify": "default", "verify --only blocks": {"verify": {"n_1d": cli.GRID_CAP}}}
+# Later still, two runs near the amplitude cap, each in a fresh process: 3 particles on 1D N=62, (2*62 + 1)**3 amplitudes.
+THREE_LABELS = [{"ell": -3, "branch": -1}, {"ell": 1, "branch": 1}, {"ell": 5, "branch": -1}]
+CLI_NEAR_CAP_ROWS = {
+    "verify --only preservation": {"verify": {"n_1d": 62, "n_random": 3}},
+    "evolve --steps 4": {"lattice": {"N": 62}, "evolve": {"n_max": 3, "labels": THREE_LABELS}},
+}
+
+
+def test_a_cli_ladder_file_times_the_runs_near_the_amplitude_cap():
+    rows = [row for path in CLI_LADDERS for row in json.loads(path.read_text())["rows"]]
+    assert {row["command"] for row in rows if row["tree"] == "change"} >= set(CLI_NEAR_CAP_ROWS)
 
 
 @pytest.mark.parametrize("path", CLI_LADDERS, ids=[p.name for p in CLI_LADDERS])
@@ -107,8 +118,11 @@ def test_cli_ladder_file_schema(path):
     processes = doc["processes_per_tree"]
     verify = {(r["tree"], r["command"]): r for r in doc["rows"] if r["command"] in CLI_VERIFY_ROWS}
     assert set(verify) in (set(), {(t, c) for t in ("base", "change") for c in CLI_VERIFY_ROWS})
-    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"] if r["command"] not in CLI_VERIFY_ROWS}
-    assert len(rows) + len(verify) == len(doc["rows"])
+    near = {(r["tree"], r["command"]): r for r in doc["rows"] if r["command"] in CLI_NEAR_CAP_ROWS}
+    assert set(near) in (set(), {(t, c) for t in ("base", "change") for c in CLI_NEAR_CAP_ROWS})
+    named = {**CLI_VERIFY_ROWS, **CLI_NEAR_CAP_ROWS}
+    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"] if r["command"] not in named}
+    assert len(rows) + len(verify) + len(near) == len(doc["rows"])
     caps = {r["N"] for r in rows.values() if r["at_cap"]}
     assert len(caps) == 1 and caps.isdisjoint(CLI_SIZES)
     # a base tree from before the cap has no cap rows, and older files no default-config rows
@@ -117,9 +131,13 @@ def test_cli_ladder_file_schema(path):
     grid = {(t, n, c) for t, ns in sizes.items() for n in ns for c in CLI_COMMANDS}
     defaults = {(t, None, c) for t in sizes for c in CLI_DEFAULT_COMMANDS}
     assert set(rows) in (grid, grid | defaults)
-    for row in [*rows.values(), *verify.values()]:
+    for row in [*rows.values(), *verify.values(), *near.values()]:
         assert set(ROW) <= set(row)
-        if row["command"] in CLI_VERIFY_ROWS:
+        if row["command"] in CLI_NEAR_CAP_ROWS:
+            assert (row["N"], row["modes"], row["at_cap"]) == (None, None, False)
+            assert row["config"] == CLI_NEAR_CAP_ROWS[row["command"]]
+            assert row["amplitudes"] == (2 * 62 + 1) ** 3 <= multiparticle.AMPLITUDE_CAP
+        elif row["command"] in CLI_VERIFY_ROWS:
             assert row["N"] is None and row["config"] == CLI_VERIFY_ROWS[row["command"]]
             at_cap = row["command"] != "verify"
             assert (row["modes"], row["at_cap"]) == ((cli.GRID_CAP, True) if at_cap else (None, False))

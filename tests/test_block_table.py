@@ -211,3 +211,40 @@ def test_the_eigensystem_grids_reach_degenerate_blocks_and_both_companion_forms(
         _, degenerate, _, companion = _eigensystem_oracle(list(zip(*(table[f"r{i}"].tolist() for i in range(4)))))
         reached |= companion | {("degenerate", any(degenerate))}
     assert reached >= {(True, 1), (True, -1), (False, 1), (False, -1), ("degenerate", True)}
+
+
+def _vector_norms_oracle(vectors):
+    """The per-vector loop that verify.vector_norms replaced: one np.linalg.norm call per row."""
+    return np.array(list(map(np.linalg.norm, vectors)))
+
+
+@pytest.mark.parametrize(
+    "n_1d,n_2d", [(4, 4), (32, 4), (512, 64), (cli.GRID_CAP, 4)], ids=["default", "bench", "ci", "grid-cap"]
+)
+def test_the_eigenvector_residual_equals_the_per_vector_norms(tmp_path, monkeypatch, n_1d, n_2d):
+    # every deviation vector the blocks suite measures, at the check lattices and at the grid cap
+    seen, norms_of = [], verify.vector_norms
+
+    def recorded(vectors):
+        seen.append((vectors, norms_of(vectors)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify, "vector_norms", recorded)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"verify": {"n_1d": n_1d, "n_2d": n_2d}}))
+    assert cli.main(["verify", "--config", str(config), "--only", "blocks", "--out", str(tmp_path)]) == 0
+    [(vectors, norms)] = seen
+    assert vectors.shape[1] == 2
+    oracle = _vector_norms_oracle(vectors)
+    assert (norms == oracle).all()
+    rows = {row["check"]: row for row in json.loads((tmp_path / "verification.json").read_text())}
+    assert rows["eigenvector-residual"]["max_residual"] == max(oracle)
+
+
+def test_vector_norms_equal_the_per_vector_norms_on_random_vectors():
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
+    oracle = _vector_norms_oracle(vectors)
+    assert (verify.vector_norms(vectors) == oracle).all()
+    # negative control: a norm along an axis rounds differently, so the comparison can fail
+    assert (np.linalg.norm(vectors, axis=1) != oracle).any()

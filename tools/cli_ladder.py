@@ -14,13 +14,18 @@ times as long and as much memory there).  The first call of each command
 and size is kept apart as `first_call_s`; the row takes the median of
 the repeats after it.  After each command at the default config and
 after each size the process records its peak RSS so far.
+Last, the runs near the amplitude cap, 3 particles on 1D N=62 (125**3
+amplitudes): `verify --only preservation` and `evolve --steps 4` each run
+once in a fresh `walkqca` process of their own, whose wall time
+(interpreter start included) and peak RSS make the row's per-process values.
 Trees, processes and rows are as in `qca_ladder.py`: the two trees
 alternate as `ladder.run_trees` describes, and each row is the median
 and interquartile range of the per-process medians.
 
 Needs numpy and git.  A process peaks near 130 MB at the grid cap (`BENCH_23.json`,
 the change's rows at N=512; 145 MB on its base) and near 190 MB in the `verify` cap run
-(`BENCH_30.json`; 250 MB on its base).
+(`BENCH_30.json`; 250 MB on its base); a run near the amplitude cap near 125 MB
+(`BENCH_31.json`; 156 MB on its base).
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -47,6 +54,13 @@ DEFAULT_COMMANDS = ("evolve", "qca-demo", "verify")
 # The verify run at the cap: its blocks suite on a 1D check lattice of cli.GRID_CAP modes.
 VERIFY_CAP_COMMAND = "verify --only blocks"
 DEFAULT_REPEATS = 9
+# The runs near multiparticle.AMPLITUDE_CAP, by command: 3 particles on 1D N=62, 125**3 amplitudes.
+NEAR_CAP_AMPLITUDES = 125**3
+THREE_LABELS = [{"ell": -3, "branch": -1}, {"ell": 1, "branch": 1}, {"ell": 5, "branch": -1}]
+NEAR_CAP_RUNS = {
+    "verify --only preservation": {"verify": {"n_1d": 62, "n_random": 3}},
+    "evolve --steps 4": {"lattice": {"N": 62}, "evolve": {"n_max": 3, "labels": THREE_LABELS}},
+}
 
 
 def _timed(cli, argv: list[str], repeats: int) -> dict:
@@ -64,6 +78,27 @@ def _timed(cli, argv: list[str], repeats: int) -> dict:
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+# A fresh process's own peak RSS: its getrusage ru_maxrss would start from the peak of the process
+# that spawned it, which exec carries over, so it reads VmHWM, the peak of its own memory map.
+FRESH_RUN = (
+    "import sys\n"
+    "from walkqca import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh_run(src: str, argv: list[str]) -> tuple[float, float]:
+    """Wall time and peak RSS (MB) of `walkqca ARGV` in a fresh process, with walkqca from `src`."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True,
+    )
+    return time.perf_counter() - start, int(done.stderr.split()[-1]) / 1024
 
 
 def _child(src: str) -> dict:
@@ -93,6 +128,11 @@ def _child(src: str) -> dict:
             argv = [*VERIFY_CAP_COMMAND.split(), "--config", str(config), "--out", tmp]
             rows["cap.verify"] = _timed(cli, argv, CAP_REPEATS)
             rows["cap.verify.peak_rss_mb"] = _peak_rss_mb()
+        for command, doc in NEAR_CAP_RUNS.items():
+            config.write_text(json.dumps(doc))
+            seconds, rss = _fresh_run(src, [*command.split(), "--config", str(config), "--out", tmp])
+            rows[f"near_cap.{command}"] = {"median_s": seconds, "first_call_s": seconds}
+            rows[f"near_cap.{command}.peak_rss_mb"] = rss
     return {
         "rows": rows,
         "cap_n": isqrt(cap) if cap else None,
@@ -136,16 +176,24 @@ def main(argv=None) -> int:
             where = {"tree": name, "N": None, "modes": modes, "command": VERIFY_CAP_COMMAND, "at_cap": True}
             where["config"] = {"verify": {"n_1d": modes}}
             rows.append(_row(procs, "cap.verify", "cap.verify.peak_rss_mb", where))
+        for command, config in NEAR_CAP_RUNS.items():
+            where = {"tree": name, "N": None, "modes": None, "command": command, "at_cap": False, "config": config}
+            where["amplitudes"] = NEAR_CAP_AMPLITUDES
+            key = f"near_cap.{command}"
+            rows.append(_row(procs, key, f"{key}.peak_rss_mb", where))
     doc = {
         "kernel": (
             "walkqca evolve, qca-demo and verify through cli.main at the default config, spectrum and dispersion"
             " on the 2D lattice at theta 0.3, and verify --only blocks on the 1D check lattice at the grid cap,"
-            " outputs written"
+            " outputs written; verify --only preservation and evolve with 3 particles on 1D N=62, near the"
+            " amplitude cap, each in a fresh walkqca process"
         ),
         "command": "python tools/cli_ladder.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "machine": ladder.machine(runs["change"][0]),
         "processes_per_tree": args.processes,
-        "repeats_per_process": {"default": DEFAULT_REPEATS, **{f"N{n}": r for n, r in REPEATS.items()}, "cap": CAP_REPEATS},
+        "repeats_per_process": {
+            "default": DEFAULT_REPEATS, **{f"N{n}": r for n, r in REPEATS.items()}, "cap": CAP_REPEATS, "near_cap": 1,
+        },
         "trees": facts,
         "rows": rows,
     }
