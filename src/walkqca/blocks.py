@@ -8,9 +8,9 @@ unitary of the form
 with r0**2 + r1**2 + r2**2 + r3**2 = 1.  This module turns the real
 four-vector (r0, r1, r2, r3) into the matrix, the eigenphase and the
 eigenvector pair, handling the degenerate corners where the closed-form
-eigenvectors are undefined.  Every function but :func:`decompose` takes one
-block's scalars or a grid's equal-shape arrays and rounds both alike, so
-the grid tables and the per-mode blocks agree bit for bit.
+eigenvectors are undefined.  All but the one-block :func:`eigenbasis` and
+:func:`decompose` take one block's scalars or a grid's equal-shape arrays
+and round both alike, so grid tables and per-mode blocks agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from math import atan2
 
 import numpy as np
-
-from .lattice import MomentumMode
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -47,7 +45,6 @@ class BlockDecomposition:
     the canonical basis vectors and the `degenerate` flag.
     """
 
-    mode: MomentumMode
     r: tuple[float, float, float, float]
     matrix: np.ndarray
     phi: float
@@ -111,8 +108,11 @@ def eigenvector_pair(r) -> tuple[np.ndarray, np.ndarray]:
     return tuple(pair.transpose(0, *range(2, pair.ndim), 1))
 
 
-def decompose(mode: MomentumMode, r: tuple[float, float, float, float]) -> BlockDecomposition:
+def eigenbasis(r) -> tuple[np.ndarray, np.ndarray]:
+    """One block's (v_plus, v_minus): :func:`eigenvector_pair`, or the canonical basis where the block is degenerate."""
+    return tuple(np.eye(2, dtype=complex)) if is_degenerate(r) else eigenvector_pair(r)
+
+
+def decompose(r: tuple[float, float, float, float]) -> BlockDecomposition:
     """Full decomposition of the block with coefficient vector `r`: the one-block case of the functions above."""
-    degenerate = bool(is_degenerate(r))
-    v_plus, v_minus = np.eye(2, dtype=complex) if degenerate else eigenvector_pair(r)
-    return BlockDecomposition(mode, r, matrix_from_r(r), eigenphase_from_r(r), v_plus, v_minus, degenerate)
+    return BlockDecomposition(r, matrix_from_r(r), eigenphase_from_r(r), *eigenbasis(r), bool(is_degenerate(r)))

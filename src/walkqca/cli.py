@@ -237,6 +237,7 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
         for factor in range(state.n_factors):
             axes = tuple(a for a in range(state.n_factors) if a != factor)
             occupancy[step, factor] = np.sum(np.sum(probs, axis=axes)[: state.walk_dim])
+        del probs  # before the step, which holds two states of its own
         if step < steps:
             state = multiparticle.total_evolution_apply(spec, state.n_factors, state)
     step, factor = np.indices(occupancy.shape).reshape(2, -1)

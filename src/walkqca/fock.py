@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import walk
+from . import blocks, walk
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -176,7 +176,7 @@ def evolution_diagonal(basis: FockBasis, spec: LatticeSpec) -> FockOperator:
     occ = _occupations(basis)
     total = np.zeros(basis.dim)  # summed in mode order, as a per-bitstring sum would
     for i, label in enumerate(basis.modes):
-        total += occ[:, i] * (label.branch * walk.momentum_block(spec, label.mode).phi)
+        total += occ[:, i] * walk.label_phase(spec, label)
     return diagonal_op(np.exp(1j * total))
 
 
@@ -187,10 +187,10 @@ def momentum_mode_coefficients(spec: LatticeSpec, mode: MomentumMode):
     (beta_R, beta_L) = conj(v_minus).  Undefined (raises) on degenerate
     blocks, where the two branches share one phase and carry no labels.
     """
-    block = walk.momentum_block(spec, mode)
-    if block.degenerate:
+    r = walk.mode_coefficients(spec, mode)
+    if blocks.is_degenerate(r):
         raise DegenerateModeError(f"mode {mode.ell} is degenerate; decomposition is arbitrary")
-    (alpha_r, alpha_l), (beta_r, beta_l) = block.v_plus.conj(), block.v_minus.conj()
+    (alpha_r, alpha_l), (beta_r, beta_l) = (v.conj() for v in blocks.eigenvector_pair(r))
     return alpha_r, beta_r, alpha_l, beta_l
 
 

@@ -288,7 +288,7 @@ def eigenphase_check(spec: LatticeSpec, label_sets, n_max: int) -> float:
     Each label's walk eigenstate and phase are computed once per call.
     """
     eigenstate = cache(partial(walk.walk_eigenstate, spec))
-    phase = cache(lambda label: label.branch * walk.momentum_block(spec, label.mode).phi)
+    phase = cache(partial(walk.label_phase, spec))
 
     def pair(labels):
         modes = _canonical(labels)

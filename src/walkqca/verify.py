@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import isfinite
+from math import comb, isfinite
 
 import numpy as np
 
@@ -179,6 +179,9 @@ DENSE_STATES = {
     "preservation": lambda o: ((o.spec1d, o.n_max), (o.spec2d, min(o.n_max, 2))),
     "eigenphase": lambda o: ((replace(o.spec1d, N=2), 3), (o.spec2d, 2)),
 }
+# The eigenphase suite builds a dense state per label set: `--only eigenphase` took 0.5-0.6, 2.9-3.3, 14-16 s, 37-42 MB
+# at n_2d 6, 8, 10: 1.4e7, 1.4e8, 8.1e8 states x amplitudes (3 fresh processes each, 2-vCPU Xeon); n_2d 12 is 3.5e9.
+EIGENPHASE_WORK_CAP = 10**9
 
 
 def check_preservation(options: VerifyOptions) -> list[CheckResult]:
@@ -216,29 +219,29 @@ def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
 def momentum_ops_residual(spec: LatticeSpec) -> float:
     """Max entrywise deviation of the conjugated pair from the block action.
 
-    Checks the first two non-degenerate modes of :func:`walk.block_table`
-    over the Fock basis of their four branches.  The column (a_R+, a_L+)
-    conjugates by the transpose of the block, so each conjugated operator
-    is matched against the corresponding column combination.
+    Checks the first two non-degenerate modes of :func:`walk.block_table`, their blocks
+    formed from its r, over the Fock basis of their four branches.  The column (a_R+, a_L+)
+    conjugates by the transpose of the block, so each conjugated operator is matched
+    against the corresponding column combination.
     """
     table = walk.block_table(spec)
-    ells = np.stack([table[name] for name in walk.MODE_COLUMNS[spec.dimension][: spec.dimension]], axis=-1)
-    live = ells[table["degenerate"] == 0][:2].tolist()
-    checked = [walk.momentum_block(spec, momentum_mode(spec, ell)) for ell in live]
-    if not checked:
+    live = np.flatnonzero(table["degenerate"] == 0)[:2]
+    ells = np.stack([table[name][live] for name in walk.MODE_COLUMNS[spec.dimension][: spec.dimension]], axis=-1)
+    modes = [momentum_mode(spec, ell) for ell in ells.tolist()]
+    if not modes:
         raise ValueError(
             f"every momentum block of the {spec.dimension}D N={spec.N} lattice at "
             f"theta={spec.theta} is degenerate; the momentum-ops check has no mode to test"
         )
-    basis = fock.fock_basis(EnergyModeLabel(block.mode, branch) for block in checked for branch in (-1, 1))
+    basis = fock.fock_basis(EnergyModeLabel(mode, branch) for mode in modes for branch in (-1, 1))
     evo = fock.evolution_diagonal(basis, spec)
     worst = 0.0
-    for block in checked:
-        pair = fock.momentum_mode_ops(basis, spec, block.mode)
+    for mode, matrix in zip(modes, blocks.matrix_from_r([table[f"r{i}"][live] for i in range(4)])):
+        pair = fock.momentum_mode_ops(basis, spec, mode)
         for i in range(2):
             # a product with a diagonal map multiplies each weight by a phase
             conj = evo @ pair[i] @ evo.adjoint()
-            combo = block.matrix[0, i] * pair[0] + block.matrix[1, i] * pair[1]
+            combo = matrix[0, i] * pair[0] + matrix[1, i] * pair[1]
             worst = max(worst, (conj - combo).max_abs())
     return worst
 
@@ -356,7 +359,10 @@ def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
     for name in [name for name in DENSE_STATES if name in names]:
         for spec, n in DENSE_STATES[name](options):
             try:
-                multiparticle.dense_size(spec.walk_dim, n)
+                size = multiparticle.dense_size(spec.walk_dim, n)
+                sets = sum(comb(spec.walk_dim, k) for k in range(n + 1))  # _labels_up_to: up to n of the walk_dim labels
+                if name == "eigenphase" and sets * size > EIGENPHASE_WORK_CAP:
+                    raise ValueError(f"{sets} label sets of {size} amplitudes, over the cap of {EIGENPHASE_WORK_CAP} in all")
             except ValueError as exc:
                 # only a check lattice can be that large: 1D N=2 with 3 particles is 125 amplitudes
                 raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: {n} particles in the {name} suite: {exc}") from None

@@ -17,7 +17,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .blocks import IDENTITY_2, SIGMA_X, BlockDecomposition, decompose, eigenphase_from_r, is_degenerate, matrix_from_r
+from .blocks import IDENTITY_2, SIGMA_X, BlockDecomposition, decompose, eigenbasis, eigenphase_from_r, is_degenerate, matrix_from_r
 from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -173,16 +173,24 @@ def _pauli_r(ca, sa, cb, sb, ct, st):
     )
 
 
-def momentum_block(spec: LatticeSpec, mode: MomentumMode) -> BlockDecomposition:
+def mode_coefficients(spec: LatticeSpec, mode: MomentumMode) -> tuple[float, float, float, float]:
+    """(r0, r1, r2, r3) of a grid mode's block; :func:`momentum_block` decomposes it whole, for the per-mode API."""
     require_on_grid(spec, mode)
-    return decompose(mode, pauli_coefficients([k * spec.dx for k in mode.k], spec.theta))
+    return pauli_coefficients([k * spec.dx for k in mode.k], spec.theta)
+
+
+def momentum_block(spec: LatticeSpec, mode: MomentumMode) -> BlockDecomposition:
+    return decompose(mode_coefficients(spec, mode))
+
+
+def label_phase(spec: LatticeSpec, label: EnergyModeLabel) -> float:
+    """The label's eigenphase branch*phi: its walk eigenstate steps by exp(i*branch*phi)."""
+    return label.branch * eigenphase_from_r(mode_coefficients(spec, label.mode))
 
 
 def walk_eigenstate(spec: LatticeSpec, label: EnergyModeLabel) -> np.ndarray:
-    """Unit eigenstate of the dense walk with eigenvalue exp(i*branch*phi)."""
-    block = momentum_block(spec, label.mode)
-    coin_part = block.v_plus if label.branch > 0 else block.v_minus
-    return np.kron(momentum_state(spec, label.mode), coin_part)
+    """Unit eigenstate of the dense walk with eigenvalue exp(i*branch*phi); its coin part is v_plus or v_minus."""
+    return np.kron(momentum_state(spec, label.mode), eigenbasis(mode_coefficients(spec, label.mode))[label.branch < 0])
 
 
 def unit_phases(shape) -> np.ndarray:

@@ -18,7 +18,7 @@ from math import atan2, pi, sqrt
 import numpy as np
 import pytest
 
-from walkqca import blocks, cli, verify, walk
+from walkqca import blocks, cli, fock, verify, walk
 from walkqca.blocks import (
     DEGENERACY_TOL,
     FORM_SWITCH_TOL,
@@ -27,7 +27,7 @@ from walkqca.blocks import (
     is_degenerate,
     matrix_from_r,
 )
-from walkqca.lattice import HBAR, make_lattice, momentum_grid
+from walkqca.lattice import HBAR, energy_labels, make_lattice, momentum_grid
 
 
 def _mode_columns(mode):
@@ -152,7 +152,42 @@ def test_the_verify_block_suites_build_no_block_per_grid_mode(monkeypatch):
         assert verify.momentum_ops_residual(spec) < 1e-12
         counts.append(len(calls))
         calls.clear()
-    assert counts[0] == counts[1] > 0
+    assert counts == [0, 0]  # their blocks come from the table too
+
+
+def test_no_library_path_builds_a_per_mode_block(tmp_path, monkeypatch):
+    # a label's phase and coin vector come from walk.label_phase and walk_eigenstate, and the two checked
+    # momentum-ops blocks from the table; only the per-mode API, momentum_block, decomposes a block
+    def refused(*args):
+        raise AssertionError("blocks.decompose was called")
+
+    for module in (blocks, walk):
+        monkeypatch.setattr(module, "decompose", refused)
+    spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
+    with pytest.raises(AssertionError, match="decompose"):
+        walk.momentum_block(spec, momentum_grid(spec)[0])
+    assert cli.main(["verify", "--out", str(tmp_path / "verify")]) == 0
+    labels = [{"ell": ell, "branch": branch} for ell, branch in ((-3, -1), (1, 1), (4, -1))]
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps({"lattice": {"N": 8}, "evolve": {"n_max": 3, "labels": labels}}))
+    assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "evolve"), "--steps", "2"]) == 0
+    assert verify.intertwining_residual(spec, 3) < 1e-12
+    basis = fock.full_fock_basis(spec)
+    assert fock.evolution_diagonal(basis, spec).weight.shape == (1, basis.dim)
+    assert len(fock.momentum_mode_ops(basis, spec, basis.modes[0].mode)) == 2
+
+
+@pytest.mark.parametrize("dimension,n,theta", [(1, 8, 0.3), (2, 4, 0.3), (1, 4, 0.0), (2, 4, 0.0)])
+def test_a_labels_phase_and_eigenstate_equal_its_momentum_blocks_bit_for_bit(dimension, n, theta):
+    # at theta 0 the k = 0 and k = pi blocks are degenerate and carry the canonical basis
+    spec = make_lattice(dimension, n, 1.0, 1.0, theta)
+    assert any(walk.momentum_block(spec, mode).degenerate for mode in momentum_grid(spec)) == (theta == 0.0)
+    for label in energy_labels(spec):
+        block = walk.momentum_block(spec, label.mode)
+        vector = block.v_plus if label.branch > 0 else block.v_minus
+        assert walk.label_phase(spec, label) == label.branch * block.phi
+        expected = np.kron(walk.momentum_state(spec, label.mode), vector)
+        assert walk.walk_eigenstate(spec, label).tobytes() == expected.tobytes()
 
 
 def _eigenvector_pair_oracle(r1, r2, r3):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import faults
 import pytest
 from state_dump import load_state
 
@@ -212,14 +213,8 @@ def test_verify_momentum_ops_catches_a_phase_off_by_1e_9(monkeypatch):
     spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
     options = VerifyOptions(spec, make_lattice(2, 4, 1.0, 1.0, 0.3))
     assert all(row.passed for row in verify.check_momentum_ops(options))
-    block_of = walk.momentum_block
-    mode = next(m for m in lattice.momentum_grid(spec) if not block_of(spec, m).degenerate)
-
-    def corrupted(spec, m):
-        block = block_of(spec, m)
-        return dataclasses.replace(block, phi=block.phi + 1e-9) if m == mode else block
-
-    monkeypatch.setattr(walk, "momentum_block", corrupted)
+    mode = next(m for m in lattice.momentum_grid(spec) if not walk.momentum_block(spec, m).degenerate)
+    faults.shift_phase(monkeypatch, mode, 1e-9)
     rows = verify.check_momentum_ops(options)
     assert [row.check for row in rows if not row.passed] == ["momentum-ops-conjugation-1d"]
     assert rows[0].max_residual > 1e-10
@@ -657,9 +652,7 @@ def test_verify_rejects_an_automaton_size_before_any_suite_runs(tmp_path, monkey
 def test_default_verify_catches_a_y_roll_reversal(tmp_path, monkeypatch):
     # At N=2 a +1 roll equals a -1 roll, so only the default N=4 can see
     # a 2D walk whose y axis rolls the wrong way.
-    roll = walk._roll_into
-    reversed_y = lambda dst, src, shift, axis: roll(dst, src, -shift if axis == 2 else shift, axis)
-    monkeypatch.setattr(walk, "_roll_into", reversed_y)
+    faults.reverse_roll(monkeypatch, 2)
     cfg = write_config(tmp_path, {"verify": {"n_2d": 2}})
     assert run(["verify", "--config", cfg, "--out", tmp_path]) == 0
     assert run(["verify", "--out", tmp_path]) == 1
@@ -933,9 +926,15 @@ def test_verify_refuses_an_oversize_check_lattice_before_any_suite_runs(tmp_path
     # the preservation suite steps n_max particles on the 1D check lattice and up to 2 on the 2D one, the eigenphase
     # suite 2 on the 2D one: a state of (2 N + 1)^n (1D) or (2 N^2 + 1)^n (2D) amplitudes, up to the dense cap
     assert multiparticle.AMPLITUDE_CAP == 2_000_000
+    # the eigenphase suite builds one such state per label set: 1 + L + L (L - 1) / 2 sets of the L = 2 N^2 labels
+    # times (L + 1)^2 amplitudes is 8.1e8 at n_2d 10, and 3.5e9 at 12, the next even N, is over the cap of 1e9
+    assert verify.EIGENPHASE_WORK_CAP == 10**9
     cases = [
         (["--only", "unitarity"], {"n_1d": 1024, "n_2d": 32}, None),
-        ([], {"n_1d": 62, "n_2d": 26}, None),
+        ([], {"n_1d": 62, "n_2d": 10}, None),
+        ([], {"n_2d": 12}, "verify.n_2d 12: 2 particles in the eigenphase suite: 41617 label sets of 83521 amplitudes"),
+        ([], {"n_1d": 62, "n_2d": 26}, "verify.n_2d 26: 2 particles in the eigenphase suite: 914629 label sets of 1830609 amplitudes"),
+        (["--only", "preservation"], {"n_1d": 62, "n_2d": 26}, None),
         ([], {"n_1d": 64}, "verify.n_1d 64: 3 particles in the preservation suite: state with 2146689 amplitudes"),
         ([], {"n_2d": 32}, "verify.n_2d 32: 2 particles in the preservation suite: state with 4198401 amplitudes"),
         (["--only", "preservation"], {"n_1d": 64, "n_max": 2}, None),

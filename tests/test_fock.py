@@ -1,12 +1,12 @@
 import cmath
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from walkqca import fock, walk
+import faults
+from walkqca import fock
 from walkqca.fock import (
     DegenerateModeError,
     FockBasis,
@@ -323,13 +323,11 @@ def test_intertwining_check_catches_swapped_rolls_only_beyond_two_sites(monkeypa
     # negative control: rolling R by -1 and L by +1 breaks the walk, but on
     # two sites a -1 roll equals a +1 roll, which is why the verify check
     # runs on four
-    from walkqca import walk
     from walkqca.verify import VerifyOptions, check_intertwine, intertwining_residual
 
     options = VerifyOptions(spec1d=make_lattice(1, 8, 1.0, 1.0, 0.05), spec2d=SPEC2D)
     assert check_intertwine(options)[0].passed
-    roll = walk._roll_into
-    monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
+    faults.reverse_roll(monkeypatch)
     (row,) = check_intertwine(options)
     assert not row.passed and row.max_residual > 1.0
     assert intertwining_residual(make_lattice(1, 2, 1.0, 1.0, 0.05), 3) < TOL
@@ -450,20 +448,9 @@ def test_intertwining_residual_agrees_with_the_per_bitstring_loop(dimension, n_s
     assert got < TOL and expected < TOL and abs(got - expected) <= TOL
 
 
-def _reverse_x_roll(monkeypatch):
-    roll = walk._roll_into
-    monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
-
-
 def _shift_first_phase(monkeypatch):
     # one momentum mode's eigenphase off by 1e-9, its eigenvectors kept
-    block_of, mode = walk.momentum_block, energy_labels(SPEC)[0].mode
-
-    def corrupted(spec, m):
-        block = block_of(spec, m)
-        return dataclasses.replace(block, phi=block.phi + 1e-9) if m == mode else block
-
-    monkeypatch.setattr(walk, "momentum_block", corrupted)
+    faults.shift_phase(monkeypatch, energy_labels(SPEC)[0].mode, 1e-9)
 
 
 def _swap_created_modes(monkeypatch):
@@ -480,7 +467,7 @@ def _swap_created_modes(monkeypatch):
 
 @pytest.mark.parametrize(
     "fault",
-    [_reverse_x_roll, _shift_first_phase, _swap_created_modes],
+    [faults.reverse_roll, _shift_first_phase, _swap_created_modes],
     ids=["x-roll-reversed", "phase-1e-9", "created-modes-swapped"],
 )
 def test_intertwining_residual_reads_faults_at_least_as_strongly_as_the_loop(monkeypatch, fault):

@@ -8,6 +8,7 @@ from math import ceil, comb, factorial, sqrt
 import numpy as np
 import pytest
 
+import faults
 from kron_walk import extended_unitary, kron_walk
 from state_dump import load_state
 from walkqca import cli, multiparticle, verify, walk
@@ -356,7 +357,7 @@ def _eigenphase_oracle(spec, label_sets, n_max):
     for labels in label_sets:
         labels = list(labels)
         state = physical_basis_state(spec, labels, n_max)
-        phase = sum(label.branch * walk.momentum_block(spec, label.mode).phi for label in labels)
+        phase = sum(walk.label_phase(spec, label) for label in labels)
         evolved = total_evolution_apply(spec, n_max, state)
         worst = max(worst, float(np.linalg.norm(evolved.amplitudes - np.exp(1j * phase) * state.amplitudes)))
     return worst
@@ -365,25 +366,6 @@ def _eigenphase_oracle(spec, label_sets, n_max):
 def _label_sets(spec, n):
     labels = energy_labels(spec)
     return [combo for size in range(n + 1) for combo in itertools.combinations(labels, size)]
-
-
-def _reverse_roll(monkeypatch, axis):
-    """Roll one lattice axis (1 = x, 2 = y in the step's grid) the wrong way."""
-    roll = walk._roll_into
-    monkeypatch.setattr(
-        walk, "_roll_into", lambda dst, src, shift, ax: roll(dst, src, -shift if ax == axis else shift, ax)
-    )
-
-
-def _shift_phase(monkeypatch, mode, error):
-    """Move one momentum mode's eigenphase by `error`, leaving its eigenvectors."""
-    block_of = walk.momentum_block
-
-    def corrupted(spec, m):
-        block = block_of(spec, m)
-        return dataclasses.replace(block, phi=block.phi + error) if m == mode else block
-
-    monkeypatch.setattr(walk, "momentum_block", corrupted)
 
 
 def _count_steps(monkeypatch):
@@ -414,10 +396,10 @@ def test_eigenphase_check_agrees_with_the_per_state_loop(dimension, n_sites, n, 
 @pytest.mark.parametrize(
     "dimension,n,fault",
     [
-        (2, 2, lambda mp, spec: _reverse_roll(mp, 2)),
-        (1, 3, lambda mp, spec: _reverse_roll(mp, 1)),
-        (1, 3, lambda mp, spec: _shift_phase(mp, energy_labels(spec)[0].mode, 1e-9)),
-        (2, 2, lambda mp, spec: _shift_phase(mp, energy_labels(spec)[5].mode, 1e-9)),
+        (2, 2, lambda mp, spec: faults.reverse_roll(mp, 2)),
+        (1, 3, lambda mp, spec: faults.reverse_roll(mp, 1)),
+        (1, 3, lambda mp, spec: faults.shift_phase(mp, energy_labels(spec)[0].mode, 1e-9)),
+        (2, 2, lambda mp, spec: faults.shift_phase(mp, energy_labels(spec)[5].mode, 1e-9)),
     ],
     ids=["y-roll-reversed-2d", "x-roll-reversed-1d", "phase-1e-9-1d", "phase-1e-9-2d"],
 )

@@ -3,6 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 
+import faults
 from kron_walk import kron_walk
 from walkqca import multiparticle, walk
 from walkqca.lattice import make_lattice, momentum_grid, momentum_mode
@@ -115,8 +116,7 @@ def test_walk_matrix_on_odd_rings_equals_the_kron_oracle(dimension, n, theta):
 @pytest.mark.parametrize("dimension,n", ODD_RINGS + [(1, 4), (2, 4)])
 def test_kron_oracle_comparison_catches_swapped_rolls(monkeypatch, dimension, n):
     # negative control: from three sites on, a +1 roll is not a -1 roll
-    roll = walk._roll_into
-    monkeypatch.setattr(walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift, axis))
+    faults.reverse_roll(monkeypatch)
     swapped = walk.walk_matrix(n, dimension, 0.3)
     assert np.max(np.abs(swapped - kron_walk(n, dimension, 0.3))) > 0.5
 
@@ -151,13 +151,6 @@ def test_block_consistency_holds_on_2d_n64(theta):
     assert walk.verify_block_consistency(make_lattice(2, 64, 1.0, 1.0, theta)) <= 1e-12
 
 
-def _reverse_y_roll(monkeypatch):
-    roll = walk._roll_into
-    monkeypatch.setattr(
-        walk, "_roll_into", lambda dst, src, shift, axis: roll(dst, src, -shift if axis == 2 else shift, axis)
-    )
-
-
 def _perturb_one_amplitude(monkeypatch):
     step = walk.step_into
 
@@ -174,7 +167,7 @@ def _tilt_coin(monkeypatch):
 
 
 BLOCK_FAULTS = {
-    "y-roll-reversed": _reverse_y_roll,
+    "y-roll-reversed": lambda monkeypatch: faults.reverse_roll(monkeypatch, 2),
     "one-amplitude": _perturb_one_amplitude,
     "coin-angle": _tilt_coin,
 }
