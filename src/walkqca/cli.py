@@ -231,7 +231,7 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
         EnergyModeLabel(momentum_mode(spec, item["ell"]), item["branch"]) for item in label_doc
     ]
     state = multiparticle.physical_basis_state(spec, labels, n_max)
-    occupancy = np.empty((steps + 1, state.n_factors))
+    occupancy = _readout_table(steps, state.n_factors)
     for step in range(steps + 1):
         probs = np.abs(state.tensor()) ** 2
         for factor in range(state.n_factors):
@@ -250,7 +250,7 @@ def _evolve_multiparticle(config: dict, spec: LatticeSpec, steps: int, out_dir: 
 
 
 def _qca_occupation_columns(lattice: qca.CellLattice, coin, state, steps: int) -> dict[str, np.ndarray]:
-    occ = np.empty((steps + 1, lattice.n_types, lattice.n_sites, 2))
+    occ = _readout_table(steps, lattice.n_types, lattice.n_sites, 2)
     for step in range(steps + 1):
         occ[step] = qca.occupation_expectations(lattice, state)
         if step < steps:
@@ -280,6 +280,13 @@ def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | Non
     if out_dir is not None:
         print(f"wrote {len(columns['step'])} occupation rows to {out_dir / 'occupations.csv'}")
     return 0
+
+
+def _readout_table(steps: int, *row) -> np.ndarray:
+    try:  # a row for the start and each step; numpy raises ValueError past its largest dimension
+        return np.empty((steps + 1, *row))
+    except (MemoryError, ValueError):
+        raise ValueError(f"--steps {steps}: the readout table of {steps + 1} rows cannot be allocated") from None
 
 
 def _steps(steps: int) -> int:

@@ -45,7 +45,12 @@ class DispersionRecord:
 
 
 def _momentum_squares(spec: LatticeSpec, k_dx) -> list[float]:
-    """(hbar*k)**2 at each dimensionless momentum k*dx, one scalar pow per value."""
+    """(hbar*k)**2 at each k*dx, one scalar pow per value; refused where c**2, (mc^2)**2, p**2 or E_rel**2 overflow."""
+    with np.errstate(all="ignore"):  # p**2 summed over the axes at the largest |k*dx|
+        c2, mc4 = np.float64(spec.c) ** 2, np.float64(spec.mc2) ** 2
+        p2 = spec.dimension * (HBAR * np.max(np.abs(k_dx)) / spec.dx) ** 2
+        if not np.isfinite([c2, mc4, p2, p2 * c2 + mc4]).all():
+            raise ValueError(f"lattice.dx {spec.dx}, lattice.dt {spec.dt}, lattice.theta {spec.theta}: energies overflow a float")
     return [(HBAR * (kd / spec.dx)) ** 2 for kd in k_dx]
 
 

@@ -209,18 +209,17 @@ def momentum_mode_ops(
     return alpha_r * plus + beta_r * minus, alpha_l * plus + beta_l * minus
 
 
-def fock_to_firstquantized(
-    basis: FockBasis, bits: int, spec: LatticeSpec, n_max: int
-) -> MultiState:
+def created_labels(basis: FockBasis, bits: int) -> list[EnergyModeLabel]:
+    """The modes occupied in an occupation bitstring, in the basis (creation) order."""
+    if not 0 <= bits < basis.dim:
+        raise ValueError(f"bitstring {bits} out of range for {len(basis.modes)} modes")
+    return [label for i, label in enumerate(basis.modes) if (bits >> i) & 1]
+
+
+def fock_to_firstquantized(basis: FockBasis, bits: int, spec: LatticeSpec, n_max: int) -> MultiState:
     """Map an occupation bitstring to its antisymmetrized tensor-space state.
 
     The creation order is the basis order, so the map intertwines the
     diagonal evolution with the factor-wise walk evolution.
     """
-    if not 0 <= bits < basis.dim:
-        raise ValueError(f"bitstring {bits} out of range for {len(basis.modes)} modes")
-    labels = [label for i, label in enumerate(basis.modes) if (bits >> i) & 1]
-    if len(labels) > n_max:
-        raise ValueError(f"{len(labels)} occupied modes exceed n_max = {n_max}")
-    return ordered_product_state(spec, labels, n_max)
-
+    return ordered_product_state(spec, created_labels(basis, bits), n_max)

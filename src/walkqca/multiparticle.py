@@ -259,12 +259,15 @@ def physical_basis_state(spec: LatticeSpec, labels, n_max: int) -> MultiState:
 
 
 def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
-    """Largest 2-norm of U_total sum(a psi) - sum(a lam psi) over runs of (psi, lam) pairs.
+    """Largest 2-norm of U_total sum(a psi) - sum(a lam psi) over runs of (labels, lam) pairs.
 
-    Each run takes the next RUN_STATES pairs as they are read, weights them
+    psi is the antisymmetrized product of the labels' walk eigenstates in
+    the given (creation) order, each eigenstate built once per call.  Each
+    run takes the next RUN_STATES pairs as they are read, weights them
     with :func:`walk.unit_phases` a, and is stepped once; no pairs read 0.
     """
     pairs, amps = iter(pairs), walk.unit_phases(RUN_STATES)
+    eigenstate = cache(partial(walk.walk_eigenstate, spec))
     runs = np.empty((2, dense_size(spec.walk_dim, n_max)), dtype=complex)
     superposed, expected = runs
     weighted = np.empty_like(superposed)  # each weighted state, in one reused array
@@ -272,7 +275,8 @@ def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
     while True:
         runs.fill(0.0)
         count = 0
-        for count, (amp, (state, eigenvalue)) in enumerate(zip(amps, pairs), 1):
+        for count, (amp, (labels, eigenvalue)) in enumerate(zip(amps, pairs), 1):
+            state = _antisymmetrized_product(spec, list(map(eigenstate, labels)), n_max)
             superposed += np.multiply(amp, state.amplitudes, out=weighted)
             expected += np.multiply(amp * eigenvalue, state.amplitudes, out=weighted)
         if not count:
@@ -285,17 +289,11 @@ def eigenstate_residual(spec: LatticeSpec, n_max: int, pairs) -> float:
 def eigenphase_check(spec: LatticeSpec, label_sets, n_max: int) -> float:
     """Residual of U_total psi = exp(i * sum(branch * phi)) psi over energy-basis states.
 
-    Each label's walk eigenstate and phase are computed once per call.
+    Each label's phase is computed once per call.
     """
-    eigenstate = cache(partial(walk.walk_eigenstate, spec))
     phase = cache(partial(walk.label_phase, spec))
-
-    def pair(labels):
-        modes = _canonical(labels)
-        state = _antisymmetrized_product(spec, list(map(eigenstate, modes)), n_max)
-        return state, np.exp(1j * sum(map(phase, modes)))
-
-    return eigenstate_residual(spec, n_max, map(pair, label_sets))
+    pairs = ((modes, np.exp(1j * sum(map(phase, modes)))) for modes in map(_canonical, label_sets))
+    return eigenstate_residual(spec, n_max, pairs)
 
 
 def project_physical(state: MultiState) -> MultiState:

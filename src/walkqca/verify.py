@@ -262,8 +262,8 @@ def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
     basis = fock.full_fock_basis(spec)
     phases = fock.evolution_diagonal(basis, spec).weight[0]
     occupied = (bits for bits in range(basis.dim) if bin(bits).count("1") <= n_max)
-    images = ((fock.fock_to_firstquantized(basis, bits, spec, n_max), phases[bits]) for bits in occupied)
-    return multiparticle.eigenstate_residual(spec, n_max, images)
+    pairs = ((fock.created_labels(basis, bits), phases[bits]) for bits in occupied)
+    return multiparticle.eigenstate_residual(spec, n_max, pairs)
 
 
 def check_intertwine(options: VerifyOptions) -> list[CheckResult]:

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import faults
+import numpy as np
 import pytest
 from state_dump import load_state
 
@@ -593,6 +594,13 @@ MALFORMED_CASES = [
     ("verify", {"verify": {"n_1d": 200000}}, "verify.n_1d 200000: the 1D dense walk dimension (unitarity suite) is 400000"),
     # ten factors of 1D N=8 would take 29 TiB: the size is refused before anything is allocated
     ("evolve", {"evolve": {"n_max": 10}}, "state with 2015993900449 amplitudes exceeds the dense cap 2000000"),
+    # c**2, (mc^2)**2, p**2 at |k dx| = pi, or E_rel**2 past the float range: refused before anything is written
+    ("dispersion", {"lattice": {"dt": 1e-200}}, "lattice.dt 1e-200, lattice.theta 0.05: energies overflow a float"),
+    ("dispersion", {"lattice": {"dx": 1e200}}, "lattice.dx 1e+200, lattice.dt 1.0"),
+    ("dispersion", {"lattice": {"dx": 1e-300}}, "lattice.dx 1e-300, lattice.dt 1.0"),
+    ("dispersion", {"lattice": {"theta": 1e300}}, "lattice.theta 1e+300: energies overflow a float"),
+    ("dispersion", {"lattice": {"dt": 1e-320}}, "lattice.dt 1e-320, lattice.theta 0.05: energies overflow a float"),
+    ("verify", {"lattice": {"dt": 1e-200}}, "lattice.dt 1e-200, lattice.theta 0.05: energies overflow a float"),
 ]
 
 
@@ -609,6 +617,36 @@ def test_malformed_config_rejected_with_exit_2(tmp_path, capsys, command, doc, w
     assert out == ""
     assert words in err and len(err.strip().splitlines()) == 1
     assert [path.name for path in tmp_path.iterdir()] == [cfg.name]  # nothing written, not even --out
+
+
+@pytest.mark.parametrize("steps", [10**12, 10**20], ids=["1e12", "1e20"])
+@pytest.mark.parametrize(
+    "command,doc", [("evolve", {}), ("evolve", {"evolve": {"system": "qca"}}), ("qca-demo", {})], ids=["evolve", "evolve-qca", "qca-demo"]
+)
+def test_a_steps_count_past_its_readout_table_is_refused_before_the_first_step(tmp_path, capsys, monkeypatch, command, doc, steps):
+    # 1e12 steps ask for a table of terabytes (MemoryError), 1e20 past numpy's largest dimension (ValueError)
+    def never(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(multiparticle, "total_evolution_apply", never)
+    monkeypatch.setattr(qca, "qca_step", never)
+    cfg = write_config(tmp_path, doc)
+    assert run([command, "--config", cfg, *out_flag(command, tmp_path / "out"), "--steps", steps]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"--steps {steps}: the readout table of {steps + 1} rows cannot be allocated" in err
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_dispersion_at_dx_1e150_runs_and_reads_as_at_dx_1(tmp_path):
+    # c**2 is 1e300, still a float; the errors depend on k*dx, dt and theta alone
+    errors = []
+    for dx in (1e150, 1.0):
+        out = tmp_path / str(dx)
+        assert run(["dispersion", "--config", write_config(tmp_path, {"lattice": {"dx": dx}}), "--out", out]) == 0
+        errors.append([float(row["rel_err"]) for row in read_csv(out / "dispersion.csv")])
+    np.testing.assert_allclose(errors[0], errors[1], rtol=1e-12)
+    assert max(errors[1]) > 1e-4
 
 
 def test_evolve_accepts_the_other_systems_settings_at_their_defaults(tmp_path):

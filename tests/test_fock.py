@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import faults
-from walkqca import fock
+from walkqca import fock, walk
 from walkqca.fock import (
     DegenerateModeError,
     FockBasis,
@@ -456,13 +456,12 @@ def _shift_first_phase(monkeypatch):
 def _swap_created_modes(monkeypatch):
     # bits 0 and 1 create each other's mode; reversing only the creation
     # order of a state flips its sign, which no eigenvalue check can see
-    to_first = fock.fock_to_firstquantized
+    created = fock.created_labels
 
-    def swapped(basis, bits, spec, n_max):
-        modes = (basis.modes[1], basis.modes[0], *basis.modes[2:])
-        return to_first(FockBasis(modes), bits, spec, n_max)
+    def swapped(basis, bits):
+        return created(FockBasis((basis.modes[1], basis.modes[0], *basis.modes[2:])), bits)
 
-    monkeypatch.setattr(fock, "fock_to_firstquantized", swapped)
+    monkeypatch.setattr(fock, "created_labels", swapped)
 
 
 @pytest.mark.parametrize(
@@ -474,3 +473,12 @@ def test_intertwining_residual_reads_faults_at_least_as_strongly_as_the_loop(mon
     fault(monkeypatch)
     got, expected = intertwining_residual(SPEC, 3), _intertwining_oracle(SPEC, 3)
     assert got > TOL and got >= expected
+
+
+def test_intertwining_residual_builds_each_walk_eigenstate_once(monkeypatch):
+    # 8 labels of 1D N=4; a build per bitstring made 232 calls
+    calls = []
+    eigenstate = walk.walk_eigenstate
+    monkeypatch.setattr(walk, "walk_eigenstate", lambda spec, label: calls.append((spec, label)) or eigenstate(spec, label))
+    assert intertwining_residual(SPEC, 3) < TOL
+    assert len(calls) == len(set(calls)) == len(energy_labels(SPEC)) == 8

@@ -430,23 +430,49 @@ def test_eigenphase_check_at_2d_n6_takes_three_steps_and_stays_near_rounding(mon
 
 
 def test_eigenstate_residual_holds_one_state_at_a_time(monkeypatch):
-    # The pairs are read as the run fills: when the next state is asked
-    # for, every state but the last two read has been freed (the loop's
-    # tuples can hold the one before the last), whatever the run length.
+    # The pairs are read as the run fills and each state is built as its
+    # labels are read: when the next labels are asked for, every state but
+    # the last one built has been freed, whatever the run length (the
+    # bound below allows one more).
     spec = make_lattice(1, 4, 1.0, 1.0, 0.3)
     refs, alive = [], []
+    build = multiparticle._antisymmetrized_product
+
+    def tracked(spec, vectors, n_max):
+        state = build(spec, vectors, n_max)
+        refs.append(weakref.ref(state))
+        return state
 
     def pairs():
         for labels in _label_sets(spec, 2):
             alive.append(sum(ref() is not None for ref in refs))
-            state = physical_basis_state(spec, labels, 2)
-            refs.append(weakref.ref(state))
-            yield state, 1.0
+            yield labels, 1.0
 
+    monkeypatch.setattr(multiparticle, "_antisymmetrized_product", tracked)
     assert multiparticle.eigenstate_residual(spec, 2, pairs()) > 0.1  # eigenvalue 1 is wrong
     assert len(refs) == 37 and max(alive) <= 2
     calls = _count_steps(monkeypatch)
     assert multiparticle.eigenstate_residual(spec, 2, iter(())) == 0.0 and not calls
+
+
+def _state_residual(spec, n_max, pairs):
+    """The run-batched residual over built (state, eigenvalue) pairs, as it read before it built its own states."""
+    pairs, amps = iter(pairs), walk.unit_phases(multiparticle.RUN_STATES)
+    runs = np.empty((2, multiparticle.dense_size(spec.walk_dim, n_max)), dtype=complex)
+    superposed, expected = runs
+    weighted = np.empty_like(superposed)
+    worst = 0.0
+    while True:
+        runs.fill(0.0)
+        count = 0
+        for count, (amp, (state, eigenvalue)) in enumerate(zip(amps, pairs), 1):
+            superposed += np.multiply(amp, state.amplitudes, out=weighted)
+            expected += np.multiply(amp * eigenvalue, state.amplitudes, out=weighted)
+        if not count:
+            return worst
+        stepped = total_evolution_apply(spec, n_max, MultiState(superposed, spec.walk_dim, n_max)).amplitudes
+        stepped -= expected
+        worst = max(worst, float(np.linalg.norm(stepped)))
 
 
 def _parent_eigenphase_residual(spec, n):
@@ -456,7 +482,7 @@ def _parent_eigenphase_residual(spec, n):
         (physical_basis_state(spec, labels, n), np.exp(1j * sum(map(phase, labels))))
         for labels in _label_sets(spec, n)
     )
-    return multiparticle.eigenstate_residual(spec, n, pairs)
+    return _state_residual(spec, n, pairs)
 
 
 def test_eigenphase_suite_builds_each_walk_eigenstate_once(monkeypatch):
