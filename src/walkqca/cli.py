@@ -20,6 +20,7 @@ import numpy as np
 
 from . import dirac, multiparticle, qca, verify, walk
 from .lattice import EnergyModeLabel, LatticeSpec, is_integer, momentum_mode
+from .walk import GRID_CAP
 
 DEFAULT_CONFIG = {
     "lattice": {"dimension": 1, "N": 8, "dx": 1.0, "dt": 1.0, "theta": 0.05},
@@ -59,9 +60,8 @@ def _count(section: dict, key: str, where: str) -> int:
 def _unread(command: str, config: dict) -> list[tuple[str, str]]:
     """Each setting the run leaves unread, with who reads it, in the order a refusal names them.
 
-    The lattice section, evolve.system and the automaton's dimension are checked first, each by its own message.
+    evolve.system and the automaton's dimension are checked first, each by its own message.
     """
-    LatticeSpec.from_dict(config["lattice"])
     system, initial = config["evolve"]["system"], config["evolve"]["qca"]["initial"]
     evolves = command in ("evolve", "qca-demo")
     if evolves and system not in ("multiparticle", "qca"):
@@ -125,17 +125,8 @@ def _write_table(target: Path | TextIO, columns: dict[str, np.ndarray]) -> None:
     target.writelines(",".join(row) + "\r\n" for row in zip(*texts))
 
 
-# The most momentum modes spectrum and dispersion compute: at 2D N=512
-# each takes about 1 s and the process peaks near 130 MB on a 2-vCPU
-# Xeon (BENCH_23.json, the change's rows at N=512).  Both grow with the
-# mode count, so a larger grid is refused rather than left to run out of memory.
-# verify's check lattices take the same cap where the unitarity suite does not run.
-GRID_CAP = 512**2
-
-
-def _grid_lattice(config: dict) -> LatticeSpec:
+def _grid_lattice(spec: LatticeSpec) -> LatticeSpec:
     """The lattice of spectrum and dispersion, refused before any work if its grid is over GRID_CAP."""
-    spec = LatticeSpec.from_dict(config["lattice"])
     if spec.n_sites > GRID_CAP:
         raise ValueError(
             f"lattice.N {spec.N} gives {spec.n_sites} momentum modes in {spec.dimension}D, over the cap of {GRID_CAP}"
@@ -143,16 +134,16 @@ def _grid_lattice(config: dict) -> LatticeSpec:
     return spec
 
 
-def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
-    spec = _grid_lattice(config)
+def cmd_spectrum(config: dict, spec: LatticeSpec, out_dir: Path, args) -> int:
+    spec = _grid_lattice(spec)
     path = out_dir / "spectrum.csv"
     _write_table(path, walk.block_table(spec))
     print(f"wrote {spec.n_sites} modes to {path}")
     return 0
 
 
-def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
-    spec = _grid_lattice(config)
+def cmd_dispersion(config: dict, spec: LatticeSpec, out_dir: Path, args) -> int:
+    spec = _grid_lattice(spec)
     # The study checks the halvings, so a bad count writes no file.
     study = dirac.convergence_study(spec, halvings=args.halvings)
     _write_table(out_dir / "dispersion.csv", dirac.dispersion_columns(spec))
@@ -170,24 +161,17 @@ def cmd_dispersion(config: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_verify(config: dict, out_dir: Path, args) -> int:
+def cmd_verify(config: dict, lattice: LatticeSpec, out_dir: Path, args) -> int:
     # Verification runs on fixed desk-scale lattices: only the coin angle and spacings are taken over.
     vconf = config["verify"]
-    # Everything but N is checked here, so a refused size below is the key's own.
-    lattice = LatticeSpec.from_dict(config["lattice"])
     count = lambda key: _count(vconf, key, "verify")
-    dense = not args.only or "unitarity" in args.only  # that suite builds each check lattice's dense walk
     specs = []
     for dimension, key in ((1, "n_1d"), (2, "n_2d")):
         n = count(key)
-        try:
+        try:  # everything but N was checked in main, so a refusal here is the key's own
             specs.append(replace(lattice, dimension=dimension, N=n))
         except ValueError as exc:
             raise ValueError(f"verify.{key}: {exc}") from None
-        size, cap = (specs[-1].walk_dim, qca.DENSE_OPERATOR_CAP) if dense else (specs[-1].n_sites, GRID_CAP)
-        if size > cap:
-            what = "dense walk dimension (unitarity suite)" if dense else "momentum mode count"
-            raise ValueError(f"verify.{key} {n}: the {dimension}D {what} is {size}, over the cap of {cap}")
     options = verify.VerifyOptions(
         *specs,
         n_max=count("n_max"),
@@ -295,16 +279,15 @@ def _steps(steps: int) -> int:
     return steps
 
 
-def cmd_evolve(config: dict, out_dir: Path, args) -> int:
-    spec = LatticeSpec.from_dict(config["lattice"])
+def cmd_evolve(config: dict, spec: LatticeSpec, out_dir: Path, args) -> int:
     steps = _steps(args.steps)
     if config["evolve"]["system"] == "qca":
         return _evolve_qca(config, spec, steps, out_dir)
     return _evolve_multiparticle(config, spec, steps, out_dir)
 
 
-def cmd_qca_demo(config: dict, out_dir: None, args) -> int:
-    return _evolve_qca(config, LatticeSpec.from_dict(config["lattice"]), _steps(args.steps), out_dir)
+def cmd_qca_demo(config: dict, spec: LatticeSpec, out_dir: None, args) -> int:
+    return _evolve_qca(config, spec, _steps(args.steps), out_dir)
 
 
 COMMANDS = {
@@ -353,11 +336,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        spec = LatticeSpec.from_dict(config["lattice"])  # every command reads it, so its errors come first
         for path, reader in _unread(args.command, config):  # a setting the run does not read keeps its default
             if not _at_default(config, path):
                 raise ValueError(f"{path} applies only to {reader}")
         out_dir = Path(args.out) if "out" in args else None
-        code = COMMANDS[args.command](config, out_dir, args)
+        code = COMMANDS[args.command](config, spec, out_dir, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

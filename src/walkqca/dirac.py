@@ -44,7 +44,7 @@ class DispersionRecord:
     rel_err: float
 
 
-def _momentum_squares(spec: LatticeSpec, k_dx) -> list[float]:
+def momentum_squares(spec: LatticeSpec, k_dx) -> list[float]:
     """(hbar*k)**2 at each k*dx, one scalar pow per value; refused where c**2, (mc^2)**2, p**2 or E_rel**2 overflow."""
     with np.errstate(all="ignore"):  # p**2 summed over the axes at the largest |k*dx|
         c2, mc4 = np.float64(spec.c) ** 2, np.float64(spec.mc2) ** 2
@@ -68,7 +68,7 @@ def dispersion_columns(spec: LatticeSpec) -> dict[str, np.ndarray]:
     """The dispersion CSV's columns: :func:`walk.block_table`'s momentum columns, then phi/dt and the errors."""
     table = walk.block_table(spec)
     ell, k = walk.axis_momenta(spec)
-    squares = np.array(_momentum_squares(spec, (k * spec.dx).tolist()))
+    squares = np.array(momentum_squares(spec, (k * spec.dx).tolist()))
     names = walk.MODE_COLUMNS[spec.dimension]
     p2 = sum(squares[table[name] - ell[0]] for name in names[: spec.dimension])
     values = _dispersion(spec, table["phi"], p2)
@@ -178,6 +178,8 @@ def convergence_study(
     """
     if halvings < 2:
         raise ValueError(f"need at least 2 halvings for a fit, got {halvings}")
+    if halvings > 1074:  # 0.5**1074 is the last nonzero scale: 5e-324, the least subnormal float
+        raise ValueError(f"at most 1074 halvings keep the scale nonzero, got {halvings}")
     if base_k_dx is None:
         base_k_dx = DEFAULT_BASE_K_DX[spec.dimension]
     if len(base_k_dx) != spec.dimension:
@@ -190,7 +192,7 @@ def convergence_study(
         k_dx = tuple(scale * kd for kd in base_k_dx)
         scaled = replace(spec, theta=scale * spec.theta)
         phi = eigenphase_from_r(pauli_coefficients(k_dx, scaled.theta))
-        rel_err = float(_dispersion(scaled, phi, sum(_momentum_squares(scaled, k_dx)))[3])
+        rel_err = float(_dispersion(scaled, phi, sum(momentum_squares(scaled, k_dx)))[3])
         deviation = _generator_at(scaled, k_dx)[2]
         rows.append(ConvergenceRow(scale, k_dx, scaled.theta, rel_err, deviation))
     scales = [row.scale for row in rows]

@@ -20,6 +20,7 @@ from .lattice import (
     EnergyModeLabel,
     LatticeSpec,
     MomentumMode,
+    energy_labels,
     mode_ordering_key,
 )
 from .multiparticle import MultiState, ordered_product_state
@@ -64,8 +65,6 @@ def fock_basis(labels) -> FockBasis:
 
 
 def full_fock_basis(spec: LatticeSpec) -> FockBasis:
-    from .lattice import energy_labels
-
     return fock_basis(energy_labels(spec))
 
 

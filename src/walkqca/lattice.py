@@ -157,11 +157,5 @@ def mode_ordering_key(label: EnergyModeLabel):
 
 
 def energy_labels(spec: LatticeSpec) -> list[EnergyModeLabel]:
-    """Every (mode, branch) label of the grid, sorted by the canonical order."""
-    labels = [
-        EnergyModeLabel(mode, branch)
-        for mode in momentum_grid(spec)
-        for branch in (-1, 1)
-    ]
-    labels.sort(key=mode_ordering_key)
-    return labels
+    """Every (mode, branch) label of the grid, in the canonical order: momentum_grid's, branch -1 before +1."""
+    return [EnergyModeLabel(mode, branch) for mode in momentum_grid(spec) for branch in (-1, 1)]

@@ -315,14 +315,18 @@ def check_locality(options: VerifyOptions) -> list[CheckResult]:
     ]
 
 
+# The (check, lattice, base k*dx) of each convergence study of the dispersion suite.
+# The generic 2D ray holds the generator alone to second order (dirac.held_orders).
+DISPERSION_STUDIES = lambda o: (
+    ("dispersion-order-1d", o.spec1d, dirac.DEFAULT_BASE_K_DX[1]),
+    ("dispersion-order-2d-axis", o.spec2d, (0.1, 0.0)),
+    ("generator-order-2d", o.spec2d, dirac.DEFAULT_BASE_K_DX[2]),
+)
+
+
 def check_dispersion(options: VerifyOptions) -> list[CheckResult]:
-    # The generic 2D ray holds the generator alone to second order (dirac.held_orders).
     res = []
-    for name, spec, base_k_dx in (
-        ("dispersion-order-1d", options.spec1d, None),
-        ("dispersion-order-2d-axis", options.spec2d, (0.1, 0.0)),
-        ("generator-order-2d", options.spec2d, None),
-    ):
+    for name, spec, base_k_dx in DISPERSION_STUDIES(options):
         study = dirac.convergence_study(spec, halvings=3, base_k_dx=base_k_dx)
         first = study.rows[0]
         orders = [getattr(study, key) for key in dirac.held_orders(first.k_dx, first.theta)]
@@ -349,13 +353,19 @@ SUITES = {
 
 
 def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
-    """The named suites' results, in SUITES order; sizes are refused before the first suite runs."""
+    """The named suites' results, in SUITES order; sizes and scales are refused before the first suite runs."""
     names = list(SUITES)
     if only:
         unknown = [n for n in only if n not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; available: {names}")
         names = [n for n in names if n in set(only)]
+    dense = "unitarity" in names  # that suite builds each check lattice's dense walk
+    for spec in (options.spec1d, options.spec2d):
+        size, cap = (spec.walk_dim, qca.DENSE_OPERATOR_CAP) if dense else (spec.n_sites, walk.GRID_CAP)
+        if size > cap:
+            what = "dense walk dimension (unitarity suite)" if dense else "momentum mode count"
+            raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: the {spec.dimension}D {what} is {size}, over the cap of {cap}")
     for name in [name for name in DENSE_STATES if name in names]:
         for spec, n in DENSE_STATES[name](options):
             try:
@@ -366,6 +376,9 @@ def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
             except ValueError as exc:
                 # only a check lattice can be that large: 1D N=2 with 3 particles is 125 amplitudes
                 raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: {n} particles in the {name} suite: {exc}") from None
+    if "dispersion" in names:  # a study's largest scale is its base k*dx, at the lattice's own theta
+        for _, spec, base_k_dx in DISPERSION_STUDIES(options):
+            dirac.momentum_squares(spec, base_k_dx)
     results = []
     for name in names:
         results.extend(SUITES[name](options))

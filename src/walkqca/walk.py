@@ -232,6 +232,14 @@ def axis_momenta(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     return ell, 2.0 * pi * ell / (spec.N * spec.dx)
 
 
+# The most momentum modes spectrum and dispersion compute: at 2D N=512
+# each takes about 1 s and the process peaks near 130 MB on a 2-vCPU
+# Xeon (BENCH_23.json, the change's rows at N=512).  Both grow with the
+# mode count, so a larger grid is refused rather than left to run out of memory.
+# verify's check lattices take the same cap where the unitarity suite does not run.
+GRID_CAP = 512**2
+
+
 def block_table(spec: LatticeSpec) -> dict[str, np.ndarray]:
     """Every grid mode's block as column arrays, in :func:`momentum_grid` order.
 

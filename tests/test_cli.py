@@ -796,6 +796,7 @@ def test_golden_spectrum_row(tmp_path):
         (["verify", "--tol", "0"], "tol must be finite and positive, got 0.0"),
         (["verify", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
         (["dispersion", "--halvings", "0"], "need at least 2 halvings for a fit, got 0"),
+        (["dispersion", "--halvings", "1075"], "at most 1074 halvings keep the scale nonzero, got 1075"),
         (["qca-demo", "--steps", "-1"], "steps must be non-negative, got -1"),
         (["verify", "--seed", "-1"], "seed must be non-negative, got -1"),
     ],
@@ -904,7 +905,7 @@ def refused_wrongly(tmp_path, capsys, command, config):
 @pytest.fixture
 def stubbed_commands(monkeypatch):
     for name in cli.COMMANDS:
-        monkeypatch.setitem(cli.COMMANDS, name, lambda config, out_dir, args: 0)
+        monkeypatch.setitem(cli.COMMANDS, name, lambda config, spec, out_dir, args: 0)
 
 
 @pytest.mark.parametrize("command,system,initial,dimension", RUNS, ids=["-".join(map(str, run_of)) for run_of in RUNS])
@@ -993,6 +994,31 @@ def test_verify_refuses_an_oversize_check_lattice_before_any_suite_runs(tmp_path
             assert code == 2 and err.startswith(f"error: {words}") and err.count("\n") == 1
             assert ran == [] and not out.exists()
         ran.clear()
+
+
+def test_verify_refuses_an_overflowing_scale_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    for name in verify.SUITES:
+        passed = lambda options, name=name: ran.append(name) or [verify.CheckResult(name, 0.0, 1.0, True)]
+        monkeypatch.setitem(verify.SUITES, name, passed)
+    # c**2 is 1e400 at dt 1e-200: only the dispersion suite reads the energies, and it is refused before the first suite
+    overflow = "lattice.dx 1.0, lattice.dt 1e-200, lattice.theta 0.05: energies overflow a float"
+    config = write_config(tmp_path, {"lattice": {"dt": 1e-200}})
+    for i, (only, words) in enumerate([([], overflow), (["--only", "dispersion"], overflow), (["--only", "blocks"], None)]):
+        out = tmp_path / f"out{i}"
+        code = run(["verify", "--config", config, "--out", out, *only])
+        err = capsys.readouterr().err
+        if words is None:
+            assert (code, err) == (0, "") and ran == ["blocks"]
+        else:
+            assert (code, err) == (2, f"error: {words}\n") and ran == [] and not out.exists()
+        ran.clear()
+
+
+def test_halvings_at_the_last_nonzero_scale_still_run(tmp_path, capsys):
+    assert 0.5**1074 > 0.0 == 0.5**1075
+    assert run(["dispersion", "--halvings", "1074", "--out", tmp_path]) == 0
+    assert len(json.loads((tmp_path / "convergence.json").read_text())["rows"]) == 1075
 
 
 def test_qca_demo_takes_no_out_and_makes_no_directory(tmp_path, capsys, monkeypatch):
