@@ -20,6 +20,8 @@ DEFAULT_TOL = 1e-12
 
 # Largest particle number of the 1D preservation and intertwining checks.
 N_MAX_CAP = 3
+# What the blocks and momentum-ops suites would leave untested on check lattices whose every block is degenerate.
+NO_VECTOR, NO_MODE = "the eigenvector-residual check has no vector to test", "the momentum-ops check has no mode to test"
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,15 @@ def _qca_coin(options: VerifyOptions, theta: float) -> np.ndarray:
     return qca.build_local_coin(theta)
 
 
+def _cap_lattices(options: VerifyOptions, what: str, attribute: str, cap: int) -> None:
+    for spec in (options.spec1d, options.spec2d):
+        if (size := getattr(spec, attribute)) > cap:
+            raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: the {spec.dimension}D {what} is {size}, over the cap of {cap}")
+
+
 def check_unitarity(options: VerifyOptions) -> list[CheckResult]:
-    res = [
-        _result(
-            f"walk-{spec.dimension}d-unitarity",
-            _unitarity_residual(walk.build_walk_unitary(spec)),
-            options.tol,
-        )
-        for spec in (options.spec1d, options.spec2d)
-    ]
+    specs = (options.spec1d, options.spec2d)
+    res = [_result(f"walk-{s.dimension}d-unitarity", _unitarity_residual(walk.build_walk_unitary(s)), options.tol) for s in specs]
     lattice = qca.CellLattice(n_sites=3, n_types=1)
     coin = _qca_coin(options, options.spec1d.theta)
     step = qca.qca_step_operator(lattice, coin)
@@ -117,9 +119,18 @@ def vector_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).reshape(-1)
 
 
+def live_tables(specs, untested: str) -> list[dict]:
+    """walk.block_table of each spec, refused if every block of them is degenerate: the check would read 0.0 untested."""
+    tables = [walk.block_table(spec) for spec in specs]
+    if not any((table["degenerate"] == 0).any() for table in tables):
+        lattices = " and ".join(f"{spec.dimension}D N={spec.N}" for spec in specs) + " lattice" + "s" * (len(specs) > 1)
+        raise ValueError(f"every momentum block of the {lattices} at theta={specs[0].theta} is degenerate; {untested}")
+    return tables
+
+
 def check_blocks(options: VerifyOptions) -> list[CheckResult]:
     specs = (options.spec1d, options.spec2d)
-    tables = [walk.block_table(spec) for spec in specs]
+    tables = live_tables(specs, NO_VECTOR)
     res = [
         _result(f"block-consistency-{spec.dimension}d", walk.verify_block_consistency(spec, table), options.tol)
         for spec, table in zip(specs, tables)
@@ -127,12 +138,6 @@ def check_blocks(options: VerifyOptions) -> list[CheckResult]:
     column = lambda name: np.concatenate([table[name] for table in tables])
     r = np.stack([column(f"r{i}") for i in range(4)])
     phi, live = column("phi"), column("degenerate") == 0
-    if not live.any():
-        lattices = " and ".join(f"{spec.dimension}D N={spec.N}" for spec in specs)
-        raise ValueError(
-            f"every momentum block of the {lattices} lattices at theta={specs[0].theta} "
-            "is degenerate; the eigenvector-residual check has no vector to test"
-        )
     mats = blocks.matrix_from_r(r)
     eig = np.sort(np.angle(np.linalg.eigvals(mats)))
     # M v - lam v for v_plus with exp(i*phi) and v_minus with exp(-i*phi), where defined
@@ -174,20 +179,32 @@ def check_car(options: VerifyOptions) -> list[CheckResult]:
     ]
 
 
-# The (lattice, particle count) of each dense multiparticle state, by the suite that builds it.
-DENSE_STATES = {
-    "preservation": lambda o: ((o.spec1d, o.n_max), (o.spec2d, min(o.n_max, 2))),
-    "eigenphase": lambda o: ((replace(o.spec1d, N=2), 3), (o.spec2d, 2)),
-}
 # The eigenphase suite builds a dense state per label set: `--only eigenphase` took 0.5-0.6, 2.9-3.3, 14-16 s, 37-42 MB
 # at n_2d 6, 8, 10: 1.4e7, 1.4e8, 8.1e8 states x amplitudes (3 fresh processes each, 2-vCPU Xeon); n_2d 12 is 3.5e9.
 EIGENPHASE_WORK_CAP = 10**9
 
 
+def _admit_states(suite: str, states, work_cap: float = float("inf")) -> None:
+    """Refuse a dense state over the amplitude cap, or label sets times amplitudes over `work_cap`, naming its lattice."""
+    for spec, n in states:
+        try:
+            size = multiparticle.dense_size(spec.walk_dim, n)
+            sets = sum(comb(spec.walk_dim, k) for k in range(n + 1))  # _labels_up_to: up to n of the walk_dim labels
+            if sets * size > work_cap:
+                raise ValueError(f"{sets} label sets of {size} amplitudes, over the cap of {work_cap} in all")
+        except ValueError as exc:
+            # only a check lattice can be that large: 1D N=2 with 3 particles is 125 amplitudes
+            raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: {n} particles in the {suite} suite: {exc}") from None
+
+
+def preservation_states(options: VerifyOptions):  # the (lattice, particle count) of each dense state the suite steps
+    return ((options.spec1d, options.n_max), (options.spec2d, min(options.n_max, 2)))
+
+
 def check_preservation(options: VerifyOptions) -> list[CheckResult]:
     rng = np.random.default_rng(options.seed)
     out = []
-    for spec, n_max in DENSE_STATES["preservation"](options):
+    for spec, n_max in preservation_states(options):
         residuals = []
         for _ in range(options.n_random):
             # Each drawn state is let go once stepped, and each stepped state once the next draw is made.
@@ -205,15 +222,16 @@ def _labels_up_to(spec: LatticeSpec, n: int):
         yield from itertools.combinations(labels, size)
 
 
+def eigenphase_states(options: VerifyOptions):  # the (lattice, particle count) of each label-set sweep of the suite
+    return ((replace(options.spec1d, N=2), 3), (options.spec2d, 2))
+
+
 def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
-    return [
-        _result(
-            f"multiparticle-eigenphase-{spec.dimension}d",
-            multiparticle.eigenphase_check(spec, _labels_up_to(spec, n), n),
-            options.tol,
-        )
-        for spec, n in DENSE_STATES["eigenphase"](options)
-    ]
+    res = []
+    for spec, n in eigenphase_states(options):
+        residual = multiparticle.eigenphase_check(spec, _labels_up_to(spec, n), n)
+        res.append(_result(f"multiparticle-eigenphase-{spec.dimension}d", residual, options.tol))
+    return res
 
 
 def momentum_ops_residual(spec: LatticeSpec) -> float:
@@ -224,15 +242,10 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
     conjugates by the transpose of the block, so each conjugated operator is matched
     against the corresponding column combination.
     """
-    table = walk.block_table(spec)
+    (table,) = live_tables([spec], NO_MODE)
     live = np.flatnonzero(table["degenerate"] == 0)[:2]
     ells = np.stack([table[name][live] for name in walk.MODE_COLUMNS[spec.dimension][: spec.dimension]], axis=-1)
     modes = [momentum_mode(spec, ell) for ell in ells.tolist()]
-    if not modes:
-        raise ValueError(
-            f"every momentum block of the {spec.dimension}D N={spec.N} lattice at "
-            f"theta={spec.theta} is degenerate; the momentum-ops check has no mode to test"
-        )
     basis = fock.fock_basis(EnergyModeLabel(mode, branch) for mode in modes for branch in (-1, 1))
     evo = fock.evolution_diagonal(basis, spec)
     worst = 0.0
@@ -247,14 +260,8 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
 
 
 def check_momentum_ops(options: VerifyOptions) -> list[CheckResult]:
-    return [
-        _result(
-            f"momentum-ops-conjugation-{spec.dimension}d",
-            momentum_ops_residual(spec),
-            options.tol,
-        )
-        for spec in (options.spec1d, options.spec2d)
-    ]
+    specs = (options.spec1d, options.spec2d)
+    return [_result(f"momentum-ops-conjugation-{spec.dimension}d", momentum_ops_residual(spec), options.tol) for spec in specs]
 
 
 def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
@@ -317,16 +324,17 @@ def check_locality(options: VerifyOptions) -> list[CheckResult]:
 
 # The (check, lattice, base k*dx) of each convergence study of the dispersion suite.
 # The generic 2D ray holds the generator alone to second order (dirac.held_orders).
-DISPERSION_STUDIES = lambda o: (
-    ("dispersion-order-1d", o.spec1d, dirac.DEFAULT_BASE_K_DX[1]),
-    ("dispersion-order-2d-axis", o.spec2d, (0.1, 0.0)),
-    ("generator-order-2d", o.spec2d, dirac.DEFAULT_BASE_K_DX[2]),
-)
+def dispersion_studies(options: VerifyOptions):
+    return (
+        ("dispersion-order-1d", options.spec1d, dirac.DEFAULT_BASE_K_DX[1]),
+        ("dispersion-order-2d-axis", options.spec2d, (0.1, 0.0)),
+        ("generator-order-2d", options.spec2d, dirac.DEFAULT_BASE_K_DX[2]),
+    )
 
 
 def check_dispersion(options: VerifyOptions) -> list[CheckResult]:
     res = []
-    for name, spec, base_k_dx in DISPERSION_STUDIES(options):
+    for name, spec, base_k_dx in dispersion_studies(options):
         study = dirac.convergence_study(spec, halvings=3, base_k_dx=base_k_dx)
         first = study.rows[0]
         orders = [getattr(study, key) for key in dirac.held_orders(first.k_dx, first.theta)]
@@ -350,36 +358,28 @@ SUITES = {
     "locality": check_locality,
     "dispersion": check_dispersion,
 }
+# Suites that refuse inputs: each entry raises ValueError naming the key before any suite runs; its result is unused.
+ADMIT = {
+    "unitarity": lambda o: _cap_lattices(o, "dense walk dimension (unitarity suite)", "walk_dim", qca.DENSE_OPERATOR_CAP),
+    "blocks": lambda o: live_tables((o.spec1d, o.spec2d), NO_VECTOR),
+    "preservation": lambda o: _admit_states("preservation", preservation_states(o)),
+    "eigenphase": lambda o: _admit_states("eigenphase", eigenphase_states(o), EIGENPHASE_WORK_CAP),
+    "momentum-ops": lambda o: [live_tables([spec], NO_MODE) for spec in (o.spec1d, o.spec2d)],
+    # a study's largest scale is its base k*dx, at the lattice's own theta
+    "dispersion": lambda o: [dirac.momentum_squares(spec, k_dx) for _, spec, k_dx in dispersion_studies(o)],
+}
 
 
 def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
-    """The named suites' results, in SUITES order; sizes and scales are refused before the first suite runs."""
+    """The named suites' results, in SUITES order; a lattice over GRID_CAP, then each ADMIT entry, refuses before any runs."""
     names = list(SUITES)
     if only:
         unknown = [n for n in only if n not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; available: {names}")
         names = [n for n in names if n in set(only)]
-    dense = "unitarity" in names  # that suite builds each check lattice's dense walk
-    for spec in (options.spec1d, options.spec2d):
-        size, cap = (spec.walk_dim, qca.DENSE_OPERATOR_CAP) if dense else (spec.n_sites, walk.GRID_CAP)
-        if size > cap:
-            what = "dense walk dimension (unitarity suite)" if dense else "momentum mode count"
-            raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: the {spec.dimension}D {what} is {size}, over the cap of {cap}")
-    for name in [name for name in DENSE_STATES if name in names]:
-        for spec, n in DENSE_STATES[name](options):
-            try:
-                size = multiparticle.dense_size(spec.walk_dim, n)
-                sets = sum(comb(spec.walk_dim, k) for k in range(n + 1))  # _labels_up_to: up to n of the walk_dim labels
-                if name == "eigenphase" and sets * size > EIGENPHASE_WORK_CAP:
-                    raise ValueError(f"{sets} label sets of {size} amplitudes, over the cap of {EIGENPHASE_WORK_CAP} in all")
-            except ValueError as exc:
-                # only a check lattice can be that large: 1D N=2 with 3 particles is 125 amplitudes
-                raise ValueError(f"verify.n_{spec.dimension}d {spec.N}: {n} particles in the {name} suite: {exc}") from None
-    if "dispersion" in names:  # a study's largest scale is its base k*dx, at the lattice's own theta
-        for _, spec, base_k_dx in DISPERSION_STUDIES(options):
-            dirac.momentum_squares(spec, base_k_dx)
-    results = []
+    _cap_lattices(options, "momentum mode count", "n_sites", walk.GRID_CAP)
     for name in names:
-        results.extend(SUITES[name](options))
-    return results
+        if name in ADMIT:
+            ADMIT[name](options)
+    return [row for name in names for row in SUITES[name](options)]

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import os
@@ -1013,6 +1014,75 @@ def test_verify_refuses_an_overflowing_scale_before_any_suite_runs(tmp_path, cap
         else:
             assert (code, err) == (2, f"error: {words}\n") and ran == [] and not out.exists()
         ran.clear()
+
+
+# at theta 0 every block of an N=2 lattice, at k = 0 or pi on each axis, is +-identity
+BLOCKS_DEGENERATE = (
+    "every momentum block of the 1D N=2 and 2D N=2 lattices at theta=0 is degenerate; "
+    "the eigenvector-residual check has no vector to test"
+)
+MOMENTUM_OPS_DEGENERATE = (
+    "every momentum block of the 1D N=2 lattice at theta=0 is degenerate; the momentum-ops check has no mode to test"
+)
+
+
+def test_verify_refuses_an_all_degenerate_lattice_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    for name in verify.SUITES:
+        passed = lambda options, name=name: ran.append(name) or [verify.CheckResult(name, 0.0, 1.0, True)]
+        monkeypatch.setitem(verify.SUITES, name, passed)
+    cases = [
+        ([], {"n_1d": 2, "n_2d": 2}, BLOCKS_DEGENERATE),
+        ([], {"n_1d": 2, "n_2d": 4}, MOMENTUM_OPS_DEGENERATE),
+        (["--only", "car"], {"n_1d": 2, "n_2d": 2}, None),
+    ]
+    for i, (only, vconf, words) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        config = write_config(tmp_path, {"lattice": {"theta": 0}, "verify": vconf})
+        code = run(["verify", "--config", config, "--out", out, *only])
+        err = capsys.readouterr().err
+        if words is None:
+            assert (code, err) == (0, "") and ran == ["car"]
+        else:
+            assert (code, err) == (2, f"error: {words}\n") and ran == [] and not out.exists()
+        ran.clear()
+
+
+def verify_options(settings):
+    """The VerifyOptions of `walkqca verify` at the default config with `settings` of its lattice and verify sections."""
+    at = lambda section: {**DEFAULT_CONFIG[section], **{k: v for k, v in settings.items() if k in DEFAULT_CONFIG[section]}}
+    lat, vconf = at("lattice"), at("verify")
+    specs = [make_lattice(d, vconf[f"n_{d}d"], lat["dx"], lat["dt"], lat["theta"]) for d in (1, 2)]
+    return VerifyOptions(*specs, **{key: vconf[key] for key in ("n_max", "n_random", "qca_sites", "qca_types")})
+
+
+# Every case that the oversize, overflow and all-degenerate tests refuse after the grid cap, with the suite that refuses it.
+@pytest.mark.parametrize(
+    "suite,settings,words",
+    [
+        ("eigenphase", {"n_2d": 12}, "verify.n_2d 12: 2 particles in the eigenphase suite: 41617 label sets of 83521 amplitudes"),
+        ("eigenphase", {"n_1d": 62, "n_2d": 26}, "verify.n_2d 26: 2 particles in the eigenphase suite: 914629 label sets"),
+        ("preservation", {"n_1d": 64}, "verify.n_1d 64: 3 particles in the preservation suite: state with 2146689 amplitudes"),
+        ("preservation", {"n_2d": 32}, "verify.n_2d 32: 2 particles in the preservation suite: state with 4198401 amplitudes"),
+        ("eigenphase", {"n_2d": 28}, "verify.n_2d 28: 2 particles in the eigenphase suite: state with 2461761"),
+        ("unitarity", {"n_1d": 1026}, "verify.n_1d 1026: the 1D dense walk dimension (unitarity suite) is 2052, over the cap of 2048"),
+        ("unitarity", {"n_2d": 34}, "verify.n_2d 34: the 2D dense walk dimension (unitarity suite) is 2312"),
+        ("dispersion", {"dt": 1e-200}, "lattice.dx 1.0, lattice.dt 1e-200, lattice.theta 0.05: energies overflow a float"),
+        ("blocks", {"theta": 0, "n_1d": 2, "n_2d": 2}, BLOCKS_DEGENERATE),
+        ("momentum-ops", {"theta": 0, "n_1d": 2, "n_2d": 4}, MOMENTUM_OPS_DEGENERATE),
+        ("momentum-ops", {"theta": 0.0, "n_2d": 2}, "every momentum block of the 2D N=2 lattice at theta=0.0 is degenerate"),
+    ],
+)
+def test_each_suite_admission_alone_refuses_its_cases(suite, settings, words):
+    with pytest.raises(ValueError) as exc:
+        verify.ADMIT[suite](verify_options(settings))
+    assert str(exc.value).startswith(words)
+
+
+def test_the_verify_runner_names_no_suite():
+    assert set(verify.ADMIT) <= set(verify.SUITES)
+    source = inspect.getsource(verify.run_verification).splitlines()
+    assert [line for line in source for name in verify.SUITES if f'"{name}"' in line or f"'{name}'" in line] == []
 
 
 def test_halvings_at_the_last_nonzero_scale_still_run(tmp_path, capsys):
