@@ -8,6 +8,7 @@ residual 0 or 1 against tolerance 0.5.
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, replace
 from math import comb, isfinite
 
@@ -22,6 +23,7 @@ DEFAULT_TOL = 1e-12
 N_MAX_CAP = 3
 # What the blocks and momentum-ops suites would leave untested on check lattices whose every block is degenerate.
 NO_VECTOR, NO_MODE = "the eigenvector-residual check has no vector to test", "the momentum-ops check has no mode to test"
+_TABLES: ContextVar[dict] = ContextVar("block_tables")  # by lattice: one run_verification call's admissions and suites share them
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,8 @@ def vector_norms(vectors: np.ndarray) -> np.ndarray:
 
 def live_tables(specs, untested: str) -> list[dict]:
     """walk.block_table of each spec, refused if every block of them is degenerate: the check would read 0.0 untested."""
-    tables = [walk.block_table(spec) for spec in specs]
+    memo = _TABLES.get({})  # outside run_verification, this call's own
+    tables = [memo[spec] if spec in memo else memo.setdefault(spec, walk.block_table(spec)) for spec in specs]
     if not any((table["degenerate"] == 0).any() for table in tables):
         lattices = " and ".join(f"{spec.dimension}D N={spec.N}" for spec in specs) + " lattice" + "s" * (len(specs) > 1)
         raise ValueError(f"every momentum block of the {lattices} at theta={specs[0].theta} is degenerate; {untested}")
@@ -379,7 +382,9 @@ def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
             raise ValueError(f"unknown suites {unknown}; available: {names}")
         names = [n for n in names if n in set(only)]
     _cap_lattices(options, "momentum mode count", "n_sites", walk.GRID_CAP)
+    context = copy_context()  # the admissions and suites run in it, sharing its block tables until this call returns
+    context.run(_TABLES.set, {})
     for name in names:
         if name in ADMIT:
-            ADMIT[name](options)
-    return [row for name in names for row in SUITES[name](options)]
+            context.run(ADMIT[name], options)
+    return [row for name in names for row in context.run(SUITES[name], options)]

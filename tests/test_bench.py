@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from walkqca import cli, multiparticle
+from walkqca import cli, multiparticle, qca
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
@@ -96,19 +96,42 @@ def test_qca_ladder_file_schema(path):
 CLI_SIZES = (32, 64, 128, 256)
 CLI_COMMANDS = ("spectrum", "dispersion")
 CLI_DEFAULT_COMMANDS = ("evolve", "qca-demo")
-# Later files also time verify: at the default config, and its blocks suite on a 1D check lattice at the grid cap.
-CLI_VERIFY_ROWS = {"verify": "default", "verify --only blocks": {"verify": {"n_1d": cli.GRID_CAP}}}
-# Later still, two runs near the amplitude cap, each in a fresh process: 3 particles on 1D N=62, (2*62 + 1)**3 amplitudes.
-THREE_LABELS = [{"ell": -3, "branch": -1}, {"ell": 1, "branch": 1}, {"ell": 5, "branch": -1}]
-CLI_NEAR_CAP_ROWS = {
-    "verify --only preservation": {"verify": {"n_1d": 62, "n_random": 3}},
-    "evolve --steps 4": {"lattice": {"N": 62}, "evolve": {"n_max": 3, "labels": THREE_LABELS}},
+# Later files also time verify: at the default config, and its blocks suite on a 1D check lattice at the grid cap;
+# later still, CI's blocks and momentum-ops run there too.  A file times none of them, the first two or all three.
+CLI_VERIFY_ROWS = {
+    "verify": "default",
+    "verify --only blocks": {"verify": {"n_1d": cli.GRID_CAP}},
+    "verify --only blocks --only momentum-ops": {"verify": {"n_1d": cli.GRID_CAP}},
 }
+# Later still, runs near a cap, each in a fresh process, as (command, config, amplitudes, cap): two with 3 particles
+# on 1D N=62, (2*62 + 1)**3 amplitudes, then CI's automaton run at 22 qubits.  A file times none, the first two or all.
+THREE_LABELS = [{"ell": -3, "branch": -1}, {"ell": 1, "branch": 1}, {"ell": 5, "branch": -1}]
+NEAR_AMPLITUDES = ((2 * 62 + 1) ** 3, multiparticle.AMPLITUDE_CAP)
+CLI_NEAR_CAP_RUNS = [
+    ("verify --only preservation", {"verify": {"n_1d": 62, "n_random": 3}}, *NEAR_AMPLITUDES),
+    ("evolve --steps 4", {"lattice": {"N": 62}, "evolve": {"n_max": 3, "labels": THREE_LABELS}}, *NEAR_AMPLITUDES),
+    ("evolve --steps 4", {"evolve": {"system": "qca", "qca": {"sites": 11, "types": 1}}}, 2**22, 1 << qca.QUBIT_CAP),
+]
+
+
+def _run_key(command, config):
+    return command, json.dumps(config, sort_keys=True)
+
+
+NEAR_CAP = {_run_key(command, config): (amplitudes, cap) for command, config, amplitudes, cap in CLI_NEAR_CAP_RUNS}
+
+
+def _change_runs():
+    rows = [row for path in CLI_LADDERS for row in json.loads(path.read_text())["rows"] if row["tree"] == "change"]
+    return {_run_key(row["command"], row.get("config")) for row in rows}
 
 
 def test_a_cli_ladder_file_times_the_runs_near_the_amplitude_cap():
-    rows = [row for path in CLI_LADDERS for row in json.loads(path.read_text())["rows"]]
-    assert {row["command"] for row in rows if row["tree"] == "change"} >= set(CLI_NEAR_CAP_ROWS)
+    assert _change_runs() >= set(list(NEAR_CAP)[:2])
+
+
+def test_a_cli_ladder_file_times_ci_automaton_and_block_table_runs():
+    assert _change_runs() >= {list(NEAR_CAP)[2], _run_key(*list(CLI_VERIFY_ROWS.items())[2])}
 
 
 @pytest.mark.parametrize("path", CLI_LADDERS, ids=[p.name for p in CLI_LADDERS])
@@ -116,12 +139,13 @@ def test_cli_ladder_file_schema(path):
     doc = json.loads(path.read_text())
     _check_machine_and_trees(doc)
     processes = doc["processes_per_tree"]
+    trees = ("base", "change")
     verify = {(r["tree"], r["command"]): r for r in doc["rows"] if r["command"] in CLI_VERIFY_ROWS}
-    assert set(verify) in (set(), {(t, c) for t in ("base", "change") for c in CLI_VERIFY_ROWS})
-    near = {(r["tree"], r["command"]): r for r in doc["rows"] if r["command"] in CLI_NEAR_CAP_ROWS}
-    assert set(near) in (set(), {(t, c) for t in ("base", "change") for c in CLI_NEAR_CAP_ROWS})
-    named = {**CLI_VERIFY_ROWS, **CLI_NEAR_CAP_ROWS}
-    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"] if r["command"] not in named}
+    assert set(verify) in [{(t, c) for t in trees for c in list(CLI_VERIFY_ROWS)[:k]} for k in (0, 2, 3)]
+    near = {(r["tree"], *_run_key(r["command"], r["config"])): r for r in doc["rows"] if "amplitudes" in r}
+    assert set(near) in [{(t, *run) for t in trees for run in list(NEAR_CAP)[:k]} for k in (0, 2, 3)]
+    named = lambda r: r["command"] in CLI_VERIFY_ROWS or "amplitudes" in r
+    rows = {(r["tree"], r["N"], r["command"]): r for r in doc["rows"] if not named(r)}
     assert len(rows) + len(verify) + len(near) == len(doc["rows"])
     caps = {r["N"] for r in rows.values() if r["at_cap"]}
     assert len(caps) == 1 and caps.isdisjoint(CLI_SIZES)
@@ -133,10 +157,10 @@ def test_cli_ladder_file_schema(path):
     assert set(rows) in (grid, grid | defaults)
     for row in [*rows.values(), *verify.values(), *near.values()]:
         assert set(ROW) <= set(row)
-        if row["command"] in CLI_NEAR_CAP_ROWS:
+        if "amplitudes" in row:
             assert (row["N"], row["modes"], row["at_cap"]) == (None, None, False)
-            assert row["config"] == CLI_NEAR_CAP_ROWS[row["command"]]
-            assert row["amplitudes"] == (2 * 62 + 1) ** 3 <= multiparticle.AMPLITUDE_CAP
+            amplitudes, cap = NEAR_CAP[_run_key(row["command"], row["config"])]
+            assert row["amplitudes"] == amplitudes <= cap
         elif row["command"] in CLI_VERIFY_ROWS:
             assert row["N"] is None and row["config"] == CLI_VERIFY_ROWS[row["command"]]
             at_cap = row["command"] != "verify"

@@ -313,6 +313,19 @@ def test_block_checks_catch_a_corrupted_block(monkeypatch, fault, failing):
     assert {row.check for row in rows if not row.passed} == failing
 
 
+@pytest.mark.parametrize("only", [[], ["blocks", "momentum-ops"]], ids=["default", "blocks-and-momentum-ops"])
+def test_verify_builds_one_block_table_per_check_lattice(tmp_path, monkeypatch, only):
+    # the blocks and momentum-ops admissions and suites share the tables of one run_verification call
+    built, table_of = [], walk.block_table
+    monkeypatch.setattr(walk, "block_table", lambda spec: built.append(spec) or table_of(spec))
+    argv = ["verify", "--out", tmp_path, *(arg for name in only for arg in ("--only", name))]
+    assert run(argv) == 0
+    assert sorted(spec.dimension for spec in built) == [1, 2]
+    built.clear()  # and the next call builds its own
+    assert run(argv) == 0
+    assert len(built) == 2
+
+
 def test_eigenphase_law_holds_at_a_block_of_minus_identity(tmp_path):
     # theta = pi/2 makes the 2D N=4 block at ell = (1, 1) -1 times the
     # identity: both eigenphases are pi, which equals -pi.

@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from functools import reduce
 from math import cos, sin
 
@@ -527,3 +530,109 @@ def test_sector_isomorphism_steps_once_and_builds_no_product_over_types(monkeypa
         calls.clear()
         assert one_particle_sector_isomorphism(n_sites, n_types, 0.3) < TOL
         assert len(calls) == 1
+
+
+# qca_step alternates between the array it returns and one scratch state kept per thread.
+# Cell counts 3 and 4 take two coin passes, 5 and 9 (3 sites x 3 types) take three and five.
+SCRATCH_LATTICES = [(3, 1), (4, 1), (5, 1), (3, 3)]
+
+
+def _kept_scratch_faults(lattice, coin):
+    """What goes wrong when two qca_step results are kept alive through a third step."""
+    faults = []
+    first = qca_step(lattice, coin, _random_state(lattice, 6))
+    second = qca_step(lattice, coin, first)
+    kept = first.copy(), second.copy()
+    third = qca_step(lattice, coin, second)
+    if not (np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])):
+        faults.append("a kept result changed")
+    if not np.array_equal(third, apply_coin(lattice, coin, apply_shift(lattice, kept[1]))):
+        faults.append("the step is not the shift and the coin bit for bit")
+    results = [first, second, third]
+    for i, result in enumerate(results):
+        if np.shares_memory(result, qca._kept.scratch):
+            faults.append(f"result {i} is the scratch")
+        if any(np.shares_memory(result, other) for other in results[:i]):
+            faults.append(f"result {i} shares memory with its input or an earlier result")
+    return faults
+
+
+@pytest.mark.parametrize("n_sites,n_types", SCRATCH_LATTICES)
+def test_kept_results_survive_later_steps(n_sites, n_types):
+    assert _kept_scratch_faults(CellLattice(n_sites=n_sites, n_types=n_types), KERNEL_GATES["random"]) == []
+
+
+@pytest.mark.parametrize("n_sites,n_types", SCRATCH_LATTICES)
+def test_kept_results_catch_a_step_that_returns_the_scratch(monkeypatch, n_sites, n_types):
+    # negative control: with the pass parity flipped the last pass lands in the scratch, which is returned
+    monkeypatch.setattr(qca, "_shift_into_result", lambda passes: passes % 2 == 1)
+    faults = _kept_scratch_faults(CellLattice(n_sites=n_sites, n_types=n_types), KERNEL_GATES["random"])
+    assert "result 0 is the scratch" in faults and "a kept result changed" in faults
+
+
+def _traced(fn):
+    """fn's result, and the bytes it allocated at its peak and still held on return besides that result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak, held - result.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_second_step_allocates_one_state():
+    # q=16: a 1 MiB state; the first step allocates the scratch, the second only its result
+    lattice = CellLattice(n_sites=8, n_types=1)
+    coin, state = build_local_coin(0.3), _random_state(lattice, 7)
+    qca_step(lattice, coin, state)
+    bound = state.nbytes + 64 * 1024
+    assert _traced(lambda: qca_step(lattice, coin, state))[1] <= bound
+    # the shift and the coin, each allocating its passes, hold three states at their peak
+    assert _traced(lambda: apply_coin(lattice, coin, apply_shift(lattice, state)))[1] > bound
+
+
+def test_threads_step_with_their_own_scratch():
+    # three lattices of one size (q=16), so that a scratch shared between threads would be reused, not replaced,
+    # stepped at once by three threads that switch often
+    lattices = [CellLattice(n_sites=8, n_types=1), CellLattice(n_sites=4, n_types=2), CellLattice(n_sites=2, n_types=4)]
+    coin = KERNEL_GATES["random"]
+
+    def steps_of(lattice, steps=16):
+        states = [_random_state(lattice, lattice.n_sites)]
+        for _ in range(steps):
+            states.append(qca_step(lattice, coin, states[-1]))
+        return states
+
+    serial = [steps_of(lattice) for lattice in lattices]
+    threaded = [None] * len(lattices)
+    start = threading.Barrier(len(lattices))
+
+    def run(i):
+        start.wait(timeout=30)
+        threaded[i] = steps_of(lattices[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(lattices))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(threaded, serial):
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_stacked_kernels_pin_no_scratch():
+    # the dense operator's identity stack is 16 MiB at the largest lattice under DENSE_OPERATOR_CAP
+    lattice = CellLattice(n_sites=5, n_types=1)
+    assert lattice.dim <= qca.DENSE_OPERATOR_CAP < 4 * lattice.dim
+    coin, before = build_local_coin(0.3), getattr(qca._kept, "scratch", None)
+    stack = np.random.default_rng(8).standard_normal((4, lattice.dim)) + 0j
+    for kernel in (lambda: qca_step_operator(lattice, coin), lambda: apply_coin(lattice, coin, stack)):
+        assert _traced(kernel)[2] <= 64 * 1024
+        assert getattr(qca._kept, "scratch", None) is before

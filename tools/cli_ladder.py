@@ -8,16 +8,19 @@ standard output): first `evolve`, `qca-demo` and `verify` at the
 default config, then `spectrum` and `dispersion` on the 2D lattice at
 N = 32, 64, 128, 256 (theta 0.3, the other settings at their defaults)
 and at the grid cap, `cli.GRID_CAP` modes, and last `verify --only blocks`
-on a 1D check lattice of `cli.GRID_CAP` modes, where the tree has a cap (a
-tree from before the cap skips both: its per-mode loop would take several
-times as long and as much memory there).  The first call of each command
+and CI's `verify --only blocks --only momentum-ops` on a 1D check lattice of
+`cli.GRID_CAP` modes, where the tree has a cap (a tree from before the cap
+skips them all: its per-mode loop would take several times as long and as
+much memory there).  The first call of each command
 and size is kept apart as `first_call_s`; the row takes the median of
 the repeats after it.  After each command at the default config and
 after each size the process records its peak RSS so far.
-Last, the runs near the amplitude cap, 3 particles on 1D N=62 (125**3
-amplitudes): `verify --only preservation` and `evolve --steps 4` each run
-once in a fresh `walkqca` process of their own, whose wall time
-(interpreter start included) and peak RSS make the row's per-process values.
+Last, the runs near a cap: 3 particles on 1D N=62 (125**3 amplitudes, near
+the amplitude cap) under `verify --only preservation` and `evolve --steps 4`,
+and CI's automaton run at the qubit cap, `evolve --steps 4` with the `qca`
+system on 11 sites of 1 type (2**22 amplitudes).  Each runs once in a fresh
+`walkqca` process of its own, whose wall time (interpreter start included)
+and peak RSS make the row's per-process values.
 Trees, processes and rows are as in `qca_ladder.py`: the two trees
 alternate as `ladder.run_trees` describes, and each row is the median
 and interquartile range of the per-process medians.
@@ -25,7 +28,8 @@ and interquartile range of the per-process medians.
 Needs numpy and git.  A process peaks near 130 MB at the grid cap (`BENCH_23.json`,
 the change's rows at N=512; 145 MB on its base) and near 190 MB in the `verify` cap run
 (`BENCH_30.json`; 250 MB on its base); a run near the amplitude cap near 125 MB
-(`BENCH_31.json`; 156 MB on its base).
+(`BENCH_31.json`; 156 MB on its base); the automaton run at the qubit cap near 248 MB
+(`BENCH_37_cli.json`; 312 MB on its base).
 """
 
 from __future__ import annotations
@@ -51,16 +55,17 @@ REPEATS = {32: 9, 64: 7, 128: 5, 256: 3}
 CAP_REPEATS = 3
 COMMANDS = ("spectrum", "dispersion")
 DEFAULT_COMMANDS = ("evolve", "qca-demo", "verify")
-# The verify run at the cap: its blocks suite on a 1D check lattice of cli.GRID_CAP modes.
-VERIFY_CAP_COMMAND = "verify --only blocks"
+# The verify runs at the cap, on a 1D check lattice of cli.GRID_CAP modes; the second is CI's.
+VERIFY_CAP_COMMANDS = ("verify --only blocks", "verify --only blocks --only momentum-ops")
 DEFAULT_REPEATS = 9
-# The runs near multiparticle.AMPLITUDE_CAP, by command: 3 particles on 1D N=62, 125**3 amplitudes.
-NEAR_CAP_AMPLITUDES = 125**3
+# The runs near a cap, each (command, config, amplitudes): 3 particles on 1D N=62, 125**3 amplitudes near
+# multiparticle.AMPLITUDE_CAP, and CI's automaton run at qca.QUBIT_CAP, 2**22 amplitudes.
 THREE_LABELS = [{"ell": -3, "branch": -1}, {"ell": 1, "branch": 1}, {"ell": 5, "branch": -1}]
-NEAR_CAP_RUNS = {
-    "verify --only preservation": {"verify": {"n_1d": 62, "n_random": 3}},
-    "evolve --steps 4": {"lattice": {"N": 62}, "evolve": {"n_max": 3, "labels": THREE_LABELS}},
-}
+NEAR_CAP_RUNS = (
+    ("verify --only preservation", {"verify": {"n_1d": 62, "n_random": 3}}, 125**3),
+    ("evolve --steps 4", {"lattice": {"N": 62}, "evolve": {"n_max": 3, "labels": THREE_LABELS}}, 125**3),
+    ("evolve --steps 4", {"evolve": {"system": "qca", "qca": {"sites": 11, "types": 1}}}, 2**22),
+)
 
 
 def _timed(cli, argv: list[str], repeats: int) -> dict:
@@ -125,14 +130,15 @@ def _child(src: str) -> dict:
             rows[f"N{n}.peak_rss_mb"] = _peak_rss_mb()
         if cap:  # last, as it peaks highest
             config.write_text(json.dumps({"verify": {"n_1d": cap}}))
-            argv = [*VERIFY_CAP_COMMAND.split(), "--config", str(config), "--out", tmp]
-            rows["cap.verify"] = _timed(cli, argv, CAP_REPEATS)
-            rows["cap.verify.peak_rss_mb"] = _peak_rss_mb()
-        for command, doc in NEAR_CAP_RUNS.items():
+            for command in VERIFY_CAP_COMMANDS:
+                argv = [*command.split(), "--config", str(config), "--out", tmp]
+                rows[f"cap.{command}"] = _timed(cli, argv, CAP_REPEATS)
+                rows[f"cap.{command}.peak_rss_mb"] = _peak_rss_mb()
+        for i, (command, doc, _) in enumerate(NEAR_CAP_RUNS):
             config.write_text(json.dumps(doc))
             seconds, rss = _fresh_run(src, [*command.split(), "--config", str(config), "--out", tmp])
-            rows[f"near_cap.{command}"] = {"median_s": seconds, "first_call_s": seconds}
-            rows[f"near_cap.{command}.peak_rss_mb"] = rss
+            rows[f"near_cap.{i}"] = {"median_s": seconds, "first_call_s": seconds}
+            rows[f"near_cap.{i}.peak_rss_mb"] = rss
     return {
         "rows": rows,
         "cap_n": isqrt(cap) if cap else None,
@@ -171,22 +177,22 @@ def main(argv=None) -> int:
             for command in COMMANDS:
                 where = {"tree": name, "N": n, "modes": n * n, "command": command, "at_cap": n == cap_n}
                 rows.append(_row(procs, f"N{n}.{command}", f"N{n}.peak_rss_mb", where))
-        if cap_n:
+        for command in VERIFY_CAP_COMMANDS if cap_n else ():
             modes = cap_n * cap_n
-            where = {"tree": name, "N": None, "modes": modes, "command": VERIFY_CAP_COMMAND, "at_cap": True}
+            where = {"tree": name, "N": None, "modes": modes, "command": command, "at_cap": True}
             where["config"] = {"verify": {"n_1d": modes}}
-            rows.append(_row(procs, "cap.verify", "cap.verify.peak_rss_mb", where))
-        for command, config in NEAR_CAP_RUNS.items():
+            rows.append(_row(procs, f"cap.{command}", f"cap.{command}.peak_rss_mb", where))
+        for i, (command, config, amplitudes) in enumerate(NEAR_CAP_RUNS):
             where = {"tree": name, "N": None, "modes": None, "command": command, "at_cap": False, "config": config}
-            where["amplitudes"] = NEAR_CAP_AMPLITUDES
-            key = f"near_cap.{command}"
-            rows.append(_row(procs, key, f"{key}.peak_rss_mb", where))
+            where["amplitudes"] = amplitudes
+            rows.append(_row(procs, f"near_cap.{i}", f"near_cap.{i}.peak_rss_mb", where))
     doc = {
         "kernel": (
             "walkqca evolve, qca-demo and verify through cli.main at the default config, spectrum and dispersion"
-            " on the 2D lattice at theta 0.3, and verify --only blocks on the 1D check lattice at the grid cap,"
-            " outputs written; verify --only preservation and evolve with 3 particles on 1D N=62, near the"
-            " amplitude cap, each in a fresh walkqca process"
+            " on the 2D lattice at theta 0.3, and verify --only blocks, alone and with --only momentum-ops, on the"
+            " 1D check lattice at the grid cap, outputs written; verify --only preservation and evolve with 3"
+            " particles on 1D N=62, near the amplitude cap, and evolve with the qca system at 22 qubits, each in"
+            " a fresh walkqca process"
         ),
         "command": "python tools/cli_ladder.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "machine": ladder.machine(runs["change"][0]),

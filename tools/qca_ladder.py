@@ -17,8 +17,10 @@ is kept apart: such calls have been seen taking 125-155 ms instead of
 about 2 ms early in a process.  The output counts the processes where
 any q=16 coin call took longer than `SLOW_COIN_S`.
 
-Needs numpy and git.  Keep `--processes` small: a q=22 step holds about
-four 64 MiB arrays at once.
+Needs numpy and git.  Keep `--processes` small: a q=22 step holds three
+64 MiB arrays at once, its input, its result and the scratch state that
+`qca_step` keeps, as `apply_coin` alone does with its input and two passes
+(traced with tracemalloc; a step that allocated every pass held four).
 """
 
 from __future__ import annotations
