@@ -245,7 +245,10 @@ def _qca_occupation_columns(lattice: qca.CellLattice, coin, state, steps: int) -
 
 def _evolve_qca(config: dict, spec: LatticeSpec, steps: int, out_dir: Path | None) -> int:
     qconf = config["evolve"]["qca"]
-    lattice = qca.CellLattice(n_sites=qconf["sites"], n_types=qconf["types"])
+    try:
+        lattice = qca.CellLattice(n_sites=qconf["sites"], n_types=qconf["types"])
+    except ValueError as exc:
+        raise ValueError(f"evolve.qca.sites {qconf['sites']!r}, evolve.qca.types {qconf['types']!r}: {exc}") from None
     coin = qca.build_local_coin(spec.theta)
     initial = qconf["initial"]
     if initial == "vacuum":

@@ -51,6 +51,8 @@ class LatticeSpec:
             raise ValueError(f"N must be an even integer >= 2, got {self.N}")
         if not self.dx > 0:
             raise ValueError(f"dx must be positive, got {self.dx}")
+        if not isfinite(2.0 * pi * (int(self.N) // 2) / (int(self.N) * float(self.dx))):  # k at ell = N/2, as the grid rounds it
+            raise ValueError(f"dx {self.dx} is too small: the largest momentum pi/dx overflows a float")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 

@@ -126,13 +126,19 @@ def apply_coin(lattice: CellLattice, coin: np.ndarray, state: np.ndarray) -> np.
     Base-4 digit c of a basis index is cell c in the coin's (empty, R, L,
     RL) order.  A pass is one gemm of kron(g, g) (g alone for an odd last
     cell); after ceil(cells/2) passes the cells are in place and a (k, dim)
-    stack's axis is at the bottom.  The left-hand form keeps OpenBLAS's
-    peak RSS down: `state.reshape(-1, 16) @ pair.T` peaks 4 MB higher at q=18.
+    stack's axis is at the bottom.  They are the step's passes, run from `state` through two arrays of this call's own.
+    The left-hand form keeps OpenBLAS's peak RSS down: `state.reshape(-1, 16) @ pair.T` peaks 4 MB higher at q=18.
     """
-    out = state
-    for gate in _coin_gates(lattice, coin):
-        out = (gate @ out.reshape(-1, len(gate)).T).reshape(-1)
+    out = _coin_passes(_coin_gates(lattice, coin), state, *(np.empty(state.size, dtype=complex) for _ in range(2)))
     return out.reshape(lattice.dim, -1).T.reshape(state.shape)
+
+
+def _coin_passes(gates, src: np.ndarray, dst: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Each gate's gemm, the first from `src` into `dst`, the rest back and forth between `dst` and `spare`; the array written last."""
+    for gate in gates:
+        np.matmul(gate, src.reshape(-1, len(gate)).T, out=dst.reshape(len(gate), -1))
+        src, dst, spare = dst, spare, dst
+    return src
 
 
 def _check_state(lattice: CellLattice, state: np.ndarray) -> None:
@@ -152,10 +158,7 @@ def qca_step(lattice: CellLattice, coin: np.ndarray, state: np.ndarray) -> np.nd
         _kept.scratch = np.empty(lattice.dim, dtype=complex)
     src, dst = (result, _kept.scratch) if _shift_into_result(len(gates)) else (_kept.scratch, result)
     np.copyto(src.reshape(1, *(2,) * lattice.n_qubits), _shifted(lattice, state))
-    for gate in gates:
-        np.matmul(gate, src.reshape(-1, len(gate)).T, out=dst.reshape(len(gate), -1))
-        src, dst = dst, src
-    return src
+    return _coin_passes(gates, src, dst, src)
 
 
 def qca_step_operator(lattice: CellLattice, coin: np.ndarray) -> np.ndarray:

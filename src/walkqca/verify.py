@@ -8,8 +8,7 @@ residual 0 or 1 against tolerance 0.5.
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar, copy_context
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import comb, isfinite
 
 import numpy as np
@@ -23,7 +22,6 @@ DEFAULT_TOL = 1e-12
 N_MAX_CAP = 3
 # What the blocks and momentum-ops suites would leave untested on check lattices whose every block is degenerate.
 NO_VECTOR, NO_MODE = "the eigenvector-residual check has no vector to test", "the momentum-ops check has no mode to test"
-_TABLES: ContextVar[dict] = ContextVar("block_tables")  # by lattice: one run_verification call's admissions and suites share them
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,7 @@ class VerifyOptions:
     tol: float = DEFAULT_TOL
     seed: int = 0
     inject_fault: str | None = None
+    tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # live_tables' memo of block tables
 
     def __post_init__(self):
         # Zero samples, or only the vacuum (n_max 0), would let the
@@ -121,9 +120,9 @@ def vector_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).reshape(-1)
 
 
-def live_tables(specs, untested: str) -> list[dict]:
-    """walk.block_table of each spec, refused if every block of them is degenerate: the check would read 0.0 untested."""
-    memo = _TABLES.get({})  # outside run_verification, this call's own
+def live_tables(specs, untested: str, memo: dict | None = None) -> list[dict]:
+    """walk.block_table of each spec, read from or built into `memo` by lattice; refused if every block is degenerate: untested."""
+    memo = {} if memo is None else memo
     tables = [memo[spec] if spec in memo else memo.setdefault(spec, walk.block_table(spec)) for spec in specs]
     if not any((table["degenerate"] == 0).any() for table in tables):
         lattices = " and ".join(f"{spec.dimension}D N={spec.N}" for spec in specs) + " lattice" + "s" * (len(specs) > 1)
@@ -133,7 +132,7 @@ def live_tables(specs, untested: str) -> list[dict]:
 
 def check_blocks(options: VerifyOptions) -> list[CheckResult]:
     specs = (options.spec1d, options.spec2d)
-    tables = live_tables(specs, NO_VECTOR)
+    tables = live_tables(specs, NO_VECTOR, options.tables)
     res = [
         _result(f"block-consistency-{spec.dimension}d", walk.verify_block_consistency(spec, table), options.tol)
         for spec, table in zip(specs, tables)
@@ -237,15 +236,15 @@ def check_eigenphase(options: VerifyOptions) -> list[CheckResult]:
     return res
 
 
-def momentum_ops_residual(spec: LatticeSpec) -> float:
+def momentum_ops_residual(spec: LatticeSpec, tables: dict | None = None) -> float:
     """Max entrywise deviation of the conjugated pair from the block action.
 
     Checks the first two non-degenerate modes of :func:`walk.block_table`, their blocks
     formed from its r, over the Fock basis of their four branches.  The column (a_R+, a_L+)
     conjugates by the transpose of the block, so each conjugated operator is matched
-    against the corresponding column combination.
+    against the corresponding column combination.  `tables` is :func:`live_tables`' memo.
     """
-    (table,) = live_tables([spec], NO_MODE)
+    (table,) = live_tables([spec], NO_MODE, tables)
     live = np.flatnonzero(table["degenerate"] == 0)[:2]
     ells = np.stack([table[name][live] for name in walk.MODE_COLUMNS[spec.dimension][: spec.dimension]], axis=-1)
     modes = [momentum_mode(spec, ell) for ell in ells.tolist()]
@@ -263,8 +262,8 @@ def momentum_ops_residual(spec: LatticeSpec) -> float:
 
 
 def check_momentum_ops(options: VerifyOptions) -> list[CheckResult]:
-    specs = (options.spec1d, options.spec2d)
-    return [_result(f"momentum-ops-conjugation-{spec.dimension}d", momentum_ops_residual(spec), options.tol) for spec in specs]
+    residuals = {spec.dimension: momentum_ops_residual(spec, options.tables) for spec in (options.spec1d, options.spec2d)}
+    return [_result(f"momentum-ops-conjugation-{dimension}d", residual, options.tol) for dimension, residual in residuals.items()]
 
 
 def intertwining_residual(spec: LatticeSpec, n_max: int) -> float:
@@ -364,10 +363,10 @@ SUITES = {
 # Suites that refuse inputs: each entry raises ValueError naming the key before any suite runs; its result is unused.
 ADMIT = {
     "unitarity": lambda o: _cap_lattices(o, "dense walk dimension (unitarity suite)", "walk_dim", qca.DENSE_OPERATOR_CAP),
-    "blocks": lambda o: live_tables((o.spec1d, o.spec2d), NO_VECTOR),
+    "blocks": lambda o: live_tables((o.spec1d, o.spec2d), NO_VECTOR, o.tables),
     "preservation": lambda o: _admit_states("preservation", preservation_states(o)),
     "eigenphase": lambda o: _admit_states("eigenphase", eigenphase_states(o), EIGENPHASE_WORK_CAP),
-    "momentum-ops": lambda o: [live_tables([spec], NO_MODE) for spec in (o.spec1d, o.spec2d)],
+    "momentum-ops": lambda o: [live_tables([spec], NO_MODE, o.tables) for spec in (o.spec1d, o.spec2d)],
     # a study's largest scale is its base k*dx, at the lattice's own theta
     "dispersion": lambda o: [dirac.momentum_squares(spec, k_dx) for _, spec, k_dx in dispersion_studies(o)],
 }
@@ -382,9 +381,7 @@ def run_verification(options: VerifyOptions, only=None) -> list[CheckResult]:
             raise ValueError(f"unknown suites {unknown}; available: {names}")
         names = [n for n in names if n in set(only)]
     _cap_lattices(options, "momentum mode count", "n_sites", walk.GRID_CAP)
-    context = copy_context()  # the admissions and suites run in it, sharing its block tables until this call returns
-    context.run(_TABLES.set, {})
     for name in names:
         if name in ADMIT:
-            context.run(ADMIT[name], options)
-    return [row for name in names for row in context.run(SUITES[name], options)]
+            ADMIT[name](options)
+    return [row for name in names for row in SUITES[name](options)]

@@ -280,6 +280,18 @@ def test_verify_momentum_ops_1d_tests_the_pole_modes_at_zero_theta(monkeypatch):
     assert checked == [(-1,), (1,)]
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_momentum_ops_residual_reads_the_tables_it_fills_into_its_memo(monkeypatch, dimension):
+    built, table_of = [], walk.block_table
+    monkeypatch.setattr(walk, "block_table", lambda spec: built.append(spec) or table_of(spec))
+    spec, memo = make_lattice(dimension, 4, 1.0, 1.0, 0.3), {}
+    alone = momentum_ops_residual(spec)
+    assert momentum_ops_residual(spec, memo) == alone and list(memo) == [spec] and len(built) == 2
+    assert momentum_ops_residual(spec, memo) == alone and len(built) == 2  # the second call builds no table
+    with pytest.raises(TypeError):  # verify's memo is its options' own, set by no caller
+        VerifyOptions(spec, make_lattice(2, 4, 1.0, 1.0, 0.3), tables=memo)
+
+
 def scaled_columns(names, factor):
     """walk.block_table with the named columns times `factor`."""
     table_of = walk.block_table
@@ -443,6 +455,10 @@ QCA_LATTICE = {"dimension": 1, "dx": 1.0, "dt": 1.0, "theta": 0.4}
         ({"sites": 4.0}, "n_sites must be an integer, got 4.0"),
         ({"sites": 4, "types": True}, "n_types must be an integer, got True"),
         ({"sites": 4, "site": True}, "evolve.qca.site must be an integer, got True"),
+        # a size the automaton refuses names both keys
+        ({"sites": 2.5}, "evolve.qca.sites 2.5, evolve.qca.types 1: n_sites must be an integer, got 2.5"),
+        ({"types": 0}, "evolve.qca.sites 8, evolve.qca.types 0: need at least 1 type, got 0"),
+        ({"sites": 30}, "evolve.qca.sites 30, evolve.qca.types 1: 60 qubits exceed the desk-scale cap 22"),
     ],
 )
 def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, qconf, words):
@@ -452,6 +468,21 @@ def test_evolve_qca_rejects_bad_initial_particles_with_exit_2(tmp_path, capsys, 
     assert words in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "occupations.csv").exists()
+
+
+# pi/dx, the largest momentum, overflows a float below about 1.7476e-308
+@pytest.mark.parametrize(
+    "command,doc",
+    [("spectrum", {}), ("verify", {}), ("evolve", {"evolve": {"labels": [{"ell": 1, "branch": 1}]}})],
+    ids=["spectrum", "verify", "evolve"],
+)
+def test_a_dx_whose_momenta_overflow_is_refused_in_one_line(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, {"lattice": {"dx": 1e-310}, **doc})
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "error: dx 1e-310 is too small: the largest momentum pi/dx overflows a float\n"
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, {"lattice": {"dx": 1.75e-308}})
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
 # Every case is (command, config document, words of its one-line error).

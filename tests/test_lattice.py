@@ -1,11 +1,13 @@
 import dataclasses
 import json
 from math import pi
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from walkqca import walk
 from walkqca.lattice import (
     EnergyModeLabel,
     LatticeSpec,
@@ -139,6 +141,26 @@ def test_ordering_is_a_strict_total_order(ell_a, ell_b, br_a, br_b):
     else:
         assert (ka < kb) != (kb < ka)
         assert ka != kb
+
+
+@pytest.mark.parametrize("n", [2, 8, 1000, 262_144])
+def test_a_spacing_is_refused_exactly_where_its_grid_momenta_overflow(n):
+    # the 17 floats about pi/float-max: each is refused and its grid overflows, or it is taken and its grid is finite
+    spacing, taken = np.pi / np.finfo(float).max, []
+    for _ in range(8):
+        spacing = np.nextafter(spacing, 0.0)
+    for _ in range(17):
+        try:
+            spec = make_lattice(1, n, float(spacing), 1.0, 0.1)
+        except ValueError:
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(walk.axis_momenta(SimpleNamespace(N=n, dx=float(spacing)))[1]).all()
+            taken.append(False)
+        else:
+            assert np.isfinite(walk.axis_momenta(spec)[1]).all()
+            taken.append(True)
+        spacing = np.nextafter(spacing, 1.0)
+    assert taken[0] is False and taken[-1] is True
 
 
 def test_lattice_spec_takes_numpy_numbers():

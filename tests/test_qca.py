@@ -636,3 +636,19 @@ def test_stacked_kernels_pin_no_scratch():
     for kernel in (lambda: qca_step_operator(lattice, coin), lambda: apply_coin(lattice, coin, stack)):
         assert _traced(kernel)[2] <= 64 * 1024
         assert getattr(qca._kept, "scratch", None) is before
+
+
+def _coin_pass_outputs(lattice, coin):
+    """The step of one state, the coin on a (3, dim) stack and the dense step operator: each runs the coin passes."""
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3, lattice.dim)) + 1j * rng.standard_normal((3, lattice.dim))
+    return qca_step(lattice, coin, stack[0]), apply_coin(lattice, coin, stack), qca_step_operator(lattice, coin)
+
+
+def test_every_coin_pass_runs_through_one_routine(monkeypatch):
+    # negative control: a pass routine that skips its last gate changes all three outputs, so none has a loop of its own
+    lattice, coin = CellLattice(n_sites=5, n_types=1), KERNEL_GATES["random"]
+    expected, passes = _coin_pass_outputs(lattice, coin), qca._coin_passes
+    monkeypatch.setattr(qca, "_coin_passes", lambda gates, *arrays: passes(gates[:-1], *arrays))
+    for name, want, got in zip(("step", "stack", "operator"), expected, _coin_pass_outputs(lattice, coin)):
+        assert np.max(np.abs(got - want)) > 1e-3, name

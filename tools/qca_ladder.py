@@ -19,7 +19,7 @@ any q=16 coin call took longer than `SLOW_COIN_S`.
 
 Needs numpy and git.  Keep `--processes` small: a q=22 step holds three
 64 MiB arrays at once, its input, its result and the scratch state that
-`qca_step` keeps, as `apply_coin` alone does with its input and two passes
+`qca_step` keeps, as `apply_coin` alone does with its input and its two arrays
 (traced with tracemalloc; a step that allocated every pass held four).
 """
 
